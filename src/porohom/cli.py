@@ -2,14 +2,12 @@
 
 Each experiment writes CSV outputs plus a manifest (config echo, library
 versions, wall time) into the output directory.  Exit codes: 0 success,
-1 validation failure, 2 solver failure.  The env var POROHOM_THREADS caps
-the BLAS/OpenMP thread pools.
+1 validation failure, 2 solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import replace
@@ -19,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import extend_fluid, extend_solid, poincare_constant
-from .config import EXPERIMENTS, ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, parse_config
 from .geometry import UnitCellPattern, build_phase_mask, init_fluid_partition, porosity
 from .grid import Grid, ScalarField, VectorField, l2_norm, save_field
 from .homogenize import (
@@ -210,11 +208,6 @@ def _write_manifest(out: Path, cfg_text: str, status: str, elapsed: float, files
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("POROHOM_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     ap = argparse.ArgumentParser(prog="porohom", description=__doc__)
     ap.add_argument("experiment", help="experiment name from the registry")
     ap.add_argument("--config", required=True, help="path to the run configuration")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grid import Grid, ScalarField
+from .grid import Grid
 
 __all__ = [
     "UnitCellPattern",

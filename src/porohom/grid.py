@@ -12,7 +12,7 @@ symmetric-tensor fields store components in the leading axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

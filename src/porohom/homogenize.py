@@ -17,22 +17,24 @@ two-scale cell problems as the engineering stand-in:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import PhaseMask, UnitCellPattern, build_phase_mask, check_pore_connectivity, porosity
 from .grid import Grid, ScalarField, sym_component_pairs
 from .microsim import MaterialParams, MicroSolver
 from .operators import (
-    assemble_scalar_stiffness,
+    _assemble,
+    _diffusion_element,
+    _element_dofs,
+    _shape_gradients,
+    _sym_element,
     assemble_vector_form,
     cell_average,
+    cell_corner_indices,
     cell_counts,
-    cell_volume,
-    center_gradient_ops,
-    gradient_ops,
     lumped_weights,
     restrict,
 )
@@ -83,7 +85,7 @@ def permeability_from_mask(mask: PhaseMask, mu: float, penalty_ratio: float = 10
         raise ValueError("permeability is unbounded without a solid obstacle")
     n = grid.n_nodes
     coef = np.full(np.prod(cell_counts(grid)), mu)
-    A = assemble_vector_form(grid, coef, penalty_ratio * coef, reduced_div=True)
+    A = assemble_vector_form(grid, coef, penalty_ratio * coef)
     active = np.tile(mask.fluid.ravel(), grid.dim)
     A_red = restrict(A, active)
     diag = np.maximum(A_red.diagonal(), 1e-300)
@@ -113,84 +115,51 @@ def permeability_cell_problem(pattern: UnitCellPattern, grid: Grid, mu: float,
     return K
 
 
-def _unit_strains(dim: int):
-    """Voigt-ordered unit macroscopic strain tensors in symmetric storage."""
-    pairs = sym_component_pairs(dim)
-    out = []
-    for i, j in pairs:
-        e = np.zeros(len(pairs))
-        e[pairs.index((i, j))] = 1.0 if i == j else 0.5
-        out.append(e)
-    return out
-
-
 def elasticity_from_mask(mask: PhaseMask, lam: float, cg_tol: float = 1e-10,
                          cg_max_iter: int = 50000) -> np.ndarray:
-    """Effective stiffness (Voigt energy form) of the porous skeleton."""
+    """Effective stiffness (Voigt energy form) of the porous skeleton.
+
+    For each unit macroscopic strain E (symmetric storage, Voigt order) the
+    periodic corrector u solves A u = -f, with f the skeleton form applied
+    to the affine field E x cell by cell; C_ab is the cell-averaged energy
+    of the total fields E_a x + u_a and E_b x + u_b.
+    """
     grid = mask.grid
     _require_periodic(grid)
     dim, n = grid.dim, grid.n_nodes
-    pairs = sym_component_pairs(dim)
     coef = lam * cell_average(grid, 1.0 - mask.chi_eps)
-    vol_cell = cell_volume(grid)
     A = assemble_vector_form(grid, coef, None)
     diag = A.diagonal()
     precond = np.where(diag > 1e-12 * diag.max(), diag, diag.max())
 
-    ops = gradient_ops(grid)
+    element = _sym_element(grid).reshape(dim * 2**dim, -1)
+    dofs = _element_dofs(grid, dim)
+    corner_x = (np.array(list(itertools.product((0, 1), repeat=dim)))
+                * np.array([grid.spacing(k) for k in range(dim)]))
 
-    def strain_at_gauss(u_flat):
-        """Per-Gauss-point symmetric storage strains, list over gauss points."""
-        out = []
-        for w, mats in ops:
-            comps = []
-            for i, j in pairs:
-                if i == j:
-                    comps.append(mats[i] @ u_flat[i * n:(i + 1) * n])
-                else:
-                    comps.append(0.5 * (mats[j] @ u_flat[i * n:(i + 1) * n]
-                                        + mats[i] @ u_flat[j * n:(j + 1) * n]))
-            out.append((w, comps))
-        return out
-
-    def rhs_for(e_macro):
-        f = np.zeros(dim * n)
-        for w, mats in ops:
-            for c, (i, j) in enumerate(pairs):
-                mult = 1.0 if i == j else 2.0
-                src = w * mult * vol_cell * coef * e_macro[c]
-                if i == j:
-                    f[i * n:(i + 1) * n] -= mats[i].T @ src
-                else:
-                    f[i * n:(i + 1) * n] -= mats[j].T @ (0.5 * src)
-                    f[j * n:(j + 1) * n] -= mats[i].T @ (0.5 * src)
-        return f
-
-    strains = _unit_strains(dim)
-    total = []
     vol = float(np.sum(lumped_weights(grid)))
     # A homogeneous cell gives a roundoff-level rhs and a zero corrector;
     # the absolute floor keeps CG from chasing an unreachable relative target.
     floor = cg_tol * float(np.abs(diag).max()) * np.sqrt(dim * n)
-    for e_macro in strains:
-        res = cg_solve(A, rhs_for(e_macro), tol=cg_tol, max_iter=cg_max_iter,
+    totals = []
+    for i, j in sym_component_pairs(dim):
+        E = np.zeros((dim, dim))
+        E[i, j] = E[j, i] = 1.0 if i == j else 0.5
+        affine = (corner_x @ E).T.ravel()  # E x at the corners of any cell
+        rhs = -np.bincount(dofs.ravel(), weights=np.outer(coef, element @ affine).ravel(),
+                           minlength=dim * n)
+        res = cg_solve(A, rhs, tol=cg_tol, max_iter=cg_max_iter,
                        precond_diag=precond, atol=floor)
         if not res.converged:
             raise RuntimeError(
-                f"degenerate corrector for strain mode {e_macro}: residual {res.residual:.2e}")
-        gp = strain_at_gauss(res.x)
-        total.append([(w, [e_macro[c] + comps[c] for c in range(len(pairs))])
-                      for w, comps in gp])
-    nv = len(pairs)
+                f"degenerate corrector for strain mode {(i, j)}: residual {res.residual:.2e}")
+        totals.append(res.x[dofs] + affine)
+    nv = len(totals)
     C = np.zeros((nv, nv))
     for a in range(nv):
         for b in range(a, nv):
-            acc = 0.0
-            for (wa, ca), (wb, cb) in zip(total[a], total[b]):
-                for c, (i, j) in enumerate(pairs):
-                    mult = 1.0 if i == j else 2.0
-                    acc += wa * mult * vol_cell * float(np.sum(coef * ca[c] * cb[c]))
-            C[a, b] = C[b, a] = acc / vol
+            energy = np.einsum("ci,ij,cj->c", totals[a], element, totals[b])
+            C[a, b] = C[b, a] = float(np.sum(coef * energy)) / vol
     return C
 
 
@@ -210,18 +179,9 @@ def darcy_macro_solve(K: np.ndarray, mu_effective: float, bc: tuple,
     if grid is None:
         grid = Grid(dim=dim, n_per_axis=33)
     p_s1, p_s2 = bc
-    n = grid.n_nodes
-    vol_cell = cell_volume(grid)
-    ncells = int(np.prod(cell_counts(grid)))
     Kmu = K / mu_effective
-
-    A = None
-    for w, mats in gradient_ops(grid):
-        for a in range(dim):
-            for b in range(dim):
-                term = (mats[a].T @ (sp.diags(np.full(ncells, Kmu[a, b] * vol_cell)) @ mats[b])) * w
-                A = term if A is None else A + term
-    A = A.tocsr()
+    ncells = int(np.prod(cell_counts(grid)))
+    A = _assemble(grid, [(np.ones(ncells), _diffusion_element(grid, Kmu))], 1)
 
     x1 = grid.coords()[0]
     lift = p_s2 + (x1 + 0.5) * (p_s1 - p_s2)
@@ -239,8 +199,8 @@ def darcy_macro_solve(K: np.ndarray, mu_effective: float, bc: tuple,
     p[active] += res.x
     pressure = ScalarField(grid, p.reshape(grid.shape))
 
-    mats = center_gradient_ops(grid)
-    grad_mean = np.array([float(np.mean(mats[a] @ p)) for a in range(dim)])
+    grad_center = _shape_gradients(grid, (0.5,) * dim)
+    grad_mean = (p[cell_corner_indices(grid)] @ grad_center.T).mean(axis=0)
     flux = -Kmu @ grad_mean
     return pressure, flux
 

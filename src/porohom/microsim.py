@@ -17,17 +17,16 @@ is exact up to solver tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import transport
 from .geometry import PhaseMask, boundary_tags
 from .grid import Grid, ScalarField, VectorField, divergence
 from .operators import assemble_vector_form, cell_average, lumped_weights, restrict
-from .solvers import CGResult, cg_solve
+from .solvers import cg_solve
 
 __all__ = [
     "MaterialParams",
@@ -36,11 +35,6 @@ __all__ = [
     "MicroSolver",
     "pressure_from_displacement",
     "sound_speed_squared",
-    "apply_operator",
-    "assemble_rhs",
-    "cg_solve",
-    "step",
-    "energy_report",
 ]
 
 
@@ -63,6 +57,8 @@ class MaterialParams:
         for name in ("mu1", "mu2", "lam", "c_f1", "c_f2", "c_s", "tau"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
         m = round(1.0 / self.epsilon)
         if abs(1.0 / self.epsilon - m) > 1e-9:
             raise ValueError("epsilon must be an integer reciprocal")
@@ -88,9 +84,6 @@ class SimState:
             chi=ScalarField(grid, mask.chi.copy()),
             t=0.0,
         )
-
-    def copy(self):
-        return SimState(self.w.copy(), self.v.copy(), self.mu.copy(), self.chi.copy(), self.t)
 
 
 @dataclass
@@ -246,12 +239,13 @@ class MicroSolver:
         if not res.converged:
             raise RuntimeError(
                 f"CG failed to converge: {res.iterations} iterations, residual {res.residual:.3e}")
-        self._v_warm = res.x.copy()
         return res.x
 
     # -- stepping -----------------------------------------------------------
 
     def step(self) -> SimState:
+        """One implicit-Euler step.  Nothing is committed until the solve and
+        the transport update (with its CFL check) have both succeeded."""
         grid, params = self.grid, self.params
         self._rebuild_viscous()
         rhs = (self.load - self._E @ self.state.w.values.reshape(-1))[self.active]
@@ -270,9 +264,20 @@ class MicroSolver:
         scale = max(abs(delta_e), abs(diss), abs(work), 1e-300)
         residual = abs(delta_e + diss - work) / scale
 
-        self.state.w = VectorField(grid, w_new.reshape((grid.dim,) + grid.shape))
-        self.state.v = VectorField(grid, v_flat.reshape((grid.dim,) + grid.shape))
-        self.state.t += params.tau
+        v_new = VectorField(grid, v_flat.reshape((grid.dim,) + grid.shape))
+        if self.advance_transport:
+            # splitting order: momentum -> phase -> viscosity (advect + mollify)
+            moved = replace(self.state, v=v_new)
+            chi_new = transport.advect_phase(moved, self.mask, params.tau)
+            mu_new = transport.update_viscosity(moved, self.mask, params)
+
+        st = self.state
+        st.w = VectorField(grid, w_new.reshape((grid.dim,) + grid.shape))
+        st.v = v_new
+        st.t += params.tau
+        if self.advance_transport:
+            st.chi, st.mu = chi_new, mu_new
+        self._v_warm = v_red
         self.energy = EnergyBreakdown(
             elastic=e_el,
             compressive=e_cp,
@@ -283,11 +288,6 @@ class MicroSolver:
         self.history.append(
             (self.state.t, e_el, e_cp, self.energy.dissipated_cumulative,
              self.energy.external_work_cumulative, residual))
-
-        if self.advance_transport:
-            # splitting order: momentum -> phase -> viscosity (advect + mollify)
-            self.state.chi = transport.advect_phase(self.state, self.mask, params.tau)
-            self.state.mu = transport.update_viscosity(self.state, self.mask, params)
         return self.state
 
     def run(self, n_steps: int) -> SimState:
@@ -313,37 +313,3 @@ class MicroSolver:
                     return self.state
             prev = q
         return self.state
-
-
-# -- functional wrappers (spec surface; MicroSolver is the efficient path) --
-
-def apply_operator(v_trial: VectorField, state: SimState, mask: PhaseMask,
-                   params: MaterialParams, tau: float | None = None) -> VectorField:
-    ms = MicroSolver(mask, replace(params, tau=tau or params.tau), advance_transport=False)
-    ms.state = state.copy()
-    ms._rebuild_viscous()
-    return ms.apply_operator(v_trial)
-
-
-def assemble_rhs(state: SimState, mask: PhaseMask, params: MaterialParams,
-                 tau: float | None = None) -> VectorField:
-    ms = MicroSolver(mask, replace(params, tau=tau or params.tau), advance_transport=False)
-    ms.state = state.copy()
-    return ms.assemble_rhs()
-
-
-def step(state: SimState, mask: PhaseMask, params: MaterialParams) -> SimState:
-    ms = MicroSolver(mask, params)
-    ms.state = state.copy()
-    return ms.step()
-
-
-def energy_report(state: SimState, mask: PhaseMask, params: MaterialParams,
-                  dissipated: float = 0.0, work: float = 0.0) -> EnergyBreakdown:
-    """Instantaneous stored energies of a state (ledger terms optional)."""
-    ms = MicroSolver(mask, params, advance_transport=False)
-    w_flat = state.w.values.reshape(-1)
-    e_el, e_cp = ms._compressive_energy_split(w_flat)
-    scale = max(e_el + e_cp, dissipated, work, 1e-300)
-    resid = abs(e_el + e_cp + dissipated - work) / scale if work else 0.0
-    return EnergyBreakdown(e_el, e_cp, dissipated, work, resid)

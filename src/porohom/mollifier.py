@@ -9,7 +9,7 @@ diagnostics therefore restrict to interior nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

@@ -1,12 +1,20 @@
 """Sparse assembly of the discrete quadratic forms behind every solve.
 
-The weak forms (viscous/elastic D:D terms and the compressibility div*div
-penalty) are assembled from trilinear/bilinear elements on the grid cells
-with tensor-product Gauss quadrature; the div*div term uses single-point
-(reduced) quadrature to avoid volumetric locking at large compressibility
-moduli.  Coefficients are piecewise constant per cell (corner averages).
-This yields symmetric positive semi-definite compact-stencil matrices whose
-1D reductions are the classical tridiagonal forms.
+The weak forms (viscous/elastic D:D terms, the compressibility div*div
+penalty and scalar or anisotropic diffusion) use trilinear/bilinear (Q1)
+elements on the grid cells with tensor-product Gauss quadrature; the div*div
+term uses single-point (reduced) quadrature to avoid volumetric locking at
+large compressibility moduli.  Coefficients are piecewise constant per cell
+(corner averages) and the grid is uniform, so every form is a sum of
+reference element matrices, each scaled by one coefficient per cell.
+
+All forms go through one vectorized assembler (after Cuvelier, Japhet &
+Scarella, BIT 2016).  A node-to-node CSR pattern is built once per grid
+together with the slot of every (cell, corner a, corner b) pair in it; each
+component block of a form is then one np.bincount of the scaled element
+entries over those slots, written into the component-major global CSR.
+The results are symmetric positive semi-definite compact-stencil matrices
+whose 1D reductions are the classical tridiagonal forms.
 """
 
 from __future__ import annotations
@@ -24,14 +32,17 @@ __all__ = [
     "cell_corner_indices",
     "cell_average",
     "gauss_points",
-    "gradient_ops",
-    "center_gradient_ops",
     "assemble_scalar_stiffness",
     "assemble_vector_form",
     "lumped_weights",
     "restrict",
     "expand",
 ]
+
+
+# Bound of the per-grid index caches; an eps sweep touches about this many
+# grids, and a larger bound only keeps the maps of dead grids alive.
+_GRID_CACHE = 4
 
 
 def cell_counts(grid: Grid):
@@ -43,7 +54,7 @@ def cell_volume(grid: Grid) -> float:
     return float(np.prod([grid.spacing(k) for k in range(grid.dim)]))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=_GRID_CACHE)
 def cell_corner_indices(grid: Grid) -> np.ndarray:
     """Flat node index of each cell corner, shape (ncells, 2^dim)."""
     mc = cell_counts(grid)
@@ -76,106 +87,139 @@ def gauss_points(dim: int):
     return out
 
 
-def _shape_grad_matrices(grid: Grid, xi) -> list:
-    """Sparse (ncells, n_nodes) maps from nodal values to d/dx_a at local xi."""
+def _shape_gradients(grid: Grid, xi) -> np.ndarray:
+    """d(phi_c)/dx_a of the corner shape functions at local xi, shape (dim, 2^dim).
+
+    The same for every cell, since the grid is uniform."""
     dim = grid.dim
-    corners = cell_corner_indices(grid)
-    ncells = corners.shape[0]
-    rows = np.repeat(np.arange(ncells), 2**dim)
-    mats = []
-    offsets = list(itertools.product((0, 1), repeat=dim))
-    for a in range(dim):
-        vals = np.empty((ncells, 2**dim))
-        for c, off in enumerate(offsets):
+    out = np.empty((dim, 2**dim))
+    for c, off in enumerate(itertools.product((0, 1), repeat=dim)):
+        for a in range(dim):
             v = 1.0
             for k in range(dim):
-                phi = xi[k] if off[k] else 1.0 - xi[k]
                 if k == a:
                     v *= (1.0 if off[k] else -1.0) / grid.spacing(k)
                 else:
-                    v *= phi
-            vals[:, c] = v
-        m = sp.csr_matrix(
-            (vals.ravel(), (rows, corners.ravel())), shape=(ncells, grid.n_nodes)
-        )
-        mats.append(m)
-    return mats
+                    v *= xi[k] if off[k] else 1.0 - xi[k]
+            out[a, c] = v
+    return out
 
 
-@lru_cache(maxsize=32)
-def gradient_ops(grid: Grid):
-    """[(weight, [G_axis sparse]), ...] over the full Gauss rule."""
-    return tuple(
-        (w, tuple(_shape_grad_matrices(grid, xi))) for w, xi in gauss_points(grid.dim)
-    )
+# -- element matrices: shape (ncomp, 2^dim, ncomp, 2^dim), one cell, unit coefficient
+
+def _sym_element(grid: Grid) -> np.ndarray:
+    """D(u):D(v) with the full Gauss rule; off-diagonal strains count twice."""
+    dim = grid.dim
+    ke = np.zeros((dim, 2**dim, dim, 2**dim))
+    for w, xi in gauss_points(dim):
+        grad = _shape_gradients(grid, xi)
+        for i, j in sym_component_pairs(dim):
+            strain = np.zeros((dim, 2**dim))  # D_ij as a row over (component, corner)
+            strain[i] += 0.5 * grad[j]
+            strain[j] += 0.5 * grad[i]
+            mult = 1.0 if i == j else 2.0
+            ke += (w * mult) * np.einsum("ia,jb->iajb", strain, strain)
+    return ke * cell_volume(grid)
 
 
-@lru_cache(maxsize=32)
-def center_gradient_ops(grid: Grid):
-    """Single-point (cell-center) gradient operators, for reduced terms."""
-    return tuple(_shape_grad_matrices(grid, (0.5,) * grid.dim))
+def _div_element(grid: Grid) -> np.ndarray:
+    """(div u)(div v) with single-point (cell-center) quadrature."""
+    grad = _shape_gradients(grid, (0.5,) * grid.dim)
+    return np.einsum("ia,jb->iajb", grad, grad) * cell_volume(grid)
+
+
+def _diffusion_element(grid: Grid, tensor: np.ndarray) -> np.ndarray:
+    """grad(u) . tensor grad(v) for a scalar unknown, full Gauss rule."""
+    nc = 2**grid.dim
+    ke = np.zeros((nc, nc))
+    for w, xi in gauss_points(grid.dim):
+        grad = _shape_gradients(grid, xi)
+        ke += w * (grad.T @ tensor @ grad)
+    return (ke * cell_volume(grid)).reshape(1, nc, 1, nc)
+
+
+def _element_dofs(grid: Grid, ncomp: int) -> np.ndarray:
+    """Global (component-major) dof of each element-matrix row, per cell:
+    shape (ncells, ncomp 2^dim), ordered (component, corner)."""
+    corners = cell_corner_indices(grid)
+    comps = np.arange(ncomp)[None, :, None] * grid.n_nodes
+    return (comps + corners[:, None, :]).reshape(len(corners), -1)
+
+
+@lru_cache(maxsize=_GRID_CACHE)
+def _node_pattern(grid: Grid):
+    """(indptr, indices, slots): CSR pattern of the node-to-node coupling and
+    the int32 slot of each (cell, corner a, corner b) in it, shape (ncells, 4^dim)."""
+    corners = cell_corner_indices(grid)
+    ncells, nc = corners.shape
+    n = grid.n_nodes
+    keys = corners[:, :, None].astype(np.int64) * n + corners[:, None, :]
+    uniq, slots = np.unique(keys.ravel(), return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
+    indices = (uniq % n).astype(np.int32)
+    return indptr, indices, slots.astype(np.int32).reshape(ncells, nc * nc)
+
+
+def _assemble(grid: Grid, terms, ncomp: int) -> sp.csr_matrix:
+    """sum_t coef_t[cell] * element_t, scattered into the component-major CSR.
+
+    terms: [(coef_cells, element), ...] with element of shape
+    (ncomp, 2^dim, ncomp, 2^dim).  Entries that sum to exactly zero are
+    dropped, so a coefficient that vanishes on a region leaves no stored
+    zeros there.
+    """
+    indptr, indices, slots = _node_pattern(grid)
+    n, nnz = grid.n_nodes, indices.size
+    coefs = np.stack([np.asarray(c, dtype=float) for c, _ in terms], axis=1)
+    # Quadrature leaves roundoff where a Q1 element entry is exactly zero
+    # (e.g. edge neighbours of the 3D Laplacian); keep those out of the matrix.
+    elements = np.stack([
+        np.where(np.abs(e) <= 16 * np.finfo(float).eps * np.abs(e).max(), 0.0, e)
+        for _, e in terms])
+    # Global row i*n + p holds blocks (i, 0), ..., (i, ncomp-1) of node
+    # row p one after another, each with that node row's column pattern.
+    row_len = np.diff(indptr)
+    node_row = np.repeat(np.arange(n), row_len)
+    within = (ncomp - 1) * indptr[node_row] + np.arange(nnz)
+    stride = row_len[node_row]
+    data = np.empty(ncomp * ncomp * nnz)
+    cols = np.empty(ncomp * ncomp * nnz, dtype=np.int32)
+    for i in range(ncomp):
+        for j in range(ncomp):
+            vals = coefs @ elements[:, i, :, j, :].reshape(len(terms), -1)
+            pos = i * ncomp * nnz + within + j * stride
+            data[pos] = np.bincount(slots.ravel(), weights=vals.ravel(), minlength=nnz)
+            cols[pos] = indices + j * n
+    g_indptr = np.concatenate([
+        (np.arange(ncomp)[:, None] * (ncomp * nnz) + ncomp * indptr[None, :-1]).ravel(),
+        [ncomp * ncomp * nnz]])
+    A = sp.csr_matrix((data, cols, g_indptr), shape=(ncomp * n, ncomp * n))
+    A.eliminate_zeros()
+    return A
 
 
 def assemble_scalar_stiffness(grid: Grid, coef_cells: np.ndarray) -> sp.csr_matrix:
     """Stiffness of the form  sum_cells coef * |grad u|^2."""
-    vol = cell_volume(grid)
-    d = sp.diags(np.asarray(coef_cells, dtype=float) * vol)
-    A = None
-    for w, mats in gradient_ops(grid):
-        for G in mats:
-            term = (G.T @ (d @ G)) * w
-            A = term if A is None else A + term
-    return A.tocsr()
-
-
-def _place(G: sp.spmatrix, comp: int, dim: int, n: int) -> sp.spmatrix:
-    blocks = [None] * dim
-    blocks[comp] = G
-    empties = sp.csr_matrix((G.shape[0], n))
-    return sp.hstack([b if b is not None else empties for b in blocks], format="csr")
+    return _assemble(grid, [(coef_cells, _diffusion_element(grid, np.eye(grid.dim)))], 1)
 
 
 def assemble_vector_form(
     grid: Grid,
     coef_sym_cells: np.ndarray,
     coef_div_cells: np.ndarray | None = None,
-    reduced_div: bool = True,
 ) -> sp.csr_matrix:
     """Matrix of  sum coef_sym*D(u):D(v) + coef_div*(div u)(div v).
 
     Acts on component-major stacked vectors [u_0.ravel(), u_1.ravel(), ...].
     Off-diagonal strain components carry multiplicity two, so u^T A u equals
-    the quadrature of coef_sym |D(u)|^2 + coef_div (div u)^2 exactly.
+    the quadrature of coef_sym |D(u)|^2 + coef_div (div u)^2 exactly; the
+    div*div term uses reduced (cell-center) quadrature.
     """
-    dim, n = grid.dim, grid.n_nodes
-    vol = cell_volume(grid)
-    d_sym = sp.diags(np.asarray(coef_sym_cells, dtype=float) * vol)
-    A = None
-
-    def add(term):
-        nonlocal A
-        A = term if A is None else A + term
-
-    for w, mats in gradient_ops(grid):
-        for i, j in sym_component_pairs(dim):
-            mult = 1.0 if i == j else 2.0
-            if i == j:
-                S = _place(mats[i], i, dim, n)
-            else:
-                S = 0.5 * (_place(mats[j], i, dim, n) + _place(mats[i], j, dim, n))
-            add((S.T @ (d_sym @ S)) * (w * mult))
-
+    terms = [(coef_sym_cells, _sym_element(grid))]
     if coef_div_cells is not None:
-        d_div = sp.diags(np.asarray(coef_div_cells, dtype=float) * vol)
-        if reduced_div:
-            mats = center_gradient_ops(grid)
-            Div = sum(_place(mats[a], a, dim, n) for a in range(dim))
-            add(Div.T @ (d_div @ Div))
-        else:
-            for w, mats in gradient_ops(grid):
-                Div = sum(_place(mats[a], a, dim, n) for a in range(dim))
-                add((Div.T @ (d_div @ Div)) * w)
-    return A.tocsr()
+        terms.append((coef_div_cells, _div_element(grid)))
+    return _assemble(grid, terms, grid.dim)
 
 
 def lumped_weights(grid: Grid, ncomp: int = 1) -> np.ndarray:

@@ -31,6 +31,12 @@ def test_material_params_validation():
     MaterialParams(epsilon=0.25)  # fine
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.5])
+def test_material_params_rejects_non_positive_epsilon(eps):
+    with pytest.raises(ValueError, match="epsilon"):
+        MaterialParams(epsilon=eps)
+
+
 def test_initial_state_viscosity_by_fluid_label():
     mask = _two_fluid_mask()
     par = MaterialParams(mu1=2.0, mu2=5.0)
@@ -188,3 +194,24 @@ def test_solver_rejects_unknown_options():
         MicroSolver(mask, par, solver="gauss")
     with pytest.raises(ValueError):
         MicroSolver(mask, par, dirichlet="everything")
+
+
+def test_cfl_failure_leaves_the_state_unchanged():
+    mask = _two_fluid_mask(n=17)
+    par = MaterialParams(mu1=1.0, mu2=2.0, tau=2.0, h_mollify=0.0,
+                         p0=0.3, p_drive_grad=(0.5, 0.0))
+    ms = MicroSolver(mask, par, advance_transport=True)
+    state = ms.state
+    w, v = state.w.values.copy(), state.v.values.copy()
+    mu, chi = state.mu.values.copy(), state.chi.values.copy()
+    energy = ms.energy
+    with pytest.raises(ValueError, match="CFL"):
+        ms.step()
+    assert ms.state is state
+    assert state.t == 0.0
+    assert np.array_equal(state.w.values, w)
+    assert np.array_equal(state.v.values, v)
+    assert np.array_equal(state.mu.values, mu)
+    assert np.array_equal(state.chi.values, chi)
+    assert ms.energy == energy
+    assert ms.history == []

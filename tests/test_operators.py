@@ -137,3 +137,141 @@ def test_inverse_power_iteration_diagonal_oracle():
     assert lam == pytest.approx(1.0, rel=1e-6)
     assert abs(abs(x[2]) - 1.0) < 1e-4
     assert resid < 1e-8
+
+
+# -- element-matrix assembly against a dense per-cell reference ------------
+
+def _dense_reference(grid, ncomp, cell_matrix):
+    """Dense global matrix from a plain loop over cells.
+
+    cell_matrix(cell_index, grads_at) returns the (ncomp*2^dim)^2 element
+    matrix of one cell, ordered (component, corner); grads_at(xi) gives the
+    Q1 shape-function gradients at local point xi, shape (dim, 2^dim).
+    """
+    dim, n = grid.dim, grid.n_per_axis
+    h = [grid.spacing(k) for k in range(dim)]
+    offsets = list(np.ndindex(*(2,) * dim))
+
+    def grads_at(xi):
+        out = np.zeros((dim, len(offsets)))
+        for c, off in enumerate(offsets):
+            for a in range(dim):
+                val = (1.0 if off[a] else -1.0) / h[a]
+                for k in range(dim):
+                    if k != a:
+                        val *= xi[k] if off[k] else 1.0 - xi[k]
+                out[a, c] = val
+        return out
+
+    A = np.zeros((ncomp * grid.n_nodes, ncomp * grid.n_nodes))
+    for e, cell in enumerate(np.ndindex(*cell_counts(grid))):
+        nodes = [np.ravel_multi_index(tuple((cell[k] + off[k]) % n for k in range(dim)),
+                                      grid.shape) for off in offsets]
+        dofs = [comp * grid.n_nodes + p for comp in range(ncomp) for p in nodes]
+        A[np.ix_(dofs, dofs)] += cell_matrix(e, grads_at)
+    return A
+
+
+def _gauss(dim):
+    pts = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+    return [(0.5**dim, xi) for xi in np.array(np.meshgrid(*[pts] * dim)).reshape(dim, -1).T]
+
+
+def _vector_reference(grid, coef_sym, coef_div):
+    dim, vol = grid.dim, cell_volume(grid)
+    nc = 2**dim
+
+    def cell_matrix(e, grads_at):
+        ke = np.zeros((dim * nc, dim * nc))
+        for w, xi in _gauss(dim):
+            G = grads_at(xi)
+            # full strain tensor D_ij = (d_j u_i + d_i u_j) / 2, so D:D sums all i, j
+            B = np.zeros((dim * dim, dim * nc))
+            for i in range(dim):
+                for j in range(dim):
+                    B[i * dim + j, i * nc:(i + 1) * nc] += 0.5 * G[j]
+                    B[i * dim + j, j * nc:(j + 1) * nc] += 0.5 * G[i]
+            ke += w * vol * coef_sym[e] * B.T @ B
+        if coef_div is not None:
+            Bdiv = grads_at(np.full(dim, 0.5)).reshape(1, -1)
+            ke += vol * coef_div[e] * Bdiv.T @ Bdiv
+        return ke
+
+    return _dense_reference(grid, dim, cell_matrix)
+
+
+def _diffusion_reference(grid, coef, K):
+    vol = cell_volume(grid)
+
+    def cell_matrix(e, grads_at):
+        return sum(w * vol * coef[e] * grads_at(xi).T @ K @ grads_at(xi)
+                   for w, xi in _gauss(grid.dim))
+
+    return _dense_reference(grid, 1, cell_matrix)
+
+
+def _rel_diff(A, ref):
+    return np.abs(A.toarray() - ref).max() / np.abs(ref).max()
+
+
+ASSEMBLY_GRIDS = [Grid(2, 7), Grid(2, 6, periodic=(True, True)),
+                  Grid(2, 6, periodic=(False, True)), Grid(3, 4),
+                  Grid(3, 4, periodic=(True, True, True))]
+
+
+def _grid_id(g):
+    return f"{g.dim}d-n{g.n_per_axis}-" + "".join("p" if p else "b" for p in g.periodic)
+
+
+@pytest.mark.parametrize("grid", ASSEMBLY_GRIDS, ids=_grid_id)
+@pytest.mark.parametrize("with_div", [True, False])
+def test_vector_form_matches_dense_per_cell_reference(grid, with_div):
+    rng = np.random.default_rng(grid.n_per_axis + 10 * grid.dim)
+    ncells = int(np.prod(cell_counts(grid)))
+    coef_sym = rng.uniform(0.2, 3.0, ncells)
+    coef_sym[rng.random(ncells) < 0.25] = 0.0  # regions without stiffness
+    coef_div = rng.uniform(0.1, 5.0, ncells) if with_div else None
+    A = assemble_vector_form(grid, coef_sym, coef_div)
+    assert isinstance(A, sp.csr_matrix)
+    assert _rel_diff(A, _vector_reference(grid, coef_sym, coef_div)) < 1e-13
+
+
+@pytest.mark.parametrize("grid", ASSEMBLY_GRIDS, ids=_grid_id)
+def test_scalar_stiffness_matches_dense_per_cell_reference(grid):
+    rng = np.random.default_rng(3)
+    coef = rng.uniform(0.2, 3.0, int(np.prod(cell_counts(grid))))
+    A = assemble_scalar_stiffness(grid, coef)
+    assert _rel_diff(A, _diffusion_reference(grid, coef, np.eye(grid.dim))) < 1e-13
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_darcy_matrix_matches_dense_reference_for_anisotropic_K(dim, monkeypatch):
+    import porohom.homogenize as hom
+
+    rng = np.random.default_rng(dim)
+    M = rng.standard_normal((dim, dim))
+    K = M @ M.T + 0.5 * np.eye(dim)  # anisotropic SPD
+    grid = Grid(dim, 5)
+    captured = {}
+    real_restrict = hom.restrict
+
+    def spy(A, active):
+        captured["A"] = A
+        return real_restrict(A, active)
+
+    monkeypatch.setattr(hom, "restrict", spy)
+    hom.darcy_macro_solve(K, 2.0, (1.0, 0.0), grid=grid)
+    ref = _diffusion_reference(grid, np.ones(int(np.prod(cell_counts(grid)))), K / 2.0)
+    assert _rel_diff(captured["A"], ref) < 1e-13
+
+
+def test_second_assembly_on_a_grid_reuses_the_cached_pattern():
+    from porohom.operators import _node_pattern
+
+    g = Grid(3, 6, periodic=(True, False, True))
+    ncells = int(np.prod(cell_counts(g)))
+    first = assemble_vector_form(g, np.ones(ncells), np.ones(ncells))
+    hits = _node_pattern.cache_info().hits
+    second = assemble_vector_form(g, 2.0 * np.ones(ncells), None)
+    assert _node_pattern.cache_info().hits == hits + 1
+    assert first.shape == second.shape
