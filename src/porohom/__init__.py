@@ -2,15 +2,6 @@
 
 __version__ = "0.1.0"
 
-from .grid import (  # noqa: F401
-    Grid,
-    ScalarField,
-    VectorField,
-    SymTensorField,
-    sym_gradient,
-    divergence,
-    contract,
-    l2_norm,
-)
+from .grid import Grid, ScalarField, VectorField, l2_norm  # noqa: F401
 from .geometry import PhaseMask, UnitCellPattern, build_phase_mask, porosity  # noqa: F401
 from .microsim import MaterialParams, MicroSolver, SimState  # noqa: F401

@@ -180,9 +180,10 @@ def run_eps_convergence(cfg: RunConfig, out: Path, rng) -> list:
     eps_list = [e for e in cfg.eps_list if e < 1.0] or list(cfg.eps_list)
     rows = compare_micro_macro(pattern, mat, eps_list, nodes_per_cell=max(8, cfg.n))
     return [_write_csv(out / "eps_convergence.csv",
-                       ["eps", "micro_flux", "darcy_flux", "rel_error", "observed_order"],
-                       [(r["eps"], r["micro_flux"], r["darcy_flux"],
-                         r["rel_error"], r["observed_order"]) for r in rows])]
+                       ["eps", "micro_flux", "darcy_flux", "rel_error", "observed_order",
+                        "converged"],
+                       [(r["eps"], r["micro_flux"], r["darcy_flux"], r["rel_error"],
+                         r["observed_order"], int(r["converged"])) for r in rows])]
 
 
 REGISTRY = {

@@ -48,7 +48,6 @@ DEFAULTS = {
     ("material", "epsilon"): (0.5, float),
     ("material", "h_mollify"): (0.1, float),
     ("material", "tau"): (0.05, float),
-    ("material", "t_final"): (1.0, float),
 }
 
 
@@ -171,7 +170,6 @@ def parse_config(text: str) -> RunConfig:
         epsilon=eps,
         h_mollify=get("material", "h_mollify"),
         tau=get("material", "tau"),
-        t_final=get("material", "t_final"),
     )
     return RunConfig(
         experiment=name,

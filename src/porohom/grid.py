@@ -1,13 +1,13 @@
-"""Uniform Cartesian grid over the centered unit cube, field containers and
-the basic differential / tensor operators everything else is built on.
+"""Uniform Cartesian grid over the centered unit cube, nodal field
+containers, the trapezoidal L2 norm and CSV field I/O.
 
 Conventions
 -----------
 The domain is the unit cube centered at the origin, Omega = [-1/2, 1/2]^dim.
 Non-periodic axes carry n nodes including both endpoints (spacing 1/(n-1));
 periodic axes carry n distinct nodes covering [-1/2, 1/2) (spacing 1/n, no
-duplicated endpoint).  Scalar fields store one value per node; vector and
-symmetric-tensor fields store components in the leading axis.
+duplicated endpoint).  Scalar fields store one value per node; vector fields
+store components in the leading axis.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ __all__ = [
     "Grid",
     "ScalarField",
     "VectorField",
-    "SymTensorField",
     "sym_component_pairs",
-    "sym_gradient",
-    "gradient",
-    "divergence",
-    "trace",
-    "contract",
     "l2_norm",
     "save_field",
     "load_field",
@@ -141,101 +135,8 @@ class VectorField:
         return ScalarField(self.grid, self.values[i])
 
 
-@dataclass
-class SymTensorField:
-    grid: Grid
-    values: np.ndarray  # shape (dim*(dim+1)/2, *grid.shape), upper triangle
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        ncomp = self.grid.dim * (self.grid.dim + 1) // 2
-        _check_values(self.grid, self.values, ncomp)
-
-    @classmethod
-    def zeros(cls, grid):
-        ncomp = grid.dim * (grid.dim + 1) // 2
-        return cls(grid, np.zeros((ncomp,) + grid.shape))
-
-    @classmethod
-    def identity(cls, grid):
-        t = cls.zeros(grid)
-        for a, (i, j) in enumerate(sym_component_pairs(grid.dim)):
-            if i == j:
-                t.values[a] = 1.0
-        return t
-
-    def copy(self):
-        return SymTensorField(self.grid, self.values.copy())
-
-
-def axis_derivative(values: np.ndarray, grid: Grid, axis: int, offset: int = 0) -> np.ndarray:
-    """d/dx_axis of nodal values: second-order central differences at interior
-    nodes, second-order one-sided at non-periodic boundaries, wrap-around on
-    periodic axes.  `offset` shifts the array axis (for component-first layouts).
-    """
-    ax = axis + offset
-    dx = grid.spacing(axis)
-    if grid.periodic[axis]:
-        return (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2.0 * dx)
-    return np.gradient(values, dx, axis=ax, edge_order=2)
-
-
-def gradient(f: ScalarField) -> VectorField:
-    vals = np.stack([axis_derivative(f.values, f.grid, k) for k in range(f.grid.dim)])
-    return VectorField(f.grid, vals)
-
-
-def sym_gradient(u: VectorField) -> SymTensorField:
-    """Symmetric gradient d_ij = (du_i/dx_j + du_j/dx_i) / 2."""
-    grid = u.grid
-    d = []
-    for i, j in sym_component_pairs(grid.dim):
-        if i == j:
-            d.append(axis_derivative(u.values[i], grid, i))
-        else:
-            d.append(
-                0.5
-                * (
-                    axis_derivative(u.values[i], grid, j)
-                    + axis_derivative(u.values[j], grid, i)
-                )
-            )
-    return SymTensorField(grid, np.stack(d))
-
-
-def divergence(u: VectorField) -> ScalarField:
-    grid = u.grid
-    out = np.zeros(grid.shape)
-    for k in range(grid.dim):
-        out += axis_derivative(u.values[k], grid, k)
-    return ScalarField(grid, out)
-
-
-def trace(t: SymTensorField) -> ScalarField:
-    grid = t.grid
-    out = np.zeros(grid.shape)
-    for a, (i, j) in enumerate(sym_component_pairs(grid.dim)):
-        if i == j:
-            out += t.values[a]
-    return ScalarField(grid, out)
-
-
-def contract(a: SymTensorField, b: SymTensorField) -> ScalarField:
-    """Pointwise Frobenius contraction, off-diagonal entries counted twice."""
-    if a.grid != b.grid:
-        raise ValueError("grid mismatch in contraction")
-    out = np.zeros(a.grid.shape)
-    for c, (i, j) in enumerate(sym_component_pairs(a.grid.dim)):
-        mult = 1.0 if i == j else 2.0
-        out += mult * a.values[c] * b.values[c]
-    return ScalarField(a.grid, out)
-
-
 def l2_norm(f, mask: ScalarField | None = None) -> float:
-    """Trapezoidal L2 norm over Omega (or a masked subdomain).
-
-    Symmetric tensors integrate |D|^2 with off-diagonal multiplicity two.
-    """
+    """Trapezoidal L2 norm over Omega (or a masked subdomain)."""
     grid = f.grid
     w = grid.node_weights()
     if mask is not None:
@@ -249,11 +150,6 @@ def l2_norm(f, mask: ScalarField | None = None) -> float:
         sq = f.values**2
     elif isinstance(f, VectorField):
         sq = np.sum(f.values**2, axis=0)
-    elif isinstance(f, SymTensorField):
-        sq = np.zeros(grid.shape)
-        for c, (i, j) in enumerate(sym_component_pairs(grid.dim)):
-            mult = 1.0 if i == j else 2.0
-            sq += mult * f.values[c] ** 2
     else:
         raise TypeError(f"unsupported field type {type(f)}")
     return float(np.sqrt(np.sum(w * sq)))
@@ -262,28 +158,18 @@ def l2_norm(f, mask: ScalarField | None = None) -> float:
 # ---------------------------------------------------------------------------
 # CSV serialization: one row per node, node indices then components.
 
-_KIND = {"scalar": ScalarField, "vector": VectorField, "tensor": SymTensorField}
-
-
-def _field_kind(f) -> str:
-    for name, cls in _KIND.items():
-        if isinstance(f, cls):
-            return name
-    raise TypeError(f"unsupported field type {type(f)}")
+_META_KEYS = ("kind", "dim", "n", "periodic")
 
 
 def save_field(path, f):
     grid = f.grid
-    kind = _field_kind(f)
-    if kind == "scalar":
-        comps = ["value"]
-        flat = f.values.reshape(1, -1)
-    elif kind == "vector":
-        comps = [f"u{i}" for i in range(grid.dim)]
-        flat = f.values.reshape(grid.dim, -1)
+    if isinstance(f, ScalarField):
+        kind, comps = "scalar", ["value"]
+    elif isinstance(f, VectorField):
+        kind, comps = "vector", [f"u{i}" for i in range(grid.dim)]
     else:
-        comps = [f"d{i}{j}" for i, j in sym_component_pairs(grid.dim)]
-        flat = f.values.reshape(len(comps), -1)
+        raise TypeError(f"unsupported field type {type(f)}")
+    flat = f.values.reshape(len(comps), -1)
     idx = np.indices(grid.shape).reshape(grid.dim, -1)
     per = ",".join("1" if p else "0" for p in grid.periodic)
     with open(path, "w") as fh:
@@ -296,20 +182,24 @@ def save_field(path, f):
 
 
 def load_field(path):
+    """Read a field written by save_field; ValueError on a malformed header."""
     with open(path) as fh:
-        meta = fh.readline().strip()
+        meta = fh.readline().split()
         header = fh.readline().strip().split(",")
+        pairs = dict(tok.split("=", 1) for tok in meta if "=" in tok)
+        missing = [k for k in _META_KEYS if k not in pairs]
+        if missing:
+            raise ValueError(f"{path}: field header lacks {', '.join(missing)}")
+        kind = pairs["kind"]
+        if kind not in ("scalar", "vector"):
+            raise ValueError(f"{path}: unknown field kind {kind!r}")
         data = np.loadtxt(fh, delimiter=",")
-    pairs = dict(tok.split("=") for tok in meta.split() if "=" in tok)
     dim = int(pairs["dim"])
     n = int(pairs["n"])
     periodic = tuple(c == "1" for c in pairs["periodic"].split(","))
     grid = Grid(dim=dim, n_per_axis=n, periodic=periodic)
-    kind = pairs["kind"]
     ncomp = len(header) - dim
     vals = data[:, dim:].T.reshape((ncomp,) + grid.shape)
     if kind == "scalar":
         return ScalarField(grid, vals[0])
-    if kind == "vector":
-        return VectorField(grid, vals)
-    return SymTensorField(grid, vals)
+    return VectorField(grid, vals)

@@ -18,7 +18,7 @@ two-scale cell problems as the engineering stand-in:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .operators import (
 from .solvers import cg_solve
 
 __all__ = [
-    "EffectiveTensors",
     "periodic_cell_grid",
     "permeability_cell_problem",
     "permeability_from_mask",
@@ -50,14 +49,6 @@ __all__ = [
     "darcy_macro_solve",
     "compare_micro_macro",
 ]
-
-
-@dataclass
-class EffectiveTensors:
-    K: np.ndarray
-    C_eff: np.ndarray
-    porosity: float
-    K_asymmetry: float = 0.0
 
 
 def periodic_cell_grid(dim: int, n: int) -> Grid:
@@ -211,7 +202,8 @@ def compare_micro_macro(pattern: UnitCellPattern, params: MaterialParams, eps_li
     """Steady microscopic pore flux vs the Darcy prediction for shrinking eps.
 
     Single-fluid configurations only (mu1 == mu2); returns a list of rows
-    {eps, micro_flux, darcy_flux, rel_error, observed_order}.
+    {eps, micro_flux, darcy_flux, rel_error, observed_order, converged}, where
+    converged says whether the steady march met steady_tol within max_steps.
     """
     if params.mu1 != params.mu2:
         raise ValueError("micro/macro comparison requires a single fluid (mu1 == mu2)")
@@ -237,13 +229,13 @@ def compare_micro_macro(pattern: UnitCellPattern, params: MaterialParams, eps_li
         p_eps = replace(params, epsilon=eps)
         ms = MicroSolver(mask, p_eps, advance_transport=False, solver="direct",
                          pin_solid=True)
-        ms.run_to_steady(max_steps=max_steps, rel_tol=steady_tol)
+        converged = ms.run_to_steady(max_steps=max_steps, rel_tol=steady_tol)
         q_micro = float(ms.mean_pore_velocity()[0])
         rel = abs(q_micro - q_darcy) / max(abs(q_darcy), 1e-300)
         order = float("nan")
         if prev_err is not None and rel > 0 and prev_err > 0:
             order = float(np.log(prev_err / rel) / np.log(2.0))
         rows.append({"eps": eps, "micro_flux": q_micro, "darcy_flux": q_darcy,
-                     "rel_error": rel, "observed_order": order})
+                     "rel_error": rel, "observed_order": order, "converged": converged})
         prev_err = rel
     return rows

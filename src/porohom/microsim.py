@@ -10,9 +10,11 @@ symmetric positive definite solve for the velocity:
         - lam (1-chi^eps) D(w^n):D(phi) - c^2 (div w^n)(div phi)
 
 with w^{n+1} = w^n + tau v^{n+1} and homogeneous displacement conditions on
-S0.  A per-step energy ledger tracks elastic + compressive storage, viscous
-(plus implicit-Euler numerical) dissipation and external work; their balance
-is exact up to solver tolerance.
+S0.  div is the cell-center divergence of the reduced div*div form, and the
+reported pressure p = p0 - c^2 div w uses the same one, per cell.  A per-step
+energy ledger tracks elastic + compressive storage, viscous (plus
+implicit-Euler numerical) dissipation and external work; their balance is
+exact up to solver tolerance.
 """
 
 from __future__ import annotations
@@ -24,8 +26,15 @@ import scipy.sparse.linalg as spla
 
 from . import transport
 from .geometry import PhaseMask, boundary_tags
-from .grid import Grid, ScalarField, VectorField, divergence
-from .operators import assemble_vector_form, cell_average, lumped_weights, restrict
+from .grid import Grid, ScalarField, VectorField
+from .operators import (
+    assemble_vector_form,
+    cell_average,
+    cell_divergence,
+    cell_volume,
+    lumped_weights,
+    restrict,
+)
 from .solvers import cg_solve
 
 __all__ = [
@@ -33,7 +42,6 @@ __all__ = [
     "SimState",
     "EnergyBreakdown",
     "MicroSolver",
-    "pressure_from_displacement",
     "sound_speed_squared",
 ]
 
@@ -51,7 +59,6 @@ class MaterialParams:
     epsilon: float = 1.0
     h_mollify: float = 0.1
     tau: float = 0.1
-    t_final: float = 1.0
 
     def __post_init__(self):
         for name in ("mu1", "mu2", "lam", "c_f1", "c_f2", "c_s", "tau"):
@@ -95,18 +102,10 @@ class EnergyBreakdown:
     balance_residual: float = 0.0
 
 
-def sound_speed_squared(mask: PhaseMask, params: MaterialParams, chi: np.ndarray | None = None):
+def sound_speed_squared(mask: PhaseMask, params: MaterialParams):
     """Node-wise c^2: c_f1 / c_f2 inside the pores by fluid label, c_s on the skeleton."""
-    chi = mask.chi if chi is None else chi
-    c_fluid = np.where(chi >= 0.5, params.c_f1**2, params.c_f2**2)
+    c_fluid = np.where(mask.chi >= 0.5, params.c_f1**2, params.c_f2**2)
     return np.where(mask.chi_eps == 1, c_fluid, params.c_s**2)
-
-
-def pressure_from_displacement(w: VectorField, mask: PhaseMask, params: MaterialParams,
-                               chi: np.ndarray | None = None) -> ScalarField:
-    """p = p0 - c^2 div w, so the undeformed state carries the reference pressure."""
-    c2 = sound_speed_squared(mask, params, chi)
-    return ScalarField(w.grid, params.p0 - c2 * divergence(w).values)
 
 
 def _surface_load(grid: Grid, p0: float) -> np.ndarray:
@@ -171,17 +170,14 @@ class MicroSolver:
         # a through-flow; giving such a cell a fractional elastic coefficient
         # strangles the steady flux instead of converging to Stokes flow.
         solid = cell_average(grid, 1.0 - mask.chi_eps)
-        fully_solid = np.where(solid >= 1.0 - 1e-12, 1.0, 0.0)
-        self._elastic = assemble_vector_form(grid, params.lam * fully_solid, None)
-        self._compressive = assemble_vector_form(
-            grid, np.zeros_like(solid),
-            cell_average(grid, sound_speed_squared(mask, params)))
-        self._E = (self._elastic + self._compressive).tocsr()
-        self._viscous = None
+        self._lam_cells = np.where(solid >= 1.0 - 1e-12, params.lam, 0.0)
+        self._c2_cells = cell_average(grid, sound_speed_squared(mask, params))
+        # E: storage form, elastic D:D on the skeleton plus compressive div*div
+        self._E = assemble_vector_form(grid, self._lam_cells, self._c2_cells)
         self._mu_cells = None
         self._lu = None
         self._v_warm = None
-        self._rebuild_viscous()
+        self._rebuild_operator()
 
         load = np.zeros(grid.dim * grid.n_nodes)
         g = np.asarray(params.p_drive_grad, dtype=float)
@@ -198,21 +194,18 @@ class MicroSolver:
 
     # -- operator plumbing --------------------------------------------------
 
-    def _rebuild_viscous(self):
+    def _rebuild_operator(self):
+        """A = viscous + tau E, assembled as one form whenever mu moves."""
         grid, params = self.grid, self.params
         mu_cells = cell_average(grid, self.state.mu.values * self.mask.chi_eps)
         if self._mu_cells is not None and np.array_equal(mu_cells, self._mu_cells):
             return
         self._mu_cells = mu_cells
-        self._viscous = assemble_vector_form(grid, params.epsilon**2 * mu_cells, None)
-        self._A = (self._viscous + params.tau * self._E).tocsr()
+        tau = params.tau
+        self._A = assemble_vector_form(
+            grid, params.epsilon**2 * mu_cells + tau * self._lam_cells, tau * self._c2_cells)
         self._A_red = restrict(self._A, self.active)
         self._lu = None
-
-    def _compressive_energy_split(self, w_flat):
-        e_el = 0.5 * float(w_flat @ (self._elastic @ w_flat))
-        e_cp = 0.5 * float(w_flat @ (self._compressive @ w_flat))
-        return e_el, e_cp
 
     def apply_operator(self, v: VectorField) -> VectorField:
         """Constrained action of the per-step SPD operator on a trial velocity."""
@@ -221,12 +214,6 @@ class MicroSolver:
         out = self._A @ flat
         out[~self.active] = 0.0
         return VectorField(self.grid, out.reshape(v.values.shape))
-
-    def assemble_rhs(self) -> VectorField:
-        """Driving load minus elastic/compressive restoring force of w^n."""
-        rhs = self.load - self._E @ self.state.w.values.reshape(-1)
-        rhs[~self.active] = 0.0
-        return VectorField(self.grid, rhs.reshape((self.grid.dim,) + self.grid.shape))
 
     def _solve(self, rhs_red: np.ndarray) -> np.ndarray:
         if self.solver == "direct":
@@ -247,18 +234,21 @@ class MicroSolver:
         """One implicit-Euler step.  Nothing is committed until the solve and
         the transport update (with its CFL check) have both succeeded."""
         grid, params = self.grid, self.params
-        self._rebuild_viscous()
-        rhs = (self.load - self._E @ self.state.w.values.reshape(-1))[self.active]
-        v_red = self._solve(rhs)
+        self._rebuild_operator()
+        w_old = self.state.w.values.reshape(-1)
+        Ew_old = self._E @ w_old
+        v_red = self._solve((self.load - Ew_old)[self.active])
         v_flat = np.zeros(grid.dim * grid.n_nodes)
         v_flat[self.active] = v_red
 
-        w_old = self.state.w.values.reshape(-1)
-        e_old = 0.5 * float(w_old @ (self._E @ w_old))
+        e_old = 0.5 * float(w_old @ Ew_old)
         w_new = w_old + params.tau * v_flat
-        e_el, e_cp = self._compressive_energy_split(w_new)
-        diss = params.tau * float(v_flat @ (self._viscous @ v_flat))
-        diss += 0.5 * params.tau**2 * float(v_flat @ (self._E @ v_flat))
+        div_new = cell_divergence(grid, w_new)
+        e_cp = 0.5 * cell_volume(grid) * float(np.sum(self._c2_cells * div_new**2))
+        e_el = 0.5 * float(w_new @ (self._E @ w_new)) - e_cp
+        # viscous work plus the implicit-Euler numerical dissipation 0.5 tau^2 v.Ev
+        diss = params.tau * float(v_flat @ (self._A @ v_flat))
+        diss -= 0.5 * params.tau**2 * float(v_flat @ (self._E @ v_flat))
         work = params.tau * float(v_flat @ self.load)
         delta_e = (e_el + e_cp) - e_old
         scale = max(abs(delta_e), abs(diss), abs(work), 1e-300)
@@ -290,6 +280,12 @@ class MicroSolver:
              self.energy.external_work_cumulative, residual))
         return self.state
 
+    def pressure(self) -> np.ndarray:
+        """Cell-center pressure p = p0 - c^2 div w (flat, length ncells), with the
+        solver's own c^2 and divergence, so w = 0 carries the reference p0."""
+        div = cell_divergence(self.grid, self.state.w.values.reshape(-1))
+        return self.params.p0 - self._c2_cells * div
+
     def run(self, n_steps: int) -> SimState:
         for _ in range(n_steps):
             self.step()
@@ -302,14 +298,15 @@ class MicroSolver:
         return np.array(
             [float(np.sum(w * self.state.v.values[k])) / tot for k in range(self.grid.dim)])
 
-    def run_to_steady(self, max_steps: int = 500, rel_tol: float = 1e-7) -> SimState:
-        """Step until the mean pore velocity stops changing."""
+    def run_to_steady(self, max_steps: int = 500, rel_tol: float = 1e-7) -> bool:
+        """Step until the mean pore velocity stops changing.  Returns whether
+        it did (True) or the run stopped at max_steps (False)."""
         prev = None
         for _ in range(max_steps):
             self.step()
             q = self.mean_pore_velocity()
             if prev is not None:
                 if np.linalg.norm(q - prev) <= rel_tol * max(np.linalg.norm(q), 1e-300):
-                    return self.state
+                    return True
             prev = q
-        return self.state
+        return False

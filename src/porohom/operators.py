@@ -31,12 +31,12 @@ __all__ = [
     "cell_counts",
     "cell_corner_indices",
     "cell_average",
+    "cell_divergence",
     "gauss_points",
     "assemble_scalar_stiffness",
     "assemble_vector_form",
     "lumped_weights",
     "restrict",
-    "expand",
 ]
 
 
@@ -126,6 +126,16 @@ def _div_element(grid: Grid) -> np.ndarray:
     """(div u)(div v) with single-point (cell-center) quadrature."""
     grad = _shape_gradients(grid, (0.5,) * grid.dim)
     return np.einsum("ia,jb->iajb", grad, grad) * cell_volume(grid)
+
+
+def cell_divergence(grid: Grid, u_flat: np.ndarray) -> np.ndarray:
+    """div u at each cell center (flat, length ncells): the discrete
+    divergence of the reduced div*div form, so that u^T A_div u equals
+    cell_volume * sum(coef * cell_divergence**2)."""
+    grad = _shape_gradients(grid, (0.5,) * grid.dim)
+    corners = cell_corner_indices(grid)
+    u = u_flat.reshape(grid.dim, -1)
+    return sum(u[k][corners] @ grad[k] for k in range(grid.dim))
 
 
 def _diffusion_element(grid: Grid, tensor: np.ndarray) -> np.ndarray:
@@ -230,9 +240,3 @@ def lumped_weights(grid: Grid, ncomp: int = 1) -> np.ndarray:
 
 def restrict(A: sp.spmatrix, active: np.ndarray) -> sp.csr_matrix:
     return A.tocsr()[active][:, active]
-
-
-def expand(x_red: np.ndarray, active: np.ndarray, size: int) -> np.ndarray:
-    out = np.zeros(size)
-    out[active] = x_red
-    return out

@@ -1,0 +1,32 @@
+"""Every exported name resolves: each porohom module's __all__ and every
+name the package __init__ imports."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import porohom
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(porohom.__path__, "porohom."))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_names_resolve(name):
+    mod = importlib.import_module(name)
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+def test_package_init_imports_resolve():
+    tree = ast.parse(Path(porohom.__file__).read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names]
+    assert imported
+    for module, name in imported:
+        mod = importlib.import_module(f"porohom.{module}")
+        assert hasattr(mod, name), f"porohom.{module} has no {name}"
+        assert getattr(porohom, name) is getattr(mod, name)

@@ -124,6 +124,14 @@ def test_compare_micro_macro_error_decreases():
     assert np.isnan(rows[0]["observed_order"])
 
 
+def test_compare_micro_macro_reports_an_unconverged_march():
+    par = MaterialParams(mu1=1.0, mu2=1.0, lam=1.0, tau=0.05, h_mollify=0.0,
+                         p0=0.0, p_drive_grad=(1.0, 0.0))
+    rows = compare_micro_macro(UnitCellPattern("disk", 0.25), par, [0.5],
+                               nodes_per_cell=8, max_steps=2)
+    assert rows[0]["converged"] is False
+
+
 def test_compare_micro_macro_preconditions():
     par = MaterialParams(mu1=1.0, mu2=2.0)
     with pytest.raises(ValueError):

@@ -9,9 +9,9 @@ from porohom.microsim import (
     MaterialParams,
     MicroSolver,
     SimState,
-    pressure_from_displacement,
     sound_speed_squared,
 )
+from porohom.operators import assemble_vector_form, cell_average, cell_counts, cell_volume
 from porohom.solvers import cg_solve
 
 
@@ -51,10 +51,61 @@ def test_initial_state_viscosity_by_fluid_label():
 def test_pressure_deviation_form():
     mask = _two_fluid_mask()
     par = MaterialParams(p0=0.7, c_f1=1.5, c_f2=0.5, c_s=2.0)
-    p = pressure_from_displacement(VectorField.zeros(mask.grid), mask, par)
-    assert np.abs(p.values - 0.7).max() == 0.0
+    ms = MicroSolver(mask, par)
+    p = ms.pressure()
+    assert p.shape == (int(np.prod(cell_counts(mask.grid))),)
+    assert np.abs(p - 0.7).max() == 0.0
+    # uniform expansion w = x: div w = 2, so p = p0 - 2 c^2 (pressure drops)
+    ms.state.w = VectorField(mask.grid, np.stack(mask.grid.coords()))
+    c2 = cell_average(mask.grid, sound_speed_squared(mask, par))
+    assert np.allclose(ms.pressure(), 0.7 - 2.0 * c2, rtol=1e-13, atol=1e-13)
     c2 = sound_speed_squared(mask, par)
     assert set(np.unique(c2)) <= {1.5**2, 0.5**2, 2.0**2}
+
+
+def test_pressure_carries_the_compressive_energy():
+    # the ledger's compressive energy is 1/2 int (p - p0)^2 / c^2 of the
+    # solver's own cell pressure
+    mask = _two_fluid_mask(n=17)
+    par = MaterialParams(mu1=1.0, mu2=2.0, c_f1=1.5, c_f2=0.7, c_s=2.0, tau=0.002,
+                         h_mollify=0.0, p0=0.3, p_drive_grad=(0.5, 0.0))
+    ms = MicroSolver(mask, par, advance_transport=True)
+    ms.run(4)
+    c2 = cell_average(mask.grid, sound_speed_squared(mask, par))
+    e_cp = 0.5 * cell_volume(mask.grid) * np.sum((par.p0 - ms.pressure())**2 / c2)
+    assert ms.energy.compressive > 0.0
+    assert e_cp == pytest.approx(ms.energy.compressive, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,n,pattern", [(2, 17, "disk"), (3, 9, "sphere")])
+def test_one_assembly_operators_match_the_separate_forms(dim, n, pattern):
+    g = Grid(dim, n)
+    mask = init_fluid_partition(build_phase_mask(UnitCellPattern(pattern, 0.25), 1.0, g), 0.1)
+    par = MaterialParams(mu1=1.0, mu2=3.0, lam=1.3, c_f1=1.5, c_f2=0.7, c_s=2.0,
+                         tau=0.01, h_mollify=0.0, p_drive_grad=(1.0,) + (0.0,) * (dim - 1))
+    ms = MicroSolver(mask, par, advance_transport=False)
+    solid = cell_average(g, 1.0 - mask.chi_eps)
+    lam = par.lam * (solid >= 1.0 - 1e-12)
+    zero = np.zeros_like(solid)
+    elastic = assemble_vector_form(g, lam, None)
+    compressive = assemble_vector_form(g, zero, cell_average(g, sound_speed_squared(mask, par)))
+    mu = cell_average(g, ms.state.mu.values * mask.chi_eps)
+    viscous = assemble_vector_form(g, par.epsilon**2 * mu, None)
+    for got, want in ((ms._E, elastic + compressive),
+                      (ms._A, viscous + par.tau * (elastic + compressive))):
+        diff = abs(got - want).max()
+        assert diff <= 1e-13 * abs(want).max()
+
+
+def test_run_to_steady_reports_convergence():
+    mask = _two_fluid_mask(n=9)
+    par = MaterialParams(mu1=1.0, mu2=1.0, tau=0.05, h_mollify=0.0, p_drive_grad=(1.0, 0.0))
+    capped = MicroSolver(mask, par, advance_transport=False, solver="direct", pin_solid=True)
+    assert capped.run_to_steady(max_steps=2) is False
+    assert len(capped.history) == 2
+    free = MicroSolver(mask, par, advance_transport=False, solver="direct", pin_solid=True)
+    assert free.run_to_steady(max_steps=2000, rel_tol=1e-6) is True
+    assert len(free.history) < 2000
 
 
 def test_operator_symmetry_on_random_probes():

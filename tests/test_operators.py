@@ -8,8 +8,8 @@ from porohom.operators import (
     assemble_vector_form,
     cell_average,
     cell_counts,
+    cell_divergence,
     cell_volume,
-    expand,
     lumped_weights,
     restrict,
 )
@@ -77,10 +77,28 @@ def test_restrict_expand_roundtrip():
     active[::3] = True
     A_red = restrict(A, active)
     assert A_red.shape == (active.sum(), active.sum())
+    # A_red x is A applied to x scattered back onto the active dofs
     x = np.arange(active.sum(), dtype=float)
-    full = expand(x, active, 2 * g.n_nodes)
-    assert np.array_equal(full[active], x)
-    assert np.all(full[~active] == 0.0)
+    full = np.zeros(2 * g.n_nodes)
+    full[active] = x
+    assert np.allclose(A_red @ x, (A @ full)[active], rtol=1e-14, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim,n,periodic", [(2, 9, (False, True)), (3, 5, (False,) * 3)])
+def test_cell_divergence_is_the_reduced_div_form(dim, n, periodic):
+    g = Grid(dim, n, periodic=periodic)
+    ncells = int(np.prod(cell_counts(g)))
+    rng = np.random.default_rng(dim)
+    coef = rng.uniform(0.5, 2.0, ncells)
+    A = assemble_vector_form(g, np.zeros(ncells), coef)
+    u = rng.standard_normal(dim * g.n_nodes)
+    d = cell_divergence(g, u)
+    assert d.shape == (ncells,)
+    assert u @ (A @ u) == pytest.approx(cell_volume(g) * np.sum(coef * d**2), rel=1e-13)
+    # linear field u = (x1, 2 x2, ...): div u = dim (dim + 1) / 2 on every cell
+    lin = np.concatenate([(k + 1) * x.ravel() for k, x in enumerate(g.coords())])
+    if not any(periodic):
+        assert np.allclose(cell_divergence(g, lin), dim * (dim + 1) / 2, rtol=1e-13)
 
 
 def test_lumped_weights_match_node_weights():
