@@ -204,6 +204,13 @@ def compare_micro_macro(pattern: UnitCellPattern, params: MaterialParams, eps_li
     Single-fluid configurations only (mu1 == mu2); returns a list of rows
     {eps, micro_flux, darcy_flux, rel_error, observed_order, converged}, where
     converged says whether the steady march met steady_tol within max_steps.
+
+    The micro model runs with the solid pinned, so each march step is one
+    augmented-Lagrangian / Uzawa iteration with penalty gamma = tau c^2
+    (see MicroSolver).  The steady velocity does not depend on tau; each
+    level therefore marches with its own step tau* = 1e4 eps^2 mu1 / min(c)^2,
+    which puts tau* c^2 four orders above the viscous scale eps^2 mu1, and
+    params.tau is not used.  A handful of steps then reaches steady_tol.
     """
     if params.mu1 != params.mu2:
         raise ValueError("micro/macro comparison requires a single fluid (mu1 == mu2)")
@@ -220,13 +227,16 @@ def compare_micro_macro(pattern: UnitCellPattern, params: MaterialParams, eps_li
     _, q_darcy_vec = darcy_macro_solve(K, 1.0, (0.5 * g[0], -0.5 * g[0]))
     q_darcy = float(q_darcy_vec[0])
 
+    c2_min = min(params.c_f1, params.c_f2, params.c_s)**2
     rows = []
     prev_err = None
     for eps in eps_list:
         m = round(1.0 / eps)
         grid = Grid(dim=dim, n_per_axis=m * nodes_per_cell + 1)
         mask = build_phase_mask(pattern, eps, grid)
-        p_eps = replace(params, epsilon=eps)
+        # 1e4: fast contraction, with the penalized operator far from roundoff
+        tau_al = 1e4 * eps**2 * params.mu1 / c2_min
+        p_eps = replace(params, epsilon=eps, tau=tau_al)
         ms = MicroSolver(mask, p_eps, advance_transport=False, solver="direct",
                          pin_solid=True)
         converged = ms.run_to_steady(max_steps=max_steps, rel_tol=steady_tol)

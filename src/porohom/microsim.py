@@ -102,9 +102,15 @@ class EnergyBreakdown:
     balance_residual: float = 0.0
 
 
-def sound_speed_squared(mask: PhaseMask, params: MaterialParams):
-    """Node-wise c^2: c_f1 / c_f2 inside the pores by fluid label, c_s on the skeleton."""
-    c_fluid = np.where(mask.chi >= 0.5, params.c_f1**2, params.c_f2**2)
+def sound_speed_squared(mask: PhaseMask, params: MaterialParams, chi=None):
+    """Node-wise c^2: c_f1 / c_f2 inside the pores by fluid label, c_s on the skeleton.
+
+    chi is the current fluid-1 fraction (default: the initial labels mask.chi);
+    a node belongs to fluid 1 where chi >= 1/2, the rule SimState.initial uses
+    for the viscosity.
+    """
+    chi = mask.chi if chi is None else chi
+    c_fluid = np.where(chi >= 0.5, params.c_f1**2, params.c_f2**2)
     return np.where(mask.chi_eps == 1, c_fluid, params.c_s**2)
 
 
@@ -133,6 +139,14 @@ class MicroSolver:
 
     solver: "cg" (matrix-free style iterations, warm started) or "direct"
     (cached sparse LU, cheap when the viscosity field does not change).
+
+    With the solid pinned (pin_solid=True) the elastic term acts on fixed
+    dofs only, and one step is exactly one Uzawa / augmented-Lagrangian
+    iteration for incompressible Stokes flow with penalty gamma = tau c^2
+    and pressure -c^2 div w: (eps^2 mu V + tau c^2 B'B) v = f - c^2 B'B w,
+    with V the D:D form and B the cell-centre divergence on the free dofs.
+    A steady march converges to the discretely divergence-free Stokes
+    velocity, whatever tau and c^2 are; they set only its contraction rate.
     """
 
     def __init__(self, mask: PhaseMask, params: MaterialParams, *,
@@ -171,10 +185,8 @@ class MicroSolver:
         # strangles the steady flux instead of converging to Stokes flow.
         solid = cell_average(grid, 1.0 - mask.chi_eps)
         self._lam_cells = np.where(solid >= 1.0 - 1e-12, params.lam, 0.0)
-        self._c2_cells = cell_average(grid, sound_speed_squared(mask, params))
-        # E: storage form, elastic D:D on the skeleton plus compressive div*div
-        self._E = assemble_vector_form(grid, self._lam_cells, self._c2_cells)
         self._mu_cells = None
+        self._c2_cells = None
         self._lu = None
         self._v_warm = None
         self._rebuild_operator()
@@ -195,10 +207,17 @@ class MicroSolver:
     # -- operator plumbing --------------------------------------------------
 
     def _rebuild_operator(self):
-        """A = viscous + tau E, assembled as one form whenever mu moves."""
+        """E (storage: elastic D:D on the skeleton plus compressive div*div),
+        re-assembled whenever the fluid labels move c^2, and A = viscous + tau E,
+        assembled as one form whenever mu or c^2 moves."""
         grid, params = self.grid, self.params
-        mu_cells = cell_average(grid, self.state.mu.values * self.mask.chi_eps)
-        if self._mu_cells is not None and np.array_equal(mu_cells, self._mu_cells):
+        st = self.state
+        mu_cells = cell_average(grid, st.mu.values * self.mask.chi_eps)
+        c2_cells = cell_average(grid, sound_speed_squared(self.mask, params, st.chi.values))
+        if not np.array_equal(c2_cells, self._c2_cells):
+            self._c2_cells = c2_cells
+            self._E = assemble_vector_form(grid, self._lam_cells, c2_cells)
+        elif np.array_equal(mu_cells, self._mu_cells):
             return
         self._mu_cells = mu_cells
         tau = params.tau

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from porohom.geometry import UnitCellPattern, build_phase_mask
+from porohom.geometry import UnitCellPattern, boundary_tags, build_phase_mask
 from porohom.grid import Grid
 from porohom.homogenize import (
     compare_micro_macro,
@@ -12,7 +14,8 @@ from porohom.homogenize import (
     permeability_cell_problem,
     permeability_from_mask,
 )
-from porohom.microsim import MaterialParams
+from porohom.microsim import MaterialParams, MicroSolver
+from porohom.operators import assemble_vector_form, cell_average, lumped_weights
 
 CELL = periodic_cell_grid(2, 32)
 
@@ -152,3 +155,74 @@ def test_micro_flux_grid_independence_loose():
                                nodes_per_cell=32, max_steps=800, steady_tol=1e-8)
     qc, qf = coarse[0]["micro_flux"], fine[0]["micro_flux"]
     assert abs(qc - qf) / abs(qf) < 0.08
+
+
+def _centre_divergence_matrix(grid):
+    """2D box grid: div u at each cell centre, where corner (a, b) of a cell
+    enters d/dx_k with weight (2 off_k - 1) / (2 h), off = (a, b); a sparse
+    (ncells, 2 n_nodes) matrix with component-major columns."""
+    n, h = grid.n_per_axis, grid.spacing(0)
+    node = np.arange(n * n).reshape(n, n)
+    cell = np.arange((n - 1) ** 2)
+    rows, cols, vals = [], [], []
+    for a in (0, 1):
+        for b in (0, 1):
+            corner = node[a:n - 1 + a, b:n - 1 + b].ravel()
+            for comp, off in ((0, a), (1, b)):
+                rows.append(cell)
+                cols.append(comp * n * n + corner)
+                vals.append(np.full(cell.size, (2 * off - 1) / (2.0 * h)))
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(cell.size, 2 * n * n))
+
+
+def _saddle_point_flux(pattern, params, eps, nodes_per_cell):
+    """Steady Stokes flux from one sparse LU of [[V, B'], [B, 0]]: V is
+    eps^2 mu D:D on the free velocity dofs (S0 and the solid pinned), B the
+    cell-centre divergence on every cell that touches a free dof."""
+    m = round(1.0 / eps)
+    grid = Grid(2, m * nodes_per_cell + 1)
+    mask = build_phase_mask(pattern, eps, grid)
+    fixed = (boundary_tags(grid)["S0"] | mask.solid).ravel()
+    active = np.tile(~fixed, 2)
+    visc = eps**2 * params.mu1 * cell_average(grid, mask.chi_eps)
+    V = assemble_vector_form(grid, visc, None).tocsr()[active][:, active]
+    B = _centre_divergence_matrix(grid)[:, active]
+    B = B[np.diff(B.indptr) > 0]
+    K = sp.bmat([[V, B.T], [B, None]], format="csc")
+    g = np.asarray(params.p_drive_grad, dtype=float)
+    load = np.concatenate([-g[k] * lumped_weights(grid) for k in range(2)])
+    sol = spla.splu(K).solve(np.concatenate([load[active], np.zeros(B.shape[0])]))
+    v = np.zeros(2 * grid.n_nodes)
+    v[active] = sol[:V.shape[0]]
+    weights = grid.node_weights().ravel()
+    return float(np.sum(weights * mask.chi_eps.ravel() * v[:grid.n_nodes])) / np.sum(weights)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_compare_micro_macro_matches_a_saddle_point_solve(eps):
+    par = MaterialParams(mu1=1.0, mu2=1.0, lam=1.0, tau=0.05, h_mollify=0.0,
+                         p0=0.0, p_drive_grad=(1.0, 0.0))
+    pattern = UnitCellPattern("disk", 0.25)
+    rows = compare_micro_macro(pattern, par, [eps], nodes_per_cell=8)
+    assert all(r["converged"] for r in rows)
+    q = _saddle_point_flux(pattern, par, eps, nodes_per_cell=8)
+    assert rows[0]["micro_flux"] == pytest.approx(q, rel=1e-8)
+
+
+def test_compare_micro_macro_steady_march_takes_few_steps(monkeypatch):
+    steps = []
+    step = MicroSolver.step
+
+    def counted(self):
+        steps.append(self.params.epsilon)
+        return step(self)
+
+    monkeypatch.setattr(MicroSolver, "step", counted)
+    par = MaterialParams(mu1=1.0, mu2=1.0, lam=1.0, tau=0.05, h_mollify=0.0,
+                         p0=0.0, p_drive_grad=(1.0, 0.0))
+    eps_list = [0.5, 0.25, 0.125]
+    rows = compare_micro_macro(UnitCellPattern("disk", 0.25), par, eps_list, nodes_per_cell=8)
+    assert all(r["converged"] for r in rows)
+    per_level = [steps.count(eps) for eps in eps_list]
+    assert all(1 <= k <= 10 for k in per_level), per_level

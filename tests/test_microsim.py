@@ -77,6 +77,36 @@ def test_pressure_carries_the_compressive_energy():
     assert e_cp == pytest.approx(ms.energy.compressive, rel=1e-12)
 
 
+def test_sound_speed_follows_the_advected_labels():
+    # a ramp interface whose 1/2 level set sits just right of a node column:
+    # the flow towards S2 carries fluid 1 across that column in one step; one
+    # viscosity, so only the moved c^2 can trigger the re-assembly
+    mask = _two_fluid_mask(n=17)
+    g = mask.grid
+    mask.chi = np.clip(0.5 + (g.coords()[0] - 1e-5) / (4 * g.spacing(0)), 0.0, 1.0)
+    par = MaterialParams(mu1=1.0, mu2=1.0, c_f1=1.5, c_f2=0.5, c_s=2.0, tau=0.002,
+                         h_mollify=0.0, p0=0.3, p_drive_grad=(0.5, 0.0))
+    ms = MicroSolver(mask, par, advance_transport=True)
+    c2_initial = cell_average(g, sound_speed_squared(mask, par))
+    assert np.array_equal(ms._c2_cells, c2_initial)
+    ms.step()
+    labels = ms.state.chi.values.copy()
+    assert np.any((labels >= 0.5) != (mask.chi >= 0.5))
+    ms.step()
+    c2 = cell_average(g, sound_speed_squared(mask, par, labels))
+    assert not np.array_equal(c2, c2_initial)
+    assert np.array_equal(ms._c2_cells, c2)
+    lam = par.lam * (cell_average(g, 1.0 - mask.chi_eps) >= 1.0 - 1e-12)
+    E = assemble_vector_form(g, lam, c2)
+    A = assemble_vector_form(g, par.epsilon**2 * ms._mu_cells + par.tau * lam, par.tau * c2)
+    for got, want in ((ms._E, E), (ms._A, A)):
+        assert abs(got - want).max() <= 1e-13 * abs(want).max()
+    assert all(row[-1] <= 1e-10 for row in ms.history)
+    e_cp = 0.5 * cell_volume(g) * np.sum((par.p0 - ms.pressure())**2 / c2)
+    assert ms.energy.compressive > 0.0
+    assert e_cp == pytest.approx(ms.energy.compressive, rel=1e-12)
+
+
 @pytest.mark.parametrize("dim,n,pattern", [(2, 17, "disk"), (3, 9, "sphere")])
 def test_one_assembly_operators_match_the_separate_forms(dim, n, pattern):
     g = Grid(dim, n)
