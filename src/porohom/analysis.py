@@ -45,8 +45,20 @@ def _grid_boundary(grid: Grid) -> np.ndarray:
     return tags["S0"] | tags["S1"] | tags["S2"]
 
 
-def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0,
-                      tol: float = 1e-8, max_outer: int = 500) -> ConstantEstimate:
+def _smallest_eigen_constant(A, active: np.ndarray, mass: np.ndarray,
+                             seed: int) -> ConstantEstimate:
+    """1/sqrt(lambda_min) of A on the active dofs against the lumped mass."""
+    A_red = restrict(A, active)
+    lam, _, iters, resid = inverse_power_iteration(
+        A_red, mass[active], seed=seed,
+        precond_diag=np.maximum(A_red.diagonal(), 1e-300),
+    )
+    if lam <= 0:
+        raise RuntimeError(f"non-positive smallest eigenvalue {lam}")
+    return ConstantEstimate(1.0 / np.sqrt(lam), iters, resid)
+
+
+def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0) -> ConstantEstimate:
     """Smallest M with ||w|| <= M ||D(x,w)|| over vector fields vanishing
     outside the masked subdomain (and on the grid boundary)."""
     if domain_mask.grid != grid:
@@ -65,23 +77,12 @@ def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0,
     coef = cell_average(grid, np.ones(grid.shape))
     A = assemble_vector_form(grid, coef, None)
     active = np.tile(active_node.ravel(), grid.dim)
-    A_red = restrict(A, active)
-    mass = lumped_weights(grid, grid.dim)[active]
-    lam, _, iters, resid = inverse_power_iteration(
-        A_red, mass, seed=seed, tol=tol, max_outer=max_outer,
-        precond_diag=np.maximum(A_red.diagonal(), 1e-300),
-    )
-    if lam <= 0:
-        raise RuntimeError(f"non-positive smallest eigenvalue {lam}")
-    return ConstantEstimate(1.0 / np.sqrt(lam), iters, resid)
+    return _smallest_eigen_constant(A, active, lumped_weights(grid, grid.dim), seed)
 
 
-def embedding_constant(grid: Grid, zero_tags, seed: int = 0,
-                       tol: float = 1e-8, max_outer: int = 500) -> ConstantEstimate:
+def embedding_constant(grid: Grid, zero_tags) -> ConstantEstimate:
     """Smallest M with ||u|| <= M ||grad u|| over scalars vanishing on the
-    tagged boundary portion (zero_tags: subset of {"S0","S1","S2"})."""
-    if isinstance(zero_tags, str):
-        zero_tags = [zero_tags]
+    tagged boundary portion (zero_tags: a collection drawn from {"S0","S1","S2"})."""
     tags = boundary_tags(grid)
     zero = np.zeros(grid.shape, dtype=bool)
     for t in zero_tags:
@@ -90,16 +91,7 @@ def embedding_constant(grid: Grid, zero_tags, seed: int = 0,
         raise ValueError(f"tagged boundary portion {list(zero_tags)} is empty")
     coef = cell_average(grid, np.ones(grid.shape))
     A = assemble_scalar_stiffness(grid, coef)
-    active = ~zero.ravel()
-    A_red = restrict(A, active)
-    mass = lumped_weights(grid)[active]
-    lam, _, iters, resid = inverse_power_iteration(
-        A_red, mass, seed=seed, tol=tol, max_outer=max_outer,
-        precond_diag=np.maximum(A_red.diagonal(), 1e-300),
-    )
-    if lam <= 0:
-        raise RuntimeError(f"non-positive smallest eigenvalue {lam}")
-    return ConstantEstimate(1.0 / np.sqrt(lam), iters, resid)
+    return _smallest_eigen_constant(A, ~zero.ravel(), lumped_weights(grid), seed=0)
 
 
 def extend_solid(w_s: VectorField, mask: PhaseMask, h: float,

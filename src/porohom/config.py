@@ -5,7 +5,7 @@ violation (with line numbers) instead of stopping at the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .microsim import MaterialParams
 
@@ -71,7 +71,6 @@ class RunConfig:
     pattern_kind: str
     r0: float
     material: MaterialParams
-    raw: dict = field(default_factory=dict)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -184,5 +183,4 @@ def parse_config(text: str) -> RunConfig:
         pattern_kind=pattern,
         r0=r0,
         material=material,
-        raw={f"{s}.{k}": v for (s, k), v in values.items()},
     )

@@ -34,7 +34,8 @@ class Grid:
     dim: int
     n_per_axis: int
     periodic: tuple = ()
-    origin: float = -0.5
+
+    origin = -0.5  # lower corner of Omega on every axis (a class constant)
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -58,10 +59,6 @@ class Grid:
     def spacing(self, axis: int) -> float:
         n = self.n_per_axis
         return 1.0 / n if self.periodic[axis] else 1.0 / (n - 1)
-
-    @property
-    def min_spacing(self) -> float:
-        return min(self.spacing(k) for k in range(self.dim))
 
     def axis_coords(self, axis: int) -> np.ndarray:
         return self.origin + self.spacing(axis) * np.arange(self.n_per_axis)
@@ -111,9 +108,6 @@ class ScalarField:
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.shape))
 
-    def copy(self):
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass
 class VectorField:
@@ -127,12 +121,6 @@ class VectorField:
     @classmethod
     def zeros(cls, grid):
         return cls(grid, np.zeros((grid.dim,) + grid.shape))
-
-    def copy(self):
-        return VectorField(self.grid, self.values.copy())
-
-    def component(self, i: int) -> ScalarField:
-        return ScalarField(self.grid, self.values[i])
 
 
 def l2_norm(f, mask: ScalarField | None = None) -> float:

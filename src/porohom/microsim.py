@@ -134,6 +134,11 @@ def _surface_load(grid: Grid, p0: float) -> np.ndarray:
     return load.reshape(-1)
 
 
+# Jacobi-CG settings of the solver="cg" step solve.
+CG_TOL = 1e-11
+CG_MAX_ITER = 20000
+
+
 class MicroSolver:
     """Holds the assembled forms for one (grid, mask, params) instance.
 
@@ -151,8 +156,7 @@ class MicroSolver:
 
     def __init__(self, mask: PhaseMask, params: MaterialParams, *,
                  advance_transport: bool = True, solver: str = "cg",
-                 dirichlet: str = "S0", pin_solid: bool = False,
-                 cg_tol: float = 1e-11, cg_max_iter: int = 20000):
+                 dirichlet: str = "S0", pin_solid: bool = False):
         if solver not in ("cg", "direct"):
             raise ValueError(f"unknown solver {solver!r}")
         self.grid = mask.grid
@@ -160,8 +164,6 @@ class MicroSolver:
         self.params = params
         self.advance_transport = advance_transport
         self.solver = solver
-        self.cg_tol = cg_tol
-        self.cg_max_iter = cg_max_iter
 
         grid = self.grid
         tags = boundary_tags(grid)
@@ -240,7 +242,7 @@ class MicroSolver:
                 self._lu = spla.splu(self._A_red.tocsc())
             return self._lu.solve(rhs_red)
         res = cg_solve(
-            self._A_red, rhs_red, tol=self.cg_tol, max_iter=self.cg_max_iter,
+            self._A_red, rhs_red, tol=CG_TOL, max_iter=CG_MAX_ITER,
             x0=self._v_warm, precond_diag=np.maximum(self._A_red.diagonal(), 1e-300))
         if not res.converged:
             raise RuntimeError(

@@ -57,16 +57,9 @@ class MollifierKernel:
         if self.radius <= 0:
             raise ValueError("kernel radius must be positive")
 
-    @property
-    def normalization(self) -> float:
-        return kernel_normalization(self.dim)
-
-    def kernel_value(self, s: float) -> float:
+    def kernel_value(self, s):
         """J(s): normalized bump in the reference variable |s| <= 1."""
-        return self.normalization * bump(s)
-
-    def __call__(self, s):
-        return self.normalization * bump(s)
+        return kernel_normalization(self.dim) * bump(s)
 
 
 def _stencil(grid: Grid, h: float) -> np.ndarray:
@@ -79,7 +72,7 @@ def _stencil(grid: Grid, h: float) -> np.ndarray:
     radii = [int(np.floor(h / dx)) for dx in spacings]
     offs = np.meshgrid(*[np.arange(-r, r + 1) * dx for r, dx in zip(radii, spacings)], indexing="ij")
     dist = np.sqrt(sum(o**2 for o in offs))
-    st = kern(dist / h) / h**grid.dim
+    st = kern.kernel_value(dist / h) / h**grid.dim
     cell = float(np.prod(spacings))
     mass = st.sum() * cell
     if mass <= 0:

@@ -17,23 +17,21 @@ class CGResult:
     converged: bool
 
 
-def cg_solve(apply_A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 5000,
+def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 5000,
              x0: np.ndarray | None = None, precond_diag: np.ndarray | None = None,
              atol: float = 0.0) -> CGResult:
-    """Preconditioned conjugate gradients for an SPD operator.
+    """Preconditioned conjugate gradients for an SPD matrix A (anything with `@`).
 
-    `apply_A` is a callable (matrix-vector product) or a matrix with `@`.
     Stops when ||rhs - A x|| <= max(tol * ||rhs||, atol); on stagnation past
     max_iter the best iterate is returned with converged=False.  An absolute
     floor matters for consistent singular systems whose rhs is roundoff-small:
     a purely relative target is then unreachable.
     """
-    op = apply_A if callable(apply_A) else (lambda v: apply_A @ v)
     b_norm = float(np.linalg.norm(rhs))
     if b_norm <= atol:
         return CGResult(np.zeros_like(rhs), 0, 0.0, True)
     x = np.zeros_like(rhs) if x0 is None else x0.copy()
-    r = rhs - op(x)
+    r = rhs - A @ x
     if precond_diag is not None:
         inv_d = 1.0 / precond_diag
         z = inv_d * r
@@ -46,7 +44,7 @@ def cg_solve(apply_A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 5000,
     res = float(np.linalg.norm(r))
     target = max(tol * b_norm, atol)
     while res > target and it < max_iter:
-        Ap = op(p)
+        Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             break  # loss of positivity, bail with current iterate
@@ -62,32 +60,36 @@ def cg_solve(apply_A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 5000,
     return CGResult(x, it, res / b_norm, res <= target)
 
 
-def inverse_power_iteration(apply_A, mass_diag: np.ndarray, seed: int = 0,
-                            tol: float = 1e-8, max_outer: int = 500,
-                            cg_tol: float = 1e-10, precond_diag: np.ndarray | None = None):
+# Rayleigh-residual target and outer-step cap of inverse_power_iteration.
+POWER_TOL = 1e-8
+POWER_MAX_OUTER = 500
+
+
+def inverse_power_iteration(A, mass_diag: np.ndarray, seed: int = 0,
+                            precond_diag: np.ndarray | None = None):
     """Smallest eigenvalue of A x = lambda M x with diagonal mass M.
 
     Returns (lam, x, outer_iterations, rayleigh_residual).  Each outer step
     solves A y = M x by CG and normalizes in the M-inner product; converged
-    when the relative Rayleigh-quotient residual drops below tol.
+    when the relative Rayleigh-quotient residual drops below POWER_TOL.
     """
-    op = apply_A if callable(apply_A) else (lambda v: apply_A @ v)
     n = mass_diag.size
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     x /= np.sqrt(x @ (mass_diag * x))
-    lam = float(x @ op(x))
+    lam = float(x @ (A @ x))
     y = None
-    for outer in range(1, max_outer + 1):
-        sol = cg_solve(op, mass_diag * x, tol=cg_tol, x0=y, precond_diag=precond_diag)
+    for outer in range(1, POWER_MAX_OUTER + 1):
+        # inner solves at cg_solve's default tolerance and iteration cap
+        sol = cg_solve(A, mass_diag * x, x0=y, precond_diag=precond_diag)
         y = sol.x
         nrm = np.sqrt(y @ (mass_diag * y))
         if nrm == 0.0:
             raise RuntimeError("inverse power iteration collapsed to the zero vector")
         x = y / nrm
-        Ax = op(x)
+        Ax = A @ x
         lam = float(x @ Ax)
         resid = float(np.linalg.norm(Ax - lam * mass_diag * x)) / max(abs(lam), 1e-300)
-        if resid < tol:
+        if resid < POWER_TOL:
             return lam, x, outer, resid
-    return lam, x, max_outer, resid
+    return lam, x, POWER_MAX_OUTER, resid

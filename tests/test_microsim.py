@@ -163,7 +163,7 @@ def test_cg_step_matches_dense_oracle_8x8():
     chi = (g.coords()[0] > 0).astype(float)  # resolution floor of the builder
     mask = PhaseMask(g, chi_eps, chi, 1.0)
     par = MaterialParams(mu1=1.0, mu2=3.0, tau=0.05, h_mollify=0.0, p0=0.5)
-    ms = MicroSolver(mask, par, advance_transport=False, cg_tol=1e-13)
+    ms = MicroSolver(mask, par, advance_transport=False)
     rhs = (ms.load - ms._E @ ms.state.w.values.reshape(-1))[ms.active]
     dense = ms._A_red.toarray()
     x_oracle = np.linalg.solve(dense, rhs)
@@ -249,7 +249,7 @@ def test_direct_and_cg_solvers_agree():
     mask = _two_fluid_mask(n=17)
     par = MaterialParams(mu1=1.0, mu2=2.0, tau=0.01, h_mollify=0.0,
                          p0=0.2, p_drive_grad=(0.3, 0.0))
-    a = MicroSolver(mask, par, advance_transport=False, solver="cg", cg_tol=1e-13)
+    a = MicroSolver(mask, par, advance_transport=False, solver="cg")
     b = MicroSolver(mask, par, advance_transport=False, solver="direct")
     for _ in range(3):
         a.step()
