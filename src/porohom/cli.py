@@ -230,7 +230,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    cfg.experiment = args.experiment
+    if cfg.experiment != args.experiment:
+        print(f"config {args.config} is for experiment {cfg.experiment!r}, "
+              f"not {args.experiment!r}", file=sys.stderr)
+        return 1
     if args.seed is not None:
         cfg.seed = args.seed
     out = Path(args.out or cfg.out_dir)

@@ -239,7 +239,11 @@ class MicroSolver:
     def _solve(self, rhs_red: np.ndarray) -> np.ndarray:
         if self.solver == "direct":
             if self._lu is None:
-                self._lu = spla.splu(self._A_red.tocsc())
+                # _A_red is SPD: a symmetric fill-reducing ordering and diagonal
+                # pivots about halve the L+U fill of splu's COLAMD default.
+                self._lu = spla.splu(self._A_red.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                     diag_pivot_thresh=0.0,
+                                     options=dict(SymmetricMode=True))
             return self._lu.solve(rhs_red)
         res = cg_solve(
             self._A_red, rhs_red, tol=CG_TOL, max_iter=CG_MAX_ITER,

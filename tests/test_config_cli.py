@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import porohom
 from porohom.config import ConfigError, EXPERIMENTS, parse_config
 from porohom.rng import XorShift64Star
 
@@ -88,8 +90,12 @@ def test_parse_config_rejects_bad_lists():
 
 
 def _run_cli(args):
+    # the child imports the same porohom as this process, installed or not
+    src = str(Path(porohom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "porohom.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_cli_experiment_writes_outputs_and_manifest(tmp_path):
@@ -130,7 +136,18 @@ def test_cli_unknown_experiment_rejected(tmp_path):
     cfg = tmp_path / "x.ini"
     cfg.write_text(BASE.format(out=tmp_path / "o"))
     proc = _run_cli(["teleport", "--config", str(cfg)])
-    assert proc.returncode != 0
+    assert proc.returncode == 1
+    assert "unknown experiment" in proc.stderr
+
+
+def test_cli_rejects_a_config_for_another_experiment(tmp_path):
+    cfg = tmp_path / "x.ini"
+    out = tmp_path / "o"
+    cfg.write_text(BASE.format(out=out))  # name = mollifier-props
+    proc = _run_cli(["poincare-scaling", "--config", str(cfg)])
+    assert proc.returncode == 1
+    assert "'mollifier-props'" in proc.stderr and "'poincare-scaling'" in proc.stderr
+    assert not out.exists()
 
 
 def test_cli_override_flags(tmp_path):

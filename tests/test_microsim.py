@@ -257,6 +257,37 @@ def test_direct_and_cg_solvers_agree():
     assert np.abs(a.state.v.values - b.state.v.values).max() < 1e-9
 
 
+def test_direct_solver_refactors_when_mu_moves():
+    # transport moves mu every step; a stale cached LU would solve the first
+    # step's operator and drift from the CG solution
+    mask = _two_fluid_mask(n=17)
+    par = MaterialParams(mu1=1.0, mu2=3.0, tau=0.002, h_mollify=0.0,
+                         p0=0.3, p_drive_grad=(0.5, 0.0))
+    a = MicroSolver(mask, par, advance_transport=True, solver="cg")
+    b = MicroSolver(mask, par, advance_transport=True, solver="direct")
+    mu_start = b._mu_cells.copy()
+    for _ in range(3):
+        a.step()
+        b.step()
+    assert not np.array_equal(b._mu_cells, mu_start)
+    assert np.abs(a.state.v.values - b.state.v.values).max() < 1e-9
+
+
+def test_direct_solver_factor_is_accurate_and_sparser():
+    # the eps = 1/4 level of the eps-sweep, 16 nodes per cell
+    eps = 0.25
+    mask = build_phase_mask(UnitCellPattern("disk", 0.25), eps, Grid(2, 4 * 16 + 1))
+    par = MaterialParams(epsilon=eps, tau=1e4 * eps**2, h_mollify=0.0)
+    ms = MicroSolver(mask, par, advance_transport=False, solver="direct", pin_solid=True)
+    ms.step()
+    A = ms._A_red
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    x = ms._lu.solve(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    default = spla.splu(A.tocsc())
+    assert ms._lu.L.nnz + ms._lu.U.nnz < default.L.nnz + default.U.nnz
+
+
 def test_viscous_operator_rebuild_tracks_mu_changes():
     mask = _two_fluid_mask(n=17)
     par = MaterialParams(mu1=1.0, mu2=4.0, tau=0.002, h_mollify=0.0,
