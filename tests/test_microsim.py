@@ -274,7 +274,7 @@ def test_direct_solver_refactors_when_mu_moves():
 
 
 def test_direct_solver_factor_is_accurate_and_sparser():
-    # the eps = 1/4 level of the eps-sweep, 16 nodes per cell
+    # the eps = 1/4 level of an eps-convergence sweep at 16 nodes per cell
     eps = 0.25
     mask = build_phase_mask(UnitCellPattern("disk", 0.25), eps, Grid(2, 4 * 16 + 1))
     par = MaterialParams(epsilon=eps, tau=1e4 * eps**2, h_mollify=0.0)
