@@ -17,7 +17,7 @@ from .mollifier import mollify
 from .operators import (
     assemble_scalar_stiffness,
     assemble_vector_form,
-    cell_average,
+    cell_counts,
     lumped_weights,
     restrict,
 )
@@ -74,7 +74,7 @@ def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0) -> Co
     active_node = eroded & ~_grid_boundary(grid)
     if not active_node.any():
         raise ValueError("mask has no interior nodes")
-    coef = cell_average(grid, np.ones(grid.shape))
+    coef = np.ones(int(np.prod(cell_counts(grid))))
     A = assemble_vector_form(grid, coef, None)
     active = np.tile(active_node.ravel(), grid.dim)
     return _smallest_eigen_constant(A, active, lumped_weights(grid, grid.dim), seed)
@@ -89,7 +89,7 @@ def embedding_constant(grid: Grid, zero_tags) -> ConstantEstimate:
         zero |= tags[t]
     if not zero.any():
         raise ValueError(f"tagged boundary portion {list(zero_tags)} is empty")
-    coef = cell_average(grid, np.ones(grid.shape))
+    coef = np.ones(int(np.prod(cell_counts(grid))))
     A = assemble_scalar_stiffness(grid, coef)
     return _smallest_eigen_constant(A, ~zero.ravel(), lumped_weights(grid), seed=0)
 

@@ -237,12 +237,19 @@ def main(argv=None) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        return _run(args.experiment, cfg, cfg_text, out)
+    except OSError as exc:
+        print(f"cannot write to output directory {out}: {exc}", file=sys.stderr)
+        return 1
 
+
+def _run(experiment: str, cfg: RunConfig, cfg_text: str, out: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     rng = XorShift64Star(cfg.seed)
     start = time.time()
     try:
-        files = REGISTRY[args.experiment](cfg, out, rng)
+        files = REGISTRY[experiment](cfg, out, rng)
     except (ValueError, ConfigError) as exc:
         _write_manifest(out, cfg_text, f"validation-failure: {exc}", time.time() - start, [])
         print(str(exc), file=sys.stderr)

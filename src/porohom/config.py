@@ -143,10 +143,21 @@ def parse_config(text: str) -> RunConfig:
     eps = get("material", "epsilon")
     if eps <= 0 or abs(1.0 / eps - round(1.0 / eps)) > 1e-9:
         problems.append(f"epsilon must be an integer reciprocal, got {eps}")
-    for e in get("experiment", "eps_list"):
+    h_mollify = get("material", "h_mollify")
+    if h_mollify < 0:
+        problems.append(f"material h_mollify must be >= 0, got {h_mollify}")
+    steps = get("experiment", "steps")
+    if steps < 1:
+        problems.append(f"steps must be >= 1, got {steps}")
+    eps_list = get("experiment", "eps_list")
+    if not eps_list:
+        problems.append("eps_list must not be empty")
+    for e in eps_list:
         if e <= 0 or abs(1.0 / e - round(1.0 / e)) > 1e-9:
             problems.append(f"eps_list entry {e} is not an integer reciprocal")
     h_list = get("experiment", "h_list")
+    if not h_list:
+        problems.append("h_list must not be empty")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         problems.append(f"h_list must be strictly decreasing, got {h_list}")
     plane = get("experiment", "interface_plane")
@@ -167,15 +178,15 @@ def parse_config(text: str) -> RunConfig:
         p0=get("material", "p0"),
         p_drive_grad=(get("material", "p_grad"),) + (0.0,) * (ndim - 1),
         epsilon=eps,
-        h_mollify=get("material", "h_mollify"),
+        h_mollify=h_mollify,
         tau=get("material", "tau"),
     )
     return RunConfig(
         experiment=name,
         out_dir=get("experiment", "out_dir"),
         seed=get("experiment", "seed"),
-        steps=get("experiment", "steps"),
-        eps_list=tuple(get("experiment", "eps_list")),
+        steps=steps,
+        eps_list=tuple(eps_list),
         h_list=tuple(h_list),
         interface_plane=plane,
         dim=dim,

@@ -32,10 +32,10 @@ from .operators import (
     _shape_gradients,
     _sym_element,
     assemble_vector_form,
-    cell_average,
     cell_corner_indices,
     cell_counts,
     lumped_weights,
+    phase_cells,
     restrict,
 )
 from .solvers import cg_solve
@@ -73,6 +73,9 @@ def permeability_from_mask(mask: PhaseMask, mu: float) -> tuple:
     """Permeability tensor of one periodicity cell; returns (K, asymmetry).
 
     K already carries the 1/mu dependence: the Darcy flux is q = -K grad p.
+    The viscosity is mu on every cell with a fluid corner; the skeleton is
+    the set of cells with no fluid corner (operators.phase_cells), the same
+    cells as in MicroSolver, and the velocity vanishes on its nodes.
     """
     grid = mask.grid
     _require_periodic(grid)
@@ -83,7 +86,7 @@ def permeability_from_mask(mask: PhaseMask, mu: float) -> tuple:
     if not mask.solid.any():
         raise ValueError("permeability is unbounded without a solid obstacle")
     n = grid.n_nodes
-    coef = np.full(np.prod(cell_counts(grid)), mu)
+    coef = phase_cells(grid, mask.chi_eps, mu, 0.0)
     A = assemble_vector_form(grid, coef, PENALTY_RATIO * coef)
     active = np.tile(mask.fluid.ravel(), grid.dim)
     A_red = restrict(A, active)
@@ -119,12 +122,14 @@ def elasticity_from_mask(mask: PhaseMask, lam: float) -> np.ndarray:
     For each unit macroscopic strain E (symmetric storage, Voigt order) the
     periodic corrector u solves A u = -f, with f the skeleton form applied
     to the affine field E x cell by cell; C_ab is the cell-averaged energy
-    of the total fields E_a x + u_a and E_b x + u_b.
+    of the total fields E_a x + u_a and E_b x + u_b.  The skeleton is the set
+    of cells with no fluid corner (operators.phase_cells), the same cells that
+    carry lam in MicroSolver; every cell with a fluid corner is a void.
     """
     grid = mask.grid
     _require_periodic(grid)
     dim, n = grid.dim, grid.n_nodes
-    coef = lam * cell_average(grid, 1.0 - mask.chi_eps)
+    coef = phase_cells(grid, mask.chi_eps, 0.0, lam)
     A = assemble_vector_form(grid, coef, None)
     diag = A.diagonal()
     precond = np.where(diag > 1e-12 * diag.max(), diag, diag.max())

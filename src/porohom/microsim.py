@@ -4,14 +4,17 @@ Pressure is eliminated through the continuity laws (deviation form
 p - p0 = -c^2 div w), which turns every implicit-Euler step into one
 symmetric positive definite solve for the velocity:
 
-    [eps^2 mu chi^eps + tau lam (1-chi^eps)] D(v):D(phi)
+    [eps^2 mu chi_f + tau lam (1-chi_f)] D(v):D(phi)
         + tau c^2 (div v)(div phi)
   = -grad p0_drive . phi  - p0 (n . phi)|_{S1 u S2}
-        - lam (1-chi^eps) D(w^n):D(phi) - c^2 (div w^n)(div phi)
+        - lam (1-chi_f) D(w^n):D(phi) - c^2 (div w^n)(div phi)
 
 with w^{n+1} = w^n + tau v^{n+1} and homogeneous displacement conditions on
-S0.  div is the cell-center divergence of the reduced div*div form, and the
-reported pressure p = p0 - c^2 div w uses the same one, per cell.  A per-step
+S0.  chi_f is the cell phase of operators.phase_cells: a cell with a fluid
+corner is fluid and takes the mean of mu (and of c_f^2) over its fluid
+corners; every other cell is skeleton and takes lam (and c_s^2).  div is the
+cell-center divergence of the reduced div*div form, and the reported
+pressure p = p0 - c^2 div w uses the same one, per cell.  A per-step
 energy ledger tracks elastic + compressive storage, viscous (plus
 implicit-Euler numerical) dissipation and external work; their balance is
 exact up to solver tolerance.
@@ -29,10 +32,10 @@ from .geometry import PhaseMask, boundary_tags
 from .grid import Grid, ScalarField, VectorField
 from .operators import (
     assemble_vector_form,
-    cell_average,
     cell_divergence,
     cell_volume,
     lumped_weights,
+    phase_cells,
     restrict,
 )
 from .solvers import cg_solve
@@ -103,7 +106,9 @@ class EnergyBreakdown:
 
 
 def sound_speed_squared(mask: PhaseMask, params: MaterialParams, chi=None):
-    """Node-wise c^2: c_f1 / c_f2 inside the pores by fluid label, c_s on the skeleton.
+    """Per-cell c^2 (flat, length ncells): on a fluid cell the mean of c_f1^2 /
+    c_f2^2 over its fluid corners by fluid label, c_s^2 on a skeleton cell
+    (operators.phase_cells).
 
     chi is the current fluid-1 fraction (default: the initial labels mask.chi);
     a node belongs to fluid 1 where chi >= 1/2, the rule SimState.initial uses
@@ -111,7 +116,7 @@ def sound_speed_squared(mask: PhaseMask, params: MaterialParams, chi=None):
     """
     chi = mask.chi if chi is None else chi
     c_fluid = np.where(chi >= 0.5, params.c_f1**2, params.c_f2**2)
-    return np.where(mask.chi_eps == 1, c_fluid, params.c_s**2)
+    return phase_cells(mask.grid, mask.chi_eps, c_fluid, params.c_s**2)
 
 
 def _surface_load(grid: Grid, p0: float) -> np.ndarray:
@@ -181,12 +186,7 @@ class MicroSolver:
         self.active = np.tile(~fixed.ravel(), grid.dim)
 
         self.state = SimState.initial(mask, params)
-        # The Lame stiffness is restricted to fully solid cells.  A straddling
-        # cell has fluid corner nodes whose displacement grows without bound in
-        # a through-flow; giving such a cell a fractional elastic coefficient
-        # strangles the steady flux instead of converging to Stokes flow.
-        solid = cell_average(grid, 1.0 - mask.chi_eps)
-        self._lam_cells = np.where(solid >= 1.0 - 1e-12, params.lam, 0.0)
+        self._lam_cells = phase_cells(grid, mask.chi_eps, 0.0, params.lam)
         self._mu_cells = None
         self._c2_cells = None
         self._lu = None
@@ -214,8 +214,8 @@ class MicroSolver:
         assembled as one form whenever mu or c^2 moves."""
         grid, params = self.grid, self.params
         st = self.state
-        mu_cells = cell_average(grid, st.mu.values * self.mask.chi_eps)
-        c2_cells = cell_average(grid, sound_speed_squared(self.mask, params, st.chi.values))
+        mu_cells = phase_cells(grid, self.mask.chi_eps, st.mu.values, 0.0)
+        c2_cells = sound_speed_squared(self.mask, params, st.chi.values)
         if not np.array_equal(c2_cells, self._c2_cells):
             self._c2_cells = c2_cells
             self._E = assemble_vector_form(grid, self._lam_cells, c2_cells)

@@ -5,7 +5,7 @@ penalty and scalar or anisotropic diffusion) use trilinear/bilinear (Q1)
 elements on the grid cells with tensor-product Gauss quadrature; the div*div
 term uses single-point (reduced) quadrature to avoid volumetric locking at
 large compressibility moduli.  Coefficients are piecewise constant per cell
-(corner averages) and the grid is uniform, so every form is a sum of
+(phase_cells) and the grid is uniform, so every form is a sum of
 reference element matrices, each scaled by one coefficient per cell.
 
 All forms go through one vectorized assembler (after Cuvelier, Japhet &
@@ -30,7 +30,7 @@ from .grid import Grid, sym_component_pairs
 __all__ = [
     "cell_counts",
     "cell_corner_indices",
-    "cell_average",
+    "phase_cells",
     "cell_divergence",
     "gauss_points",
     "assemble_scalar_stiffness",
@@ -71,10 +71,23 @@ def cell_corner_indices(grid: Grid) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def cell_average(grid: Grid, nodal: np.ndarray) -> np.ndarray:
-    """Per-cell mean of the corner node values (flat, length ncells)."""
+def phase_cells(grid: Grid, chi_eps: np.ndarray, fluid_nodal, solid_value: float) -> np.ndarray:
+    """Per-cell coefficient of a pore/skeleton field (flat, length ncells):
+    the one rule for the cells that straddle the interface.
+
+    A cell with at least one fluid corner (chi_eps = 1) is a fluid cell and
+    takes the mean of fluid_nodal (nodal array or scalar) over its fluid
+    corners; every other cell takes solid_value.  A straddling cell is all
+    fluid because its fluid corner nodes move without bound in a
+    through-flow: a fractional elastic coefficient there strangles the
+    steady flux instead of converging to Stokes flow.
+    """
     corners = cell_corner_indices(grid)
-    return nodal.ravel()[corners].mean(axis=1)
+    fluid = chi_eps.ravel()[corners]
+    count = fluid.sum(axis=1)
+    nodal = np.broadcast_to(np.asarray(fluid_nodal, dtype=float), grid.shape).ravel()
+    total = (nodal[corners] * fluid).sum(axis=1)
+    return np.where(count > 0, total / np.maximum(count, 1.0), solid_value)
 
 
 def gauss_points(dim: int):

@@ -89,6 +89,19 @@ def test_parse_config_rejects_bad_lists():
         parse_config(bad)
 
 
+@pytest.mark.parametrize("section,line,message", [
+    ("experiment", "steps = 0", "steps must be >= 1"),
+    ("experiment", "steps = -3", "steps must be >= 1"),
+    ("experiment", "eps_list =", "eps_list must not be empty"),
+    ("experiment", "h_list =", "h_list must not be empty"),
+    ("material", "h_mollify = -1", "h_mollify must be >= 0"),
+])
+def test_parse_config_rejects_out_of_range_values(section, line, message):
+    text = f"[experiment]\nname = mollifier-props\n[{section}]\n{line}\n"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
 def _run_cli(args):
     # the child imports the same porohom as this process, installed or not
     src = str(Path(porohom.__file__).resolve().parents[1])
@@ -130,6 +143,18 @@ def test_cli_validation_failure_exit_code(tmp_path):
     proc = _run_cli(["micro-sim", "--config", cfg.as_posix()])
     assert proc.returncode == 1
     assert "integer reciprocal" in (proc.stderr + proc.stdout)
+
+
+def test_cli_unwritable_output_directory_exits_1_without_traceback(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE.format(out=tmp_path / "ignored"))
+    (tmp_path / "a_file").write_text("not a directory\n")
+    proc = _run_cli(["mollifier-props", "--config", str(cfg),
+                     "--out", str(tmp_path / "a_file" / "sub")])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "cannot write to output directory" in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_cli_unknown_experiment_rejected(tmp_path):

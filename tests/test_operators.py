@@ -6,11 +6,11 @@ from porohom.grid import Grid
 from porohom.operators import (
     assemble_scalar_stiffness,
     assemble_vector_form,
-    cell_average,
     cell_counts,
     cell_divergence,
     cell_volume,
     lumped_weights,
+    phase_cells,
     restrict,
 )
 from porohom.solvers import cg_solve, inverse_power_iteration
@@ -24,14 +24,31 @@ def test_cell_counts_and_volume():
     assert tuple(cell_counts(gp)) == (16, 16)
 
 
-def test_cell_average_of_linear_field_is_midpoint():
+def test_phase_cells_all_fluid_is_the_midpoint_of_a_linear_field():
     g = Grid(2, 9)
     x1, x2 = g.coords()
-    avg = cell_average(g, 2.0 * x1 - x2)
+    avg = phase_cells(g, np.ones(g.shape), 2.0 * x1 - x2, -7.0)
     dx = g.spacing(0)
     centers1 = -0.5 + dx * (np.arange(8) + 0.5)
     expect = 2.0 * centers1[:, None] - centers1[None, :]
     assert np.abs(avg.reshape(8, 8) - expect).max() < 1e-14
+
+
+def test_phase_cells_straddling_cell_takes_the_fluid_corner_mean():
+    # 3x3 nodes, 2x2 cells; solid nodes on the bottom-left block, so cell
+    # (0, 0) is all solid, cells (0, 1) and (1, 0) straddle, cell (1, 1) is fluid
+    g = Grid(2, 3)
+    chi_eps = np.ones(g.shape)
+    chi_eps[:2, :2] = 0.0
+    chi_eps[0, 2] = 0.0
+    nodal = np.arange(9.0).reshape(3, 3)
+    got = phase_cells(g, chi_eps, nodal, 100.0).reshape(2, 2)
+    assert got[0, 0] == 100.0
+    assert got[0, 1] == pytest.approx(nodal[1, 2])           # one fluid corner
+    assert got[1, 0] == pytest.approx((nodal[2, 0] + nodal[2, 1]) / 2)
+    assert got[1, 1] == pytest.approx((nodal[1, 2] + nodal[2, 1] + nodal[2, 2]) / 3)
+    assert np.array_equal(phase_cells(g, chi_eps, 2.5, 0.0).reshape(2, 2),
+                          [[0.0, 2.5], [2.5, 2.5]])
 
 
 def test_scalar_stiffness_energy_exact_for_linear_fields():
