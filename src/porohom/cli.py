@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .analysis import extend_fluid, extend_solid, poincare_constant
 from .config import ConfigError, RunConfig, parse_config
-from .geometry import UnitCellPattern, build_phase_mask, init_fluid_partition, porosity
+from .geometry import build_phase_mask, init_fluid_partition, porosity
 from .grid import Grid, ScalarField, VectorField, l2_norm, save_field
 from .homogenize import (
     compare_micro_macro,
@@ -111,18 +111,17 @@ def run_poincare_scaling(cfg: RunConfig, out: Path, rng) -> list:
 
 
 def run_extension_bounds(cfg: RunConfig, out: Path, rng) -> list:
-    pattern = UnitCellPattern(cfg.pattern_kind, cfg.r0)
     rows = []
     for eps in cfg.eps_list:
         n_eps = round((cfg.n - 1) / eps) + 1
         grid = Grid(dim=cfg.dim, n_per_axis=n_eps)
-        mask = build_phase_mask(pattern, eps, grid)
+        mask = build_phase_mask(cfg.pattern, eps, grid)
         coords = grid.coords()
         vals = np.stack([np.sin(np.pi * coords[0]) * np.cos(np.pi * coords[k])
                          for k in range(grid.dim)])
         w_s = VectorField(grid, vals)
         h = 0.1 * eps
-        ext = extend_solid(w_s, mask, h, solid_radius=cfg.r0)
+        ext = extend_solid(w_s, mask, h, solid_radius=cfg.pattern.solid_radius)
         solid_norm = l2_norm(w_s, ScalarField(grid, 1.0 - mask.chi_eps))
         m_solid = l2_norm(ext) / max(solid_norm, 1e-300)
         w_f = VectorField(grid, -vals)
@@ -135,8 +134,7 @@ def run_extension_bounds(cfg: RunConfig, out: Path, rng) -> list:
 
 def run_micro_sim(cfg: RunConfig, out: Path, rng) -> list:
     grid = Grid(dim=cfg.dim, n_per_axis=cfg.n)
-    pattern = UnitCellPattern(cfg.pattern_kind, cfg.r0)
-    mask = build_phase_mask(pattern, cfg.material.epsilon, grid)
+    mask = build_phase_mask(cfg.pattern, cfg.material.epsilon, grid)
     mask = init_fluid_partition(mask, cfg.interface_plane)
     ms = MicroSolver(mask, cfg.material, advance_transport=True, solver="cg")
     iface_rows = []
@@ -159,9 +157,8 @@ def run_micro_sim(cfg: RunConfig, out: Path, rng) -> list:
 
 
 def run_cell_problems(cfg: RunConfig, out: Path, rng) -> list:
-    pattern = UnitCellPattern(cfg.pattern_kind, cfg.r0)
     cell = periodic_cell_grid(cfg.dim, cfg.n)
-    mask = build_phase_mask(pattern, 1.0, cell)
+    mask = build_phase_mask(cfg.pattern, 1.0, cell)
     K, asym = permeability_from_mask(mask, cfg.material.mu1)
     C = elasticity_from_mask(mask, cfg.material.lam)
     rows = [("porosity", "", porosity(mask)), ("K_asymmetry", "", asym)]
@@ -175,10 +172,9 @@ def run_cell_problems(cfg: RunConfig, out: Path, rng) -> list:
 
 
 def run_eps_convergence(cfg: RunConfig, out: Path, rng) -> list:
-    pattern = UnitCellPattern(cfg.pattern_kind, cfg.r0)
     mat = replace(cfg.material, mu2=cfg.material.mu1, c_f2=cfg.material.c_f1)
     eps_list = [e for e in cfg.eps_list if e < 1.0] or list(cfg.eps_list)
-    rows = compare_micro_macro(pattern, mat, eps_list, nodes_per_cell=max(8, cfg.n))
+    rows = compare_micro_macro(cfg.pattern, mat, eps_list, nodes_per_cell=max(8, cfg.n))
     return [_write_csv(out / "eps_convergence.csv",
                        ["eps", "micro_flux", "darcy_flux", "rel_error", "observed_order",
                         "converged"],
@@ -250,7 +246,7 @@ def _run(experiment: str, cfg: RunConfig, cfg_text: str, out: Path) -> int:
     start = time.time()
     try:
         files = REGISTRY[experiment](cfg, out, rng)
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:
         _write_manifest(out, cfg_text, f"validation-failure: {exc}", time.time() - start, [])
         print(str(exc), file=sys.stderr)
         return 1

@@ -1,12 +1,22 @@
 """Plain-text run configuration: `key = value` lines, `#` comments and the
 sections [experiment], [grid], [material].  Validation collects every
-violation (with line numbers) instead of stopping at the first.
+violation (with line numbers for syntax errors) instead of stopping at the
+first.
+
+Each value rule has one owner.  parse_config checks the syntax and the
+experiment-level keys (name, steps, the eps_list/h_list shapes,
+interface_plane); the objects it builds check the rest and parse_config lists
+their messages: Grid checks [grid] dim and n, UnitCellPattern [grid] pattern
+and r0, MaterialParams every [material] key, and geometry.cells_across each
+eps_list entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .geometry import UnitCellPattern, cells_across
+from .grid import Grid
 from .microsim import MaterialParams
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "EXPERIMENTS", "DEFAULTS"]
@@ -68,8 +78,7 @@ class RunConfig:
     interface_plane: float
     dim: int
     n: int
-    pattern_kind: str
-    r0: float
+    pattern: UnitCellPattern
     material: MaterialParams
 
 
@@ -117,35 +126,20 @@ def parse_config(text: str) -> RunConfig:
         slot = (section, key)
         return values.get(slot, DEFAULTS[slot][0])
 
+    def build(where, make, *args, **kwargs):
+        """make(*args, **kwargs), or None with each line of its ValueError
+        appended to problems."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            problems.extend(f"{where} {line}" for line in str(exc).splitlines())
+            return None
+
     name = get("experiment", "name")
     if name is None:
         problems.append("missing required key `name` in [experiment]")
     elif name not in EXPERIMENTS:
         problems.append(f"unknown experiment {name!r}; registry: {', '.join(EXPERIMENTS)}")
-
-    dim = get("grid", "dim")
-    if dim not in (2, 3):
-        problems.append(f"grid dim must be 2 or 3, got {dim}")
-    n = get("grid", "n")
-    if n < 3:
-        problems.append(f"grid n must be >= 3, got {n}")
-    r0 = get("grid", "r0")
-    if not 0.0 <= r0 < 0.5:
-        problems.append(f"r0 must lie in [0, 1/2), got {r0}")
-    pattern = get("grid", "pattern")
-    if pattern not in ("disk", "sphere", "square-block", "full-solid", "none"):
-        problems.append(f"unknown pattern {pattern!r}")
-
-    for key in ("mu1", "mu2", "lambda", "c_f1", "c_f2", "c_s", "tau"):
-        v = get("material", key)
-        if v <= 0:
-            problems.append(f"material {key} must be positive, got {v}")
-    eps = get("material", "epsilon")
-    if eps <= 0 or abs(1.0 / eps - round(1.0 / eps)) > 1e-9:
-        problems.append(f"epsilon must be an integer reciprocal, got {eps}")
-    h_mollify = get("material", "h_mollify")
-    if h_mollify < 0:
-        problems.append(f"material h_mollify must be >= 0, got {h_mollify}")
     steps = get("experiment", "steps")
     if steps < 1:
         problems.append(f"steps must be >= 1, got {steps}")
@@ -153,8 +147,7 @@ def parse_config(text: str) -> RunConfig:
     if not eps_list:
         problems.append("eps_list must not be empty")
     for e in eps_list:
-        if e <= 0 or abs(1.0 / e - round(1.0 / e)) > 1e-9:
-            problems.append(f"eps_list entry {e} is not an integer reciprocal")
+        build("eps_list:", cells_across, e)
     h_list = get("experiment", "h_list")
     if not h_list:
         problems.append("h_list must not be empty")
@@ -164,11 +157,11 @@ def parse_config(text: str) -> RunConfig:
     if not -0.5 < plane < 0.5:
         problems.append(f"interface_plane must lie in (-1/2, 1/2), got {plane}")
 
-    if problems:
-        raise ConfigError(problems)
-
-    ndim = dim
-    material = MaterialParams(
+    dim, n = get("grid", "dim"), get("grid", "n")
+    build("[grid]", Grid, dim, n)
+    pattern = build("[grid]", UnitCellPattern, get("grid", "pattern"), get("grid", "r0"))
+    material = build(
+        "[material]", MaterialParams,
         mu1=get("material", "mu1"),
         mu2=get("material", "mu2"),
         lam=get("material", "lambda"),
@@ -176,11 +169,13 @@ def parse_config(text: str) -> RunConfig:
         c_f2=get("material", "c_f2"),
         c_s=get("material", "c_s"),
         p0=get("material", "p0"),
-        p_drive_grad=(get("material", "p_grad"),) + (0.0,) * (ndim - 1),
-        epsilon=eps,
-        h_mollify=h_mollify,
+        p_drive_grad=(get("material", "p_grad"),) + (0.0,) * (dim - 1),
+        epsilon=get("material", "epsilon"),
+        h_mollify=get("material", "h_mollify"),
         tau=get("material", "tau"),
     )
+    if problems:
+        raise ConfigError(problems)
     return RunConfig(
         experiment=name,
         out_dir=get("experiment", "out_dir"),
@@ -191,7 +186,6 @@ def parse_config(text: str) -> RunConfig:
         interface_plane=plane,
         dim=dim,
         n=n,
-        pattern_kind=pattern,
-        r0=r0,
+        pattern=pattern,
         material=material,
     )

@@ -19,6 +19,7 @@ __all__ = [
     "UnitCellPattern",
     "PhaseMask",
     "build_phase_mask",
+    "cells_across",
     "porosity",
     "check_pore_connectivity",
     "init_fluid_partition",
@@ -39,7 +40,7 @@ class UnitCellPattern:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown pattern kind {self.kind!r}, expected one of {_KINDS}")
         if self.kind not in ("full-solid", "none") and not 0.0 <= self.solid_radius < 0.5:
-            raise ValueError("solid_radius must lie in [0, 1/2)")
+            raise ValueError(f"solid_radius (r0) must lie in [0, 1/2), got {self.solid_radius}")
 
     def indicator(self, *cell_coords):
         """chi(y) evaluated at cell-local coordinates in [0, 1): 1 = fluid."""
@@ -92,11 +93,12 @@ class PhaseMask:
         return PhaseMask(self.grid, self.chi_eps.copy(), self.chi.copy(), self.epsilon)
 
 
-def _cells_across(epsilon: float) -> int:
-    m = round(1.0 / epsilon)
-    if abs(1.0 / epsilon - m) > 1e-9:
-        raise ValueError(f"1/epsilon must be an integer number of cells, got epsilon={epsilon}")
-    return m
+def cells_across(epsilon: float) -> int:
+    """Number of periodicity cells across Omega, 1/epsilon; ValueError unless
+    epsilon is an integer reciprocal (the one place this rule is checked)."""
+    if not epsilon > 0 or abs(1.0 / epsilon - round(1.0 / epsilon)) > 1e-9:
+        raise ValueError(f"epsilon must be an integer reciprocal, got {epsilon}")
+    return round(1.0 / epsilon)
 
 
 def build_phase_mask(pattern: UnitCellPattern, epsilon: float, grid: Grid) -> PhaseMask:
@@ -105,7 +107,7 @@ def build_phase_mask(pattern: UnitCellPattern, epsilon: float, grid: Grid) -> Ph
     Requires a whole number of cells across Omega and at least 8 nodes per
     cell per axis.
     """
-    m = _cells_across(epsilon)
+    m = cells_across(epsilon)
     for k in range(grid.dim):
         nodes_per_cell = grid.n_per_axis / m if grid.periodic[k] else (grid.n_per_axis - 1) / m
         if nodes_per_cell < 8 - 1e-12:

@@ -38,15 +38,18 @@ class Grid:
     origin = -0.5  # lower corner of Omega on every axis (a class constant)
 
     def __post_init__(self):
+        """ValueError naming every violation, one line each."""
+        problems = []
         if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+            problems.append(f"dim must be 2 or 3, got {self.dim}")
         if self.n_per_axis < 3:
-            raise ValueError(f"need at least 3 nodes per axis, got {self.n_per_axis}")
-        if not self.periodic:
-            object.__setattr__(self, "periodic", (False,) * self.dim)
-        elif len(self.periodic) != self.dim:
-            raise ValueError("periodic flags must match dim")
-        object.__setattr__(self, "periodic", tuple(bool(p) for p in self.periodic))
+            problems.append(f"n must be >= 3 nodes per axis, got {self.n_per_axis}")
+        if self.periodic and len(self.periodic) != self.dim:
+            problems.append(f"periodic flags must match dim, got {self.periodic}")
+        if problems:
+            raise ValueError("\n".join(problems))
+        flags = self.periodic or (False,) * self.dim
+        object.__setattr__(self, "periodic", tuple(bool(p) for p in flags))
 
     @property
     def shape(self):

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import transport
-from .geometry import PhaseMask, boundary_tags
+from .geometry import PhaseMask, boundary_tags, cells_across
 from .grid import Grid, ScalarField, VectorField
 from .operators import (
     assemble_vector_form,
@@ -64,14 +64,18 @@ class MaterialParams:
     tau: float = 0.1
 
     def __post_init__(self):
-        for name in ("mu1", "mu2", "lam", "c_f1", "c_f2", "c_s", "tau"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        m = round(1.0 / self.epsilon)
-        if abs(1.0 / self.epsilon - m) > 1e-9:
-            raise ValueError("epsilon must be an integer reciprocal")
+        """ValueError naming every violation, one line each."""
+        problems = [f"{name} must be positive, got {getattr(self, name)}"
+                    for name in ("mu1", "mu2", "lam", "c_f1", "c_f2", "c_s", "tau")
+                    if not getattr(self, name) > 0]
+        if not self.h_mollify >= 0:
+            problems.append(f"h_mollify must be >= 0, got {self.h_mollify}")
+        try:
+            cells_across(self.epsilon)
+        except ValueError as exc:
+            problems.append(str(exc))
+        if problems:
+            raise ValueError("\n".join(problems))
 
 
 @dataclass

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import porohom
+from porohom import cli
 from porohom.config import ConfigError, EXPERIMENTS, parse_config
+from porohom.geometry import UnitCellPattern
 from porohom.rng import XorShift64Star
 
 BASE = """
@@ -78,6 +80,39 @@ mu1 = 1.0
     assert "must be positive" in msgs
     assert "duplicate key" in msgs and "first set on line 10" in msgs
     assert len(err.value.problems) >= 6
+
+
+def test_parse_config_lists_every_material_problem():
+    text = ("[experiment]\nname = micro-sim\n"
+            "[material]\nmu1 = -2\ntau = 0\nepsilon = 0.3\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    problems = err.value.problems
+    assert len(problems) == 3
+    assert any("mu1 must be positive, got -2.0" in p for p in problems)
+    assert any("tau must be positive, got 0.0" in p for p in problems)
+    assert any("epsilon must be an integer reciprocal, got 0.3" in p for p in problems)
+
+
+def test_parse_config_reports_grid_and_eps_list_problems():
+    text = ("[experiment]\nname = poincare-scaling\neps_list = 0.5, 0.3, -1\n"
+            "[grid]\ndim = 4\nn = 2\npattern = hexagon\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    msgs = "\n".join(err.value.problems)
+    assert len(err.value.problems) == 5
+    assert "got 0.3" in msgs and "got -1.0" in msgs
+    assert "dim must be 2 or 3" in msgs and "n must be >= 3" in msgs
+    assert "unknown pattern kind 'hexagon'" in msgs
+
+
+@pytest.mark.parametrize("pattern", ["none", "full-solid"])
+def test_parse_config_ignores_r0_of_a_pattern_without_inclusion(pattern):
+    text = f"[experiment]\nname = cell-problems\n[grid]\npattern = {pattern}\nr0 = 0.7\n"
+    cfg = parse_config(text)
+    assert cfg.pattern == UnitCellPattern(pattern, 0.7)
+    with pytest.raises(ConfigError, match=r"r0\) must lie in \[0, 1/2\), got 0.7"):
+        parse_config(text.replace(pattern, "disk"))
 
 
 def test_parse_config_rejects_bad_lists():
@@ -189,3 +224,7 @@ def test_registry_matches_config_module():
     assert set(EXPERIMENTS) == {
         "mollifier-props", "poincare-scaling", "extension-bounds",
         "micro-sim", "cell-problems", "eps-convergence"}
+
+
+def test_cli_registry_has_every_config_experiment():
+    assert set(cli.REGISTRY) == set(EXPERIMENTS)

@@ -6,6 +6,7 @@ from porohom.geometry import (
     UnitCellPattern,
     boundary_tags,
     build_phase_mask,
+    cells_across,
     check_pore_connectivity,
     init_fluid_partition,
     porosity,
@@ -20,6 +21,15 @@ def test_pattern_validation():
         UnitCellPattern("disk", -0.1)
     with pytest.raises(ValueError):
         UnitCellPattern("hexagon", 0.2)
+
+
+def test_cells_across_is_the_integer_reciprocal_check():
+    assert [cells_across(e) for e in (1.0, 0.5, 0.25, 1 / 3)] == [1, 2, 4, 3]
+    for eps in (0.3, 0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="integer reciprocal"):
+            cells_across(eps)
+    with pytest.raises(ValueError, match="integer reciprocal"):
+        build_phase_mask(UnitCellPattern("disk", 0.25), -0.5, Grid(2, 33))
 
 
 def test_zero_radius_gives_full_porosity():

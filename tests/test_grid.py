@@ -32,6 +32,15 @@ def test_grid_rejects_bad_dim_and_size():
         Grid(2, 33, periodic=(True,))
 
 
+def test_grid_names_every_violation_in_one_error():
+    with pytest.raises(ValueError) as err:
+        Grid(1, 2)
+    lines = str(err.value).splitlines()
+    assert len(lines) == 2
+    assert "dim must be 2 or 3, got 1" in lines[0]
+    assert "n must be >= 3" in lines[1] and "got 2" in lines[1]
+
+
 def test_node_weights_sum_to_volume():
     for g in (Grid(2, 17), Grid(2, 16, periodic=(True, True)),
               Grid(3, 9), Grid(2, 20, periodic=(False, True))):

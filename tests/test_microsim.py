@@ -50,6 +50,22 @@ def test_material_params_rejects_non_positive_epsilon(eps):
         MaterialParams(epsilon=eps)
 
 
+def test_material_params_rejects_negative_mollification_radius():
+    with pytest.raises(ValueError, match="h_mollify must be >= 0"):
+        MaterialParams(h_mollify=-1.0)
+    MaterialParams(h_mollify=0.0)  # zero turns mollification off
+
+
+def test_material_params_names_every_violation_in_one_error():
+    with pytest.raises(ValueError) as err:
+        MaterialParams(mu1=-2.0, tau=0.0, epsilon=0.3, h_mollify=-1.0)
+    lines = str(err.value).splitlines()
+    assert len(lines) == 4
+    for key in ("mu1 must be positive", "tau must be positive", "h_mollify must be >= 0",
+                "epsilon must be an integer reciprocal"):
+        assert sum(key in line for line in lines) == 1, key
+
+
 def test_initial_state_viscosity_by_fluid_label():
     mask = _two_fluid_mask()
     par = MaterialParams(mu1=2.0, mu2=5.0)
