@@ -166,10 +166,8 @@ def save_field(path, f):
     with open(path, "w") as fh:
         fh.write(f"# porohom field kind={kind} dim={grid.dim} n={grid.n_per_axis} periodic={per}\n")
         fh.write(",".join([f"i{k}" for k in range(grid.dim)] + comps) + "\n")
-        for r in range(idx.shape[1]):
-            row = [str(idx[k, r]) for k in range(grid.dim)]
-            row += [format(v, ".17g") for v in flat[:, r]]
-            fh.write(",".join(row) + "\n")
+        fmt = ",".join(["%d"] * grid.dim + ["%.17g"] * len(comps)) + "\n"
+        fh.writelines(fmt % row for row in zip(*idx.tolist(), *flat.tolist()))
 
 
 def load_field(path):

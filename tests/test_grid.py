@@ -94,6 +94,22 @@ def test_field_csv_roundtrip_exact(tmp_path):
         assert np.array_equal(back.values, f.values)
 
 
+def test_save_field_writes_17_digit_rows(tmp_path):
+    g = Grid(3, 3)
+    vals = np.random.default_rng(5).standard_normal((3,) + g.shape)
+    vals[0, 0, 0, 0], vals[1, 0, 0, 0], vals[2, 0, 0, 0] = -0.0, 0.1, 1e-300
+    path = tmp_path / "field.csv"
+    save_field(path, VectorField(g, vals))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# porohom field kind=vector dim=3 n=3 periodic=0,0,0"
+    assert lines[1] == "i0,i1,i2,u0,u1,u2"
+    assert lines[2] == "0,0,0,-0,0.10000000000000001,1e-300"
+    expected = [",".join([str(i) for i in ijk]
+                         + [format(v, ".17g") for v in vals[(slice(None),) + ijk]])
+                for ijk in np.ndindex(g.shape)]
+    assert lines[2:] == expected
+
+
 def _write_field(path, meta, ncomp=1):
     cols = ["value"] if ncomp == 1 else [f"u{k}" for k in range(ncomp)]
     path.write_text(meta + "\n" + ",".join(["i0", "i1"] + cols) + "\n"
