@@ -72,6 +72,8 @@ def inverse_power_iteration(A, mass_diag: np.ndarray, seed: int = 0,
     Returns (lam, x, outer_iterations, rayleigh_residual).  Each outer step
     solves A y = M x by CG and normalizes in the M-inner product; converged
     when the relative Rayleigh-quotient residual drops below POWER_TOL.
+    Raises RuntimeError when an inner solve does not converge or the outer
+    loop reaches POWER_MAX_OUTER.
     """
     n = mass_diag.size
     rng = np.random.default_rng(seed)
@@ -82,6 +84,10 @@ def inverse_power_iteration(A, mass_diag: np.ndarray, seed: int = 0,
     for outer in range(1, POWER_MAX_OUTER + 1):
         # inner solves at cg_solve's default tolerance and iteration cap
         sol = cg_solve(A, mass_diag * x, x0=y, precond_diag=precond_diag)
+        if not sol.converged:
+            raise RuntimeError(
+                f"inverse power iteration: inner CG solve of outer step {outer} did not "
+                f"converge (relative residual {sol.residual:.3g})")
         y = sol.x
         nrm = np.sqrt(y @ (mass_diag * y))
         if nrm == 0.0:
@@ -92,4 +98,5 @@ def inverse_power_iteration(A, mass_diag: np.ndarray, seed: int = 0,
         resid = float(np.linalg.norm(Ax - lam * mass_diag * x)) / max(abs(lam), 1e-300)
         if resid < POWER_TOL:
             return lam, x, outer, resid
-    return lam, x, POWER_MAX_OUTER, resid
+    raise RuntimeError(f"inverse power iteration did not converge in {POWER_MAX_OUTER} "
+                       f"outer steps (Rayleigh residual {resid:.3g})")

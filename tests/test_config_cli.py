@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import porohom
-from porohom import cli
+from porohom import cli, solvers
 from porohom.config import ConfigError, EXPERIMENTS, parse_config
 from porohom.geometry import UnitCellPattern
 from porohom.rng import XorShift64Star
@@ -228,3 +228,14 @@ def test_registry_matches_config_module():
 
 def test_cli_registry_has_every_config_experiment():
     assert set(cli.REGISTRY) == set(EXPERIMENTS)
+
+
+def test_cli_unconverged_power_iteration_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(solvers, "POWER_MAX_OUTER", 1)
+    cfg = tmp_path / "run.ini"
+    out = tmp_path / "out"
+    cfg.write_text(BASE.format(out=out).replace(
+        "name = mollifier-props", "name = poincare-scaling").replace("n = 65", "n = 17"))
+    assert cli.main(["poincare-scaling", "--config", str(cfg)]) == 2
+    assert "status solver-failure" in (out / "manifest.txt").read_text()
+    assert not (out / "poincare_scaling.csv").exists()

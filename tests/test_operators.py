@@ -13,6 +13,7 @@ from porohom.operators import (
     phase_cells,
     restrict,
 )
+from porohom import solvers
 from porohom.solvers import cg_solve, inverse_power_iteration
 
 
@@ -172,6 +173,19 @@ def test_inverse_power_iteration_diagonal_oracle():
     assert lam == pytest.approx(1.0, rel=1e-6)
     assert abs(abs(x[2]) - 1.0) < 1e-4
     assert resid < 1e-8
+
+
+def test_inverse_power_iteration_raises_at_the_outer_cap(monkeypatch):
+    monkeypatch.setattr(solvers, "POWER_MAX_OUTER", 1)
+    d = np.array([4.0, 9.0, 1.0, 16.0, 25.0])
+    with pytest.raises(RuntimeError, match="did not converge in 1 outer steps"):
+        inverse_power_iteration(np.diag(d), np.ones(5), seed=3)
+
+
+def test_inverse_power_iteration_raises_on_a_failed_inner_solve():
+    # a negative definite A stops CG at its positivity check, unconverged
+    with pytest.raises(RuntimeError, match="inner CG solve of outer step 1"):
+        inverse_power_iteration(np.diag([-1.0, -2.0, -3.0]), np.ones(3), seed=3)
 
 
 # -- element-matrix assembly against a dense per-cell reference ------------
