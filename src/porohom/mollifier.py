@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
-from scipy.integrate import quad
 
 from .grid import Grid, ScalarField, VectorField, l2_norm
 
@@ -41,6 +40,8 @@ def bump(s):
 @lru_cache(maxsize=None)
 def kernel_normalization(dim: int) -> float:
     """C such that the integral of C*bump(|x|) over R^dim is one."""
+    from scipy.integrate import quad  # only here: mollify itself needs no C
+
     surface = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[dim]
     radial, _ = quad(lambda s: bump(s) * s ** (dim - 1), 0.0, 1.0, epsabs=1e-14, epsrel=1e-14)
     return 1.0 / (surface * radial)
@@ -63,16 +64,16 @@ class MollifierKernel:
 
 
 def _stencil(grid: Grid, h: float) -> np.ndarray:
-    """Discrete convolution stencil J(|offset|/h)/h^dim on the grid lattice,
-    renormalized to unit discrete mass so the mollifier is exactly
-    non-expansive and preserves interior constants.
+    """Discrete convolution stencil bump(|offset|/h) on the grid lattice,
+    normalized to unit discrete mass so the mollifier is exactly
+    non-expansive and preserves interior constants.  The normalization
+    absorbs the continuous factor C/h^dim of J, so C is not needed here.
     """
-    kern = MollifierKernel(h, grid.dim)
     spacings = [grid.spacing(k) for k in range(grid.dim)]
     radii = [int(np.floor(h / dx)) for dx in spacings]
     offs = np.meshgrid(*[np.arange(-r, r + 1) * dx for r, dx in zip(radii, spacings)], indexing="ij")
     dist = np.sqrt(sum(o**2 for o in offs))
-    st = kern.kernel_value(dist / h) / h**grid.dim
+    st = bump(dist / h)
     cell = float(np.prod(spacings))
     mass = st.sum() * cell
     if mass <= 0:

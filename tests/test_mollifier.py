@@ -1,9 +1,14 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import porohom
 from porohom.grid import Grid, ScalarField, VectorField, l2_norm
 from porohom.mollifier import (
     MollifierKernel,
@@ -108,3 +113,27 @@ def test_interior_mask_margins():
     assert not inner[0, 16]
     assert inner[16, 16]
     assert np.all(np.abs(x1[inner]) <= 0.3 + 1e-12)
+
+
+def _fresh_modules(code):
+    """sys.modules of a fresh interpreter after running code, with this porohom."""
+    src = str(Path(porohom.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}\n"
+         "print(' '.join(sys.modules))"],
+        capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_mollify_does_not_load_scipy_integrate():
+    if "scipy.integrate" in _fresh_modules("import scipy.ndimage, scipy.sparse.linalg"):
+        pytest.skip("this scipy loads scipy.integrate from ndimage or sparse.linalg")
+    loaded = _fresh_modules(
+        "import numpy as np\n"
+        "import porohom.cli\n"
+        "from porohom.grid import Grid, ScalarField\n"
+        "from porohom.mollifier import mollify\n"
+        "g = Grid(2, 17)\n"
+        "mollify(ScalarField(g, np.ones(g.shape)), 0.2)")
+    assert "porohom.cli" in loaded
+    assert "scipy.integrate" not in loaded
