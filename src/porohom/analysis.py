@@ -49,10 +49,7 @@ def _smallest_eigen_constant(A, active: np.ndarray, mass: np.ndarray,
                              seed: int) -> ConstantEstimate:
     """1/sqrt(lambda_min) of A on the active dofs against the lumped mass."""
     A_red = restrict(A, active)
-    lam, _, iters, resid = inverse_power_iteration(
-        A_red, mass[active], seed=seed,
-        precond_diag=np.maximum(A_red.diagonal(), 1e-300),
-    )
+    lam, _, iters, resid = inverse_power_iteration(A_red, mass[active], seed=seed)
     if lam <= 0:
         raise RuntimeError(f"non-positive smallest eigenvalue {lam}")
     return ConstantEstimate(1.0 / np.sqrt(lam), iters, resid)
@@ -90,7 +87,7 @@ def embedding_constant(grid: Grid, zero_tags) -> ConstantEstimate:
     if not zero.any():
         raise ValueError(f"tagged boundary portion {list(zero_tags)} is empty")
     coef = np.ones(int(np.prod(cell_counts(grid))))
-    A = assemble_scalar_stiffness(grid, coef)
+    A = assemble_scalar_stiffness(grid, coef, np.eye(grid.dim))
     return _smallest_eigen_constant(A, ~zero.ravel(), lumped_weights(grid), seed=0)
 
 

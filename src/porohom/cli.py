@@ -121,7 +121,8 @@ def run_extension_bounds(cfg: RunConfig, out: Path, rng) -> list:
                          for k in range(grid.dim)])
         w_s = VectorField(grid, vals)
         h = 0.1 * eps
-        ext = extend_solid(w_s, mask, h, solid_radius=cfg.pattern.solid_radius)
+        r0 = cfg.pattern.solid_radius if cfg.pattern.has_inclusion else None
+        ext = extend_solid(w_s, mask, h, solid_radius=r0)
         solid_norm = l2_norm(w_s, ScalarField(grid, 1.0 - mask.chi_eps))
         m_solid = l2_norm(ext) / max(solid_norm, 1e-300)
         w_f = VectorField(grid, -vals)

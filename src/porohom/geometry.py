@@ -39,8 +39,13 @@ class UnitCellPattern:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown pattern kind {self.kind!r}, expected one of {_KINDS}")
-        if self.kind not in ("full-solid", "none") and not 0.0 <= self.solid_radius < 0.5:
+        if self.has_inclusion and not 0.0 <= self.solid_radius < 0.5:
             raise ValueError(f"solid_radius (r0) must lie in [0, 1/2), got {self.solid_radius}")
+
+    @property
+    def has_inclusion(self) -> bool:
+        """Whether solid_radius (r0) applies: "none" and "full-solid" ignore it."""
+        return self.kind not in ("full-solid", "none")
 
     def indicator(self, *cell_coords):
         """chi(y) evaluated at cell-local coordinates in [0, 1): 1 = fluid."""

@@ -17,26 +17,23 @@ two-scale cell problems as the engineering stand-in:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import replace
 
 import numpy as np
 
-from .geometry import PhaseMask, UnitCellPattern, build_phase_mask, check_pore_connectivity, porosity
+from .geometry import PhaseMask, UnitCellPattern, build_phase_mask, check_pore_connectivity
 from .grid import Grid, ScalarField, sym_component_pairs
 from .microsim import MaterialParams, MicroSolver
 from .operators import (
-    _assemble,
-    _diffusion_element,
-    _element_dofs,
-    _shape_gradients,
-    _sym_element,
+    assemble_scalar_stiffness,
     assemble_vector_form,
-    cell_corner_indices,
     cell_counts,
+    cell_gradient,
+    cell_volume,
     lumped_weights,
     phase_cells,
     restrict,
+    strain_load,
 )
 from .solvers import cg_solve
 
@@ -90,15 +87,13 @@ def permeability_from_mask(mask: PhaseMask, mu: float) -> tuple:
     A = assemble_vector_form(grid, coef, PENALTY_RATIO * coef)
     active = np.tile(mask.fluid.ravel(), grid.dim)
     A_red = restrict(A, active)
-    diag = np.maximum(A_red.diagonal(), 1e-300)
     wq = lumped_weights(grid)
     vol = float(np.sum(wq))
     K = np.zeros((grid.dim, grid.dim))
     for k in range(grid.dim):
         rhs = np.zeros(grid.dim * n)
         rhs[k * n:(k + 1) * n] = wq
-        res = cg_solve(A_red, rhs[active], tol=CELL_CG_TOL, max_iter=CELL_CG_MAX_ITER,
-                       precond_diag=diag)
+        res = cg_solve(A_red, rhs[active], tol=CELL_CG_TOL, max_iter=CELL_CG_MAX_ITER)
         if not res.converged:
             raise RuntimeError(f"cell-problem CG failed for axis {k}: residual {res.residual:.2e}")
         u = np.zeros(grid.dim * n)
@@ -119,49 +114,46 @@ def permeability_cell_problem(pattern: UnitCellPattern, grid: Grid, mu: float) -
 def elasticity_from_mask(mask: PhaseMask, lam: float) -> np.ndarray:
     """Effective stiffness (Voigt energy form) of the porous skeleton.
 
-    For each unit macroscopic strain E (symmetric storage, Voigt order) the
-    periodic corrector u solves A u = -f, with f the skeleton form applied
-    to the affine field E x cell by cell; C_ab is the cell-averaged energy
-    of the total fields E_a x + u_a and E_b x + u_b.  The skeleton is the set
-    of cells with no fluid corner (operators.phase_cells), the same cells that
-    carry lam in MicroSolver; every cell with a fluid corner is a void.
+    For each unit macroscopic strain E_a (symmetric storage, Voigt order) the
+    periodic corrector u_a solves A u_a = f_a with f_a = -strain_load(E_a),
+    the skeleton form applied to the affine field E_a x.  C_ab is the
+    cell-averaged energy of the total fields E_a x + u_a and E_b x + u_b,
+    expanded exactly:  vol sum(coef E_a:E_b) + u_a.A u_b - u_a.f_b - f_a.u_b.
+    The skeleton is the set of cells with no fluid corner
+    (operators.phase_cells), the same cells that carry lam in MicroSolver;
+    every cell with a fluid corner is a void.
     """
     grid = mask.grid
     _require_periodic(grid)
     dim, n = grid.dim, grid.n_nodes
     coef = phase_cells(grid, mask.chi_eps, 0.0, lam)
     A = assemble_vector_form(grid, coef, None)
-    diag = A.diagonal()
-    precond = np.where(diag > 1e-12 * diag.max(), diag, diag.max())
-
-    element = _sym_element(grid).reshape(dim * 2**dim, -1)
-    dofs = _element_dofs(grid, dim)
-    corner_x = (np.array(list(itertools.product((0, 1), repeat=dim)))
-                * np.array([grid.spacing(k) for k in range(dim)]))
 
     vol = float(np.sum(lumped_weights(grid)))
     # A homogeneous cell gives a roundoff-level rhs and a zero corrector;
     # the absolute floor keeps CG from chasing an unreachable relative target.
-    floor = CELL_CG_TOL * float(np.abs(diag).max()) * np.sqrt(dim * n)
-    totals = []
+    floor = CELL_CG_TOL * float(np.abs(A.diagonal()).max()) * np.sqrt(dim * n)
+    strains, loads, correctors = [], [], []
     for i, j in sym_component_pairs(dim):
         E = np.zeros((dim, dim))
         E[i, j] = E[j, i] = 1.0 if i == j else 0.5
-        affine = (corner_x @ E).T.ravel()  # E x at the corners of any cell
-        rhs = -np.bincount(dofs.ravel(), weights=np.outer(coef, element @ affine).ravel(),
-                           minlength=dim * n)
-        res = cg_solve(A, rhs, tol=CELL_CG_TOL, max_iter=CELL_CG_MAX_ITER,
-                       precond_diag=precond, atol=floor)
+        f = -strain_load(grid, coef, E)
+        res = cg_solve(A, f, tol=CELL_CG_TOL, max_iter=CELL_CG_MAX_ITER, atol=floor)
         if not res.converged:
             raise RuntimeError(
                 f"degenerate corrector for strain mode {(i, j)}: residual {res.residual:.2e}")
-        totals.append(res.x[dofs] + affine)
-    nv = len(totals)
+        strains.append(E)
+        loads.append(f)
+        correctors.append(res.x)
+    affine = cell_volume(grid) * float(np.sum(coef))
+    nv = len(strains)
     C = np.zeros((nv, nv))
     for a in range(nv):
         for b in range(a, nv):
-            energy = np.einsum("ci,ij,cj->c", totals[a], element, totals[b])
-            C[a, b] = C[b, a] = float(np.sum(coef * energy)) / vol
+            u_a, u_b = correctors[a], correctors[b]
+            energy = (affine * float(np.sum(strains[a] * strains[b])) + u_a @ (A @ u_b)
+                      - u_a @ loads[b] - loads[a] @ u_b)
+            C[a, b] = C[b, a] = energy / vol
     return C
 
 
@@ -170,20 +162,18 @@ def elasticity_cell_problem(pattern: UnitCellPattern, grid: Grid, lam: float) ->
     return elasticity_from_mask(mask, lam)
 
 
-def darcy_macro_solve(K: np.ndarray, mu_effective: float, bc: tuple,
-                      grid: Grid | None = None):
-    """Solve -div((K/mu) grad p) = 0 on the unit cube with p fixed on S1/S2
-    and no-flux elsewhere.  bc = (p_S1, p_S2).  Returns (pressure, flux)."""
+def darcy_macro_solve(K: np.ndarray, bc: tuple):
+    """Solve -div(K grad p) = 0 on the unit cube (33 nodes per axis) with p
+    fixed on S1/S2 and no-flux elsewhere.  bc = (p_S1, p_S2).  K already
+    carries the 1/mu of permeability_from_mask.  Returns (pressure, flux),
+    flux the mean of -K grad p over the cell centers."""
     K = np.asarray(K, dtype=float)
     dim = K.shape[0]
     if np.linalg.eigvalsh(0.5 * (K + K.T)).min() <= 0:
         raise ValueError("K must be symmetric positive definite")
-    if grid is None:
-        grid = Grid(dim=dim, n_per_axis=33)
+    grid = Grid(dim=dim, n_per_axis=33)
     p_s1, p_s2 = bc
-    Kmu = K / mu_effective
-    ncells = int(np.prod(cell_counts(grid)))
-    A = _assemble(grid, [(np.ones(ncells), _diffusion_element(grid, Kmu))], 1)
+    A = assemble_scalar_stiffness(grid, np.ones(int(np.prod(cell_counts(grid)))), K)
 
     x1 = grid.coords()[0]
     lift = p_s2 + (x1 + 0.5) * (p_s1 - p_s2)
@@ -193,17 +183,13 @@ def darcy_macro_solve(K: np.ndarray, mu_effective: float, bc: tuple,
     active = ~fixed.ravel()
     rhs = -(A @ lift.ravel())[active]
     A_red = restrict(A, active)
-    res = cg_solve(A_red, rhs, tol=1e-12, max_iter=20000,
-                   precond_diag=np.maximum(A_red.diagonal(), 1e-300))
+    res = cg_solve(A_red, rhs, tol=1e-12, max_iter=20000)
     if not res.converged:
         raise RuntimeError(f"Darcy solve failed: residual {res.residual:.2e}")
     p = lift.ravel()
     p[active] += res.x
     pressure = ScalarField(grid, p.reshape(grid.shape))
-
-    grad_center = _shape_gradients(grid, (0.5,) * dim)
-    grad_mean = (p[cell_corner_indices(grid)] @ grad_center.T).mean(axis=0)
-    flux = -Kmu @ grad_mean
+    flux = -K @ cell_gradient(grid, p).mean(axis=0)
     return pressure, flux
 
 
@@ -233,7 +219,7 @@ def compare_micro_macro(pattern: UnitCellPattern, params: MaterialParams, eps_li
     cell_mask = build_phase_mask(pattern, 1.0, cell)
     K, _ = permeability_from_mask(cell_mask, params.mu1)
     g = np.asarray(params.p_drive_grad, dtype=float)
-    _, q_darcy_vec = darcy_macro_solve(K, 1.0, (0.5 * g[0], -0.5 * g[0]))
+    _, q_darcy_vec = darcy_macro_solve(K, (0.5 * g[0], -0.5 * g[0]))
     q_darcy = float(q_darcy_vec[0])
 
     c2_min = min(params.c_f1, params.c_f2, params.c_s)**2

@@ -129,15 +129,8 @@ def _surface_load(grid: Grid, p0: float) -> np.ndarray:
     load = np.zeros((grid.dim,) + grid.shape)
     if p0 == 0.0 or grid.periodic[0]:
         return load.reshape(-1)
-    ws = np.ones(grid.shape[1:])
-    for k in range(1, grid.dim):
-        wk = np.full(grid.n_per_axis, grid.spacing(k))
-        if not grid.periodic[k]:
-            wk[0] *= 0.5
-            wk[-1] *= 0.5
-        shape = [1] * (grid.dim - 1)
-        shape[k - 1] = grid.n_per_axis
-        ws = ws * wk.reshape(shape)
+    # the face rule is the node rule on the S1 face without its x1 factor
+    ws = grid.node_weights()[-1] / (0.5 * grid.spacing(0))
     load[0, -1, ...] = -p0 * ws  # S1, outward normal +e1
     load[0, 0, ...] = +p0 * ws   # S2, outward normal -e1
     return load.reshape(-1)
@@ -249,9 +242,8 @@ class MicroSolver:
                                      diag_pivot_thresh=0.0,
                                      options=dict(SymmetricMode=True))
             return self._lu.solve(rhs_red)
-        res = cg_solve(
-            self._A_red, rhs_red, tol=CG_TOL, max_iter=CG_MAX_ITER,
-            x0=self._v_warm, precond_diag=np.maximum(self._A_red.diagonal(), 1e-300))
+        res = cg_solve(self._A_red, rhs_red, tol=CG_TOL, max_iter=CG_MAX_ITER,
+                       x0=self._v_warm)
         if not res.converged:
             raise RuntimeError(
                 f"CG failed to converge: {res.iterations} iterations, residual {res.residual:.3e}")

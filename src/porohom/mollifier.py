@@ -68,17 +68,15 @@ def _stencil(grid: Grid, h: float) -> np.ndarray:
     normalized to unit discrete mass so the mollifier is exactly
     non-expansive and preserves interior constants.  The normalization
     absorbs the continuous factor C/h^dim of J, so C is not needed here.
+    The mass is positive: mollify requires h >= 2 spacings, so the centre
+    entry bump(0) is always in the stencil.
     """
     spacings = [grid.spacing(k) for k in range(grid.dim)]
     radii = [int(np.floor(h / dx)) for dx in spacings]
     offs = np.meshgrid(*[np.arange(-r, r + 1) * dx for r, dx in zip(radii, spacings)], indexing="ij")
     dist = np.sqrt(sum(o**2 for o in offs))
     st = bump(dist / h)
-    cell = float(np.prod(spacings))
-    mass = st.sum() * cell
-    if mass <= 0:
-        raise ValueError("degenerate mollifier stencil")
-    return st / mass
+    return st / (st.sum() * float(np.prod(spacings)))
 
 
 def mollify(u, h: float):

@@ -29,10 +29,12 @@ from .grid import Grid, sym_component_pairs
 
 __all__ = [
     "cell_counts",
+    "cell_volume",
     "cell_corner_indices",
     "phase_cells",
     "cell_divergence",
-    "gauss_points",
+    "cell_gradient",
+    "strain_load",
     "assemble_scalar_stiffness",
     "assemble_vector_form",
     "lumped_weights",
@@ -90,7 +92,7 @@ def phase_cells(grid: Grid, chi_eps: np.ndarray, fluid_nodal, solid_value: float
     return np.where(count > 0, total / np.maximum(count, 1.0), solid_value)
 
 
-def gauss_points(dim: int):
+def _gauss_points(dim: int):
     """Tensor-product 2-point Gauss rule on the reference cell [0,1]^dim."""
     g = 0.5 / np.sqrt(3.0)
     pts1 = (0.5 - g, 0.5 + g)
@@ -124,7 +126,7 @@ def _sym_element(grid: Grid) -> np.ndarray:
     """D(u):D(v) with the full Gauss rule; off-diagonal strains count twice."""
     dim = grid.dim
     ke = np.zeros((dim, 2**dim, dim, 2**dim))
-    for w, xi in gauss_points(dim):
+    for w, xi in _gauss_points(dim):
         grad = _shape_gradients(grid, xi)
         for i, j in sym_component_pairs(dim):
             strain = np.zeros((dim, 2**dim))  # D_ij as a row over (component, corner)
@@ -151,22 +153,36 @@ def cell_divergence(grid: Grid, u_flat: np.ndarray) -> np.ndarray:
     return sum(u[k][corners] @ grad[k] for k in range(grid.dim))
 
 
+def cell_gradient(grid: Grid, f_flat: np.ndarray) -> np.ndarray:
+    """grad f of a nodal scalar at each cell center, shape (ncells, dim),
+    with the same center shape gradients as cell_divergence."""
+    grad = _shape_gradients(grid, (0.5,) * grid.dim)
+    return f_flat[cell_corner_indices(grid)] @ grad.T
+
+
+def strain_load(grid: Grid, coef_cells: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Load  sum_cells coef * E:D(v)  of a constant symmetric strain E, as a
+    component-major vector over the test functions v.
+
+    Exact for Q1: the cell mean of a shape gradient is its value at the
+    cell center, so the load is vol * coef * (E grad_center) per cell."""
+    grad = _shape_gradients(grid, (0.5,) * grid.dim)
+    corners = cell_corner_indices(grid).ravel()
+    local = E @ grad  # (component, corner) of one cell, unit coefficient
+    scale = cell_volume(grid) * coef_cells
+    return np.concatenate([
+        np.bincount(corners, weights=np.outer(scale, local[i]).ravel(), minlength=grid.n_nodes)
+        for i in range(grid.dim)])
+
+
 def _diffusion_element(grid: Grid, tensor: np.ndarray) -> np.ndarray:
     """grad(u) . tensor grad(v) for a scalar unknown, full Gauss rule."""
     nc = 2**grid.dim
     ke = np.zeros((nc, nc))
-    for w, xi in gauss_points(grid.dim):
+    for w, xi in _gauss_points(grid.dim):
         grad = _shape_gradients(grid, xi)
         ke += w * (grad.T @ tensor @ grad)
     return (ke * cell_volume(grid)).reshape(1, nc, 1, nc)
-
-
-def _element_dofs(grid: Grid, ncomp: int) -> np.ndarray:
-    """Global (component-major) dof of each element-matrix row, per cell:
-    shape (ncells, ncomp 2^dim), ordered (component, corner)."""
-    corners = cell_corner_indices(grid)
-    comps = np.arange(ncomp)[None, :, None] * grid.n_nodes
-    return (comps + corners[:, None, :]).reshape(len(corners), -1)
 
 
 @lru_cache(maxsize=_GRID_CACHE)
@@ -222,9 +238,10 @@ def _assemble(grid: Grid, terms, ncomp: int) -> sp.csr_matrix:
     return A
 
 
-def assemble_scalar_stiffness(grid: Grid, coef_cells: np.ndarray) -> sp.csr_matrix:
-    """Stiffness of the form  sum_cells coef * |grad u|^2."""
-    return _assemble(grid, [(coef_cells, _diffusion_element(grid, np.eye(grid.dim)))], 1)
+def assemble_scalar_stiffness(grid: Grid, coef_cells: np.ndarray,
+                              tensor: np.ndarray) -> sp.csr_matrix:
+    """Stiffness of the form  sum_cells coef * grad u . tensor grad u."""
+    return _assemble(grid, [(coef_cells, _diffusion_element(grid, tensor))], 1)
 
 
 def assemble_vector_form(

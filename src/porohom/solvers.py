@@ -20,24 +20,27 @@ class CGResult:
 def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 5000,
              x0: np.ndarray | None = None, precond_diag: np.ndarray | None = None,
              atol: float = 0.0) -> CGResult:
-    """Preconditioned conjugate gradients for an SPD matrix A (anything with `@`).
+    """Jacobi-preconditioned conjugate gradients for an SPD matrix A (a
+    dense array or a sparse matrix).
 
-    Stops when ||rhs - A x|| <= max(tol * ||rhs||, atol); on stagnation past
-    max_iter the best iterate is returned with converged=False.  An absolute
-    floor matters for consistent singular systems whose rhs is roundoff-small:
-    a purely relative target is then unreachable.
+    The preconditioner is precond_diag, by default the diagonal of A with
+    every non-positive entry replaced by 1 (zero rows of a singular operator
+    then stay finite).  Stops when ||rhs - A x|| <= max(tol * ||rhs||, atol);
+    on stagnation past max_iter the best iterate is returned with
+    converged=False.  An absolute floor matters for consistent singular
+    systems whose rhs is roundoff-small: a purely relative target is then
+    unreachable.
     """
     b_norm = float(np.linalg.norm(rhs))
     if b_norm <= atol:
         return CGResult(np.zeros_like(rhs), 0, 0.0, True)
+    if precond_diag is None:
+        diag = A.diagonal()
+        precond_diag = np.where(diag > 0, diag, 1.0)
+    inv_d = 1.0 / precond_diag
     x = np.zeros_like(rhs) if x0 is None else x0.copy()
     r = rhs - A @ x
-    if precond_diag is not None:
-        inv_d = 1.0 / precond_diag
-        z = inv_d * r
-    else:
-        inv_d = None
-        z = r
+    z = inv_d * r
     p = z.copy()
     rz = float(r @ z)
     it = 0
@@ -51,7 +54,7 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 5000,
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        z = inv_d * r if inv_d is not None else r
+        z = inv_d * r
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -65,12 +68,11 @@ POWER_TOL = 1e-8
 POWER_MAX_OUTER = 500
 
 
-def inverse_power_iteration(A, mass_diag: np.ndarray, seed: int = 0,
-                            precond_diag: np.ndarray | None = None):
+def inverse_power_iteration(A, mass_diag: np.ndarray, seed: int = 0):
     """Smallest eigenvalue of A x = lambda M x with diagonal mass M.
 
     Returns (lam, x, outer_iterations, rayleigh_residual).  Each outer step
-    solves A y = M x by CG and normalizes in the M-inner product; converged
+    solves A y = M x by Jacobi-CG and normalizes in the M-inner product; converged
     when the relative Rayleigh-quotient residual drops below POWER_TOL.
     Raises RuntimeError when an inner solve does not converge or the outer
     loop reaches POWER_MAX_OUTER.
@@ -83,7 +85,7 @@ def inverse_power_iteration(A, mass_diag: np.ndarray, seed: int = 0,
     y = None
     for outer in range(1, POWER_MAX_OUTER + 1):
         # inner solves at cg_solve's default tolerance and iteration cap
-        sol = cg_solve(A, mass_diag * x, x0=y, precond_diag=precond_diag)
+        sol = cg_solve(A, mass_diag * x, x0=y)
         if not sol.converged:
             raise RuntimeError(
                 f"inverse power iteration: inner CG solve of outer step {outer} did not "

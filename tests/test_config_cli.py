@@ -115,6 +115,18 @@ def test_parse_config_ignores_r0_of_a_pattern_without_inclusion(pattern):
         parse_config(text.replace(pattern, "disk"))
 
 
+@pytest.mark.parametrize("pattern", ["none", "full-solid"])
+def test_cli_extension_bounds_ignores_r0_of_a_pattern_without_inclusion(pattern, tmp_path):
+    # h = 0.1 * eps = 0.1 lies above the resolution floor 2/32 and would
+    # break the ceiling (1/2 - r0) eps / 2 < 0 if r0 were applied
+    cfg = tmp_path / "run.ini"
+    out = tmp_path / "out"
+    cfg.write_text(f"[experiment]\nname = extension-bounds\nout_dir = {out}\neps_list = 1.0\n"
+                   f"[grid]\ndim = 2\nn = 33\npattern = {pattern}\nr0 = 0.7\n")
+    assert cli.main(["extension-bounds", "--config", str(cfg)]) == 0
+    assert (out / "extension_bounds.csv").exists()
+
+
 def test_parse_config_rejects_bad_lists():
     text = BASE.format(out="runs") + "\n[experiment]"
     # re-opening a section is fine; a rising h_list is not

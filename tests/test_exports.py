@@ -1,5 +1,6 @@
 """Every exported name resolves: each porohom module's __all__ and every
-name the package __init__ imports."""
+name the package __init__ imports.  No porohom module imports another's
+private (underscore) names."""
 
 import ast
 import importlib
@@ -30,3 +31,17 @@ def test_package_init_imports_resolve():
         mod = importlib.import_module(f"porohom.{module}")
         assert hasattr(mod, name), f"porohom.{module} has no {name}"
         assert getattr(porohom, name) is getattr(mod, name)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    root = Path(porohom.__file__).parent
+    offenders = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            internal = node.level > 0 or (node.module or "").split(".")[0] == "porohom"
+            offenders += [f"{path.name}: {alias.name}" for alias in node.names
+                          if internal and alias.name.startswith("_")
+                          and not alias.name.endswith("__")]  # dunders such as __version__
+    assert not offenders, f"private names imported across modules: {offenders}"

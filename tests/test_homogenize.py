@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from porohom.geometry import UnitCellPattern, boundary_tags, build_phase_mask
-from porohom.grid import Grid
+from porohom.grid import Grid, sym_component_pairs
 from porohom.homogenize import (
     compare_micro_macro,
     darcy_macro_solve,
@@ -86,6 +86,26 @@ def test_elasticity_symmetries_and_porosity_softening():
     assert C[0, 0] == pytest.approx(C[2, 2], rel=1e-6)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_elasticity_laminate_oracle(dim):
+    # skeleton layers separated by a fluid layer |x2| < 0.2: the layers carry
+    # in-plane strain as free plates (P = lam D), and nothing else
+    lam = 2.0
+    cell = periodic_cell_grid(dim, 16)
+    mask = build_phase_mask(UnitCellPattern("full-solid", 0.0), 1.0, cell)
+    mask.chi_eps = (np.abs(cell.coords()[1]) < 0.2).astype(float)
+    # 7 of the 16 node layers are fluid, so 8 of the 16 cell layers have
+    # no fluid corner: the skeleton fraction is 1/2
+    phi_s = 0.5
+    C = elasticity_from_mask(mask, lam)
+    pairs = sym_component_pairs(dim)
+    expect = np.zeros_like(C)
+    for a, (i, j) in enumerate(pairs):
+        if 1 not in (i, j):  # the strain lies in the layer plane
+            expect[a, a] = lam * phi_s if i == j else 0.5 * lam * phi_s
+    assert np.abs(C - expect).max() <= 1e-12 * lam * phi_s
+
+
 def test_elasticity_floating_inclusion_has_no_stiffness():
     # a disk inclusion is disconnected from the cell frame; its effective
     # stiffness vanishes (it can translate freely)
@@ -95,7 +115,7 @@ def test_elasticity_floating_inclusion_has_no_stiffness():
 
 def test_darcy_linear_profile_and_flux():
     K = np.diag([0.04, 0.04])
-    p, flux = darcy_macro_solve(K, 1.0, (0.5, -0.5))
+    p, flux = darcy_macro_solve(K, (0.5, -0.5))
     x1 = p.grid.coords()[0]
     assert np.abs(p.values - x1).max() < 1e-8
     assert flux[0] == pytest.approx(-0.04, abs=1e-8)
@@ -104,16 +124,16 @@ def test_darcy_linear_profile_and_flux():
 
 def test_darcy_zero_drop_and_linearity():
     K = np.diag([0.02, 0.05])
-    _, f0 = darcy_macro_solve(K, 1.0, (0.3, 0.3))
+    _, f0 = darcy_macro_solve(K, (0.3, 0.3))
     assert np.abs(f0).max() < 1e-10
-    _, f1 = darcy_macro_solve(K, 1.0, (0.5, -0.5))
-    _, f2 = darcy_macro_solve(K, 1.0, (1.0, -1.0))
+    _, f1 = darcy_macro_solve(K, (0.5, -0.5))
+    _, f2 = darcy_macro_solve(K, (1.0, -1.0))
     assert f2[0] == pytest.approx(2.0 * f1[0], rel=1e-8)
 
 
 def test_darcy_rejects_indefinite_K():
     with pytest.raises(ValueError):
-        darcy_macro_solve(np.diag([1.0, -1.0]), 1.0, (1.0, 0.0))
+        darcy_macro_solve(np.diag([1.0, -1.0]), (1.0, 0.0))
 
 
 def test_compare_micro_macro_error_decreases():

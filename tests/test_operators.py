@@ -6,12 +6,15 @@ from porohom.grid import Grid
 from porohom.operators import (
     assemble_scalar_stiffness,
     assemble_vector_form,
+    cell_corner_indices,
     cell_counts,
     cell_divergence,
+    cell_gradient,
     cell_volume,
     lumped_weights,
     phase_cells,
     restrict,
+    strain_load,
 )
 from porohom import solvers
 from porohom.solvers import cg_solve, inverse_power_iteration
@@ -55,7 +58,7 @@ def test_phase_cells_straddling_cell_takes_the_fluid_corner_mean():
 def test_scalar_stiffness_energy_exact_for_linear_fields():
     g = Grid(2, 21)
     x1, x2 = g.coords()
-    A = assemble_scalar_stiffness(g, np.ones(np.prod(cell_counts(g))))
+    A = assemble_scalar_stiffness(g, np.ones(np.prod(cell_counts(g))), np.eye(2))
     u = (3.0 * x1 - 2.0 * x2).ravel()
     # int |grad u|^2 = 9 + 4 over the unit square
     assert u @ (A @ u) == pytest.approx(13.0, abs=1e-12)
@@ -285,33 +288,52 @@ def test_vector_form_matches_dense_per_cell_reference(grid, with_div):
     assert _rel_diff(A, _vector_reference(grid, coef_sym, coef_div)) < 1e-13
 
 
-@pytest.mark.parametrize("grid", ASSEMBLY_GRIDS, ids=_grid_id)
-def test_scalar_stiffness_matches_dense_per_cell_reference(grid):
+@pytest.mark.parametrize("grid,anisotropic", [
+    *(pytest.param(g, False, id=_grid_id(g)) for g in ASSEMBLY_GRIDS),
+    *(pytest.param(g, True, id=_grid_id(g) + "-anisotropic") for g in ASSEMBLY_GRIDS),
+])
+def test_scalar_stiffness_matches_dense_per_cell_reference(grid, anisotropic):
     rng = np.random.default_rng(3)
     coef = rng.uniform(0.2, 3.0, int(np.prod(cell_counts(grid))))
-    A = assemble_scalar_stiffness(grid, coef)
-    assert _rel_diff(A, _diffusion_reference(grid, coef, np.eye(grid.dim))) < 1e-13
+    tensor = np.eye(grid.dim)
+    if anisotropic:
+        M = rng.standard_normal((grid.dim, grid.dim))
+        tensor = M @ M.T + 0.5 * np.eye(grid.dim)  # SPD, as a permeability K
+    A = assemble_scalar_stiffness(grid, coef, tensor)
+    assert _rel_diff(A, _diffusion_reference(grid, coef, tensor)) < 1e-13
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_darcy_matrix_matches_dense_reference_for_anisotropic_K(dim, monkeypatch):
-    import porohom.homogenize as hom
+@pytest.mark.parametrize("grid", [Grid(2, 7), Grid(3, 5)], ids=_grid_id)
+def test_strain_load_is_the_form_applied_to_the_affine_field(grid):
+    # on a box grid the affine field E x is a nodal field, so the assembled
+    # form applied to it is an independent oracle for the load
+    rng = np.random.default_rng(grid.dim)
+    coef = rng.uniform(0.2, 3.0, int(np.prod(cell_counts(grid))))
+    M = rng.standard_normal((grid.dim, grid.dim))
+    E = 0.5 * (M + M.T)
+    X = np.stack([x.ravel() for x in grid.coords()])
+    oracle = assemble_vector_form(grid, coef, None) @ (E @ X).ravel()
+    got = strain_load(grid, coef, E)
+    assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
-    rng = np.random.default_rng(dim)
-    M = rng.standard_normal((dim, dim))
-    K = M @ M.T + 0.5 * np.eye(dim)  # anisotropic SPD
-    grid = Grid(dim, 5)
-    captured = {}
-    real_restrict = hom.restrict
 
-    def spy(A, active):
-        captured["A"] = A
-        return real_restrict(A, active)
-
-    monkeypatch.setattr(hom, "restrict", spy)
-    hom.darcy_macro_solve(K, 2.0, (1.0, 0.0), grid=grid)
-    ref = _diffusion_reference(grid, np.ones(int(np.prod(cell_counts(grid)))), K / 2.0)
-    assert _rel_diff(captured["A"], ref) < 1e-13
+@pytest.mark.parametrize("grid", [Grid(2, 9), Grid(3, 5, periodic=(False, True, False))],
+                         ids=_grid_id)
+def test_cell_gradient_is_exact_on_linear_and_bilinear_fields(grid):
+    X = grid.coords()
+    slope = np.array([3.0, -2.0, 0.5])[:grid.dim]
+    if grid.periodic[1]:
+        slope[1] = 0.0  # a periodic axis carries no linear field
+    f = sum(c * x for c, x in zip(slope, X)).ravel()
+    got = cell_gradient(grid, f)
+    assert got.shape == (int(np.prod(cell_counts(grid))), grid.dim)
+    assert np.abs(got - slope).max() < 1e-12
+    # x_first * x_last (both box axes): its gradient is exact only at the
+    # cell centres, (x_last, 0, ..., x_first) there
+    center = [x.ravel()[cell_corner_indices(grid)].mean(axis=1) for x in (X[0], X[-1])]
+    got = cell_gradient(grid, (X[0] * X[-1]).ravel())
+    assert np.abs(got[:, 0] - center[1]).max() < 1e-12
+    assert np.abs(got[:, -1] - center[0]).max() < 1e-12
 
 
 def test_second_assembly_on_a_grid_reuses_the_cached_pattern():
