@@ -148,6 +148,8 @@ def run_micro_sim(cfg: RunConfig, out: Path, rng) -> list:
                    ["t", "elastic", "compressive", "dissipated", "work", "residual"],
                    ms.history),
         _write_csv(out / "interface.csv", ["t", "mean_x1", "width"], iface_rows),
+        _write_csv(out / "trace.csv", ["t", "cg_iterations", "cg_residual", "cfl_margin"],
+                   ms.trace),
     ]
     for name, field in (("w", ms.state.w), ("v", ms.state.v),
                         ("mu", ms.state.mu), ("chi", ms.state.chi)):

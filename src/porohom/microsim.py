@@ -34,11 +34,12 @@ from .operators import (
     assemble_vector_form,
     cell_divergence,
     cell_volume,
+    coarse_levels,
+    coarse_vector_forms,
     lumped_weights,
     phase_cells,
-    restrict,
 )
-from .solvers import cg_solve
+from .solvers import COARSE_DOFS, VCycle, cg_solve
 
 __all__ = [
     "MaterialParams",
@@ -136,7 +137,7 @@ def _surface_load(grid: Grid, p0: float) -> np.ndarray:
     return load.reshape(-1)
 
 
-# Jacobi-CG settings of the solver="cg" step solve.
+# Stopping rule of the solver="cg" step solve (multigrid-preconditioned CG).
 CG_TOL = 1e-11
 CG_MAX_ITER = 20000
 
@@ -144,8 +145,17 @@ CG_MAX_ITER = 20000
 class MicroSolver:
     """Holds the assembled forms for one (grid, mask, params) instance.
 
-    solver: "cg" (matrix-free style iterations, warm started) or "direct"
-    (cached sparse LU, cheap when the viscosity field does not change).
+    solver: "cg" (conjugate gradients preconditioned by a geometric
+    multigrid V-cycle, warm started) or "direct" (cached sparse LU, cheap
+    when the viscosity field does not change).  The V-cycle halves the grid
+    (operators.coarse_levels) down to at most solvers.COARSE_DOFS free dofs,
+    assembles the coarse forms from the fine cell coefficients
+    (operators.coarse_vector_forms) and factors the coarsest one; all of it
+    is refreshed whenever the operator moves.
+
+    trace holds one row per step: (t, CG iterations, relative residual of
+    the step solve, CFL margin tau * max sum_k |v_k| / dx_k).  A direct step
+    counts 0 iterations.
 
     With the solid pinned (pin_solid=True) the elastic term acts on fixed
     dofs only, and one step is exactly one Uzawa / augmented-Lagrangian
@@ -187,6 +197,7 @@ class MicroSolver:
         self._mu_cells = None
         self._c2_cells = None
         self._lu = None
+        self._vcycle = None
         self._v_warm = None
         self._rebuild_operator()
 
@@ -202,13 +213,15 @@ class MicroSolver:
 
         self.energy = EnergyBreakdown()
         self.history = []
+        self.trace = []
 
     # -- operator plumbing --------------------------------------------------
 
     def _rebuild_operator(self):
         """E (storage: elastic D:D on the skeleton plus compressive div*div),
         re-assembled whenever the fluid labels move c^2, and A = viscous + tau E,
-        assembled as one form whenever mu or c^2 moves."""
+        assembled as one form whenever mu or c^2 moves, with its multigrid
+        V-cycle (solver="cg") or a dropped LU (solver="direct")."""
         grid, params = self.grid, self.params
         st = self.state
         mu_cells = phase_cells(grid, self.mask.chi_eps, st.mu.values, 0.0)
@@ -220,20 +233,23 @@ class MicroSolver:
             return
         self._mu_cells = mu_cells
         tau = params.tau
-        self._A = assemble_vector_form(
-            grid, params.epsilon**2 * mu_cells + tau * self._lam_cells, tau * self._c2_cells)
-        self._A_red = restrict(self._A, self.active)
+        coef_sym = params.epsilon**2 * mu_cells + tau * self._lam_cells
+        coef_div = tau * self._c2_cells
+        self._A_red = assemble_vector_form(grid, coef_sym, coef_div, self.active)
         self._lu = None
+        if self.solver == "cg":
+            levels = coarse_levels(grid, self.active, COARSE_DOFS)
+            coarse = coarse_vector_forms(grid, levels, coef_sym, coef_div)
+            self._vcycle = VCycle([self._A_red, *coarse], [lv.prolongation for lv in levels])
 
     def apply_operator(self, v: VectorField) -> VectorField:
         """Constrained action of the per-step SPD operator on a trial velocity."""
-        flat = v.values.reshape(-1).copy()
-        flat[~self.active] = 0.0
-        out = self._A @ flat
-        out[~self.active] = 0.0
+        out = np.zeros(v.values.size)
+        out[self.active] = self._A_red @ v.values.reshape(-1)[self.active]
         return VectorField(self.grid, out.reshape(v.values.shape))
 
-    def _solve(self, rhs_red: np.ndarray) -> np.ndarray:
+    def _solve(self, rhs_red: np.ndarray):
+        """(v_red, iterations, relative residual) of A_red v_red = rhs_red."""
         if self.solver == "direct":
             if self._lu is None:
                 # _A_red is SPD: a symmetric fill-reducing ordering and diagonal
@@ -241,13 +257,16 @@ class MicroSolver:
                 self._lu = spla.splu(self._A_red.tocsc(), permc_spec="MMD_AT_PLUS_A",
                                      diag_pivot_thresh=0.0,
                                      options=dict(SymmetricMode=True))
-            return self._lu.solve(rhs_red)
+            x = self._lu.solve(rhs_red)
+            b_norm = float(np.linalg.norm(rhs_red))
+            residual = np.linalg.norm(rhs_red - self._A_red @ x) / b_norm if b_norm else 0.0
+            return x, 0, float(residual)
         res = cg_solve(self._A_red, rhs_red, tol=CG_TOL, max_iter=CG_MAX_ITER,
-                       x0=self._v_warm)
+                       x0=self._v_warm, precond=self._vcycle)
         if not res.converged:
             raise RuntimeError(
                 f"CG failed to converge: {res.iterations} iterations, residual {res.residual:.3e}")
-        return res.x
+        return res.x, res.iterations, res.residual
 
     # -- stepping -----------------------------------------------------------
 
@@ -258,7 +277,7 @@ class MicroSolver:
         self._rebuild_operator()
         w_old = self.state.w.values.reshape(-1)
         Ew_old = self._E @ w_old
-        v_red = self._solve((self.load - Ew_old)[self.active])
+        v_red, iterations, solve_residual = self._solve((self.load - Ew_old)[self.active])
         v_flat = np.zeros(grid.dim * grid.n_nodes)
         v_flat[self.active] = v_red
 
@@ -268,7 +287,7 @@ class MicroSolver:
         e_cp = 0.5 * cell_volume(grid) * float(np.sum(self._c2_cells * div_new**2))
         e_el = 0.5 * float(w_new @ (self._E @ w_new)) - e_cp
         # viscous work plus the implicit-Euler numerical dissipation 0.5 tau^2 v.Ev
-        diss = params.tau * float(v_flat @ (self._A @ v_flat))
+        diss = params.tau * float(v_red @ (self._A_red @ v_red))
         diss -= 0.5 * params.tau**2 * float(v_flat @ (self._E @ v_flat))
         work = params.tau * float(v_flat @ self.load)
         delta_e = (e_el + e_cp) - e_old
@@ -299,6 +318,8 @@ class MicroSolver:
         self.history.append(
             (self.state.t, e_el, e_cp, self.energy.dissipated_cumulative,
              self.energy.external_work_cumulative, residual))
+        self.trace.append(
+            (self.state.t, iterations, solve_residual, transport.cfl_margin(v_new, params.tau)))
         return self.state
 
     def pressure(self) -> np.ndarray:

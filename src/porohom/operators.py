@@ -15,11 +15,17 @@ component block of a form is then one np.bincount of the scaled element
 entries over those slots, written into the component-major global CSR.
 The results are symmetric positive semi-definite compact-stencil matrices
 whose 1D reductions are the classical tridiagonal forms.
+
+The multigrid hierarchy of MicroSolver's step solve lives here too:
+coarse_levels halves the grid and builds the Q1 interpolation between the
+free dofs of consecutive levels, and coarse_vector_forms assembles each
+coarse form with the same assembler, from the fine cell coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,12 +45,16 @@ __all__ = [
     "assemble_vector_form",
     "lumped_weights",
     "restrict",
+    "CoarseLevel",
+    "coarse_levels",
+    "coarse_vector_forms",
 ]
 
 
-# Bound of the per-grid index caches; an eps sweep touches about this many
-# grids, and a larger bound only keeps the maps of dead grids alive.
-_GRID_CACHE = 4
+# Bound of the per-grid index caches: an eps sweep touches about four grids,
+# a multigrid hierarchy two to four, and a larger bound only keeps the maps
+# of dead grids alive.
+_GRID_CACHE = 8
 
 
 def cell_counts(grid: Grid):
@@ -200,40 +210,84 @@ def _node_pattern(grid: Grid):
     return indptr, indices, slots.astype(np.int32).reshape(ncells, nc * nc)
 
 
-def _assemble(grid: Grid, terms, ncomp: int) -> sp.csr_matrix:
-    """sum_t coef_t[cell] * element_t, scattered into the component-major CSR.
+def _form_layout(node_indptr: np.ndarray, ncomp: int):
+    """(indptr, place) of the component-major CSR of an ncomp-component form on
+    the node pattern with row pointer node_indptr (_node_pattern), zeros kept.
 
-    terms: [(coef_cells, element), ...] with element of shape
-    (ncomp, 2^dim, ncomp, 2^dim).  Entries that sum to exactly zero are
-    dropped, so a coefficient that vanishes on a region leaves no stored
-    zeros there.
-    """
-    indptr, indices, slots = _node_pattern(grid)
-    n, nnz = grid.n_nodes, indices.size
-    coefs = np.stack([np.asarray(c, dtype=float) for c, _ in terms], axis=1)
-    # Quadrature leaves roundoff where a Q1 element entry is exactly zero
-    # (e.g. edge neighbours of the 3D Laplacian); keep those out of the matrix.
-    elements = np.stack([
-        np.where(np.abs(e) <= 16 * np.finfo(float).eps * np.abs(e).max(), 0.0, e)
-        for _, e in terms])
-    # Global row i*n + p holds blocks (i, 0), ..., (i, ncomp-1) of node
-    # row p one after another, each with that node row's column pattern.
+    Global row i*n + p holds blocks (i, 0), ..., (i, ncomp-1) of node row p
+    one after another, each with that node row's column pattern; place(i, j)
+    gives the positions of block (i, j)'s entries, in node-pattern order."""
+    indptr = node_indptr
+    n, nnz = indptr.size - 1, indptr[-1]
     row_len = np.diff(indptr)
     node_row = np.repeat(np.arange(n), row_len)
     within = (ncomp - 1) * indptr[node_row] + np.arange(nnz)
     stride = row_len[node_row]
-    data = np.empty(ncomp * ncomp * nnz)
-    cols = np.empty(ncomp * ncomp * nnz, dtype=np.int32)
-    for i in range(ncomp):
-        for j in range(ncomp):
-            vals = coefs @ elements[:, i, :, j, :].reshape(len(terms), -1)
-            pos = i * ncomp * nnz + within + j * stride
-            data[pos] = np.bincount(slots.ravel(), weights=vals.ravel(), minlength=nnz)
-            cols[pos] = indices + j * n
     g_indptr = np.concatenate([
         (np.arange(ncomp)[:, None] * (ncomp * nnz) + ncomp * indptr[None, :-1]).ravel(),
         [ncomp * ncomp * nnz]])
-    A = sp.csr_matrix((data, cols, g_indptr), shape=(ncomp * n, ncomp * n))
+    return g_indptr, lambda i, j: i * ncomp * nnz + within + j * stride
+
+
+def _form_indices(node_indices: np.ndarray, n: int, ncomp: int, place) -> np.ndarray:
+    """Column indices of the CSR of _form_layout (place) on n nodes."""
+    indices = np.empty(ncomp * ncomp * node_indices.size, dtype=np.int32)
+    for i in range(ncomp):
+        for j in range(ncomp):
+            indices[place(i, j)] = node_indices + j * n
+    return indices
+
+
+@lru_cache(maxsize=_GRID_CACHE)
+def _restriction_map(grid: Grid, ncomp: int, active_bytes: bytes):
+    """(take, indptr, indices): restrict() of the full _form_layout pattern,
+    computed once per grid and dof mask; entry k of the restricted form is
+    entry take[k] of the full data.  The map is taken before _assemble drops
+    exact zeros, so a zero that comes or goes with the coefficients cannot
+    shift it; _assemble drops the zeros after the gather."""
+    node_indptr, node_indices, _ = _node_pattern(grid)
+    indptr, place = _form_layout(node_indptr, ncomp)
+    indices = _form_indices(node_indices, grid.n_nodes, ncomp, place)
+    size = ncomp * grid.n_nodes
+    positions = sp.csr_matrix((np.arange(indices.size, dtype=np.int32), indices, indptr),
+                              shape=(size, size))
+    where = restrict(positions, np.frombuffer(active_bytes, dtype=bool))
+    return where.data, where.indptr, where.indices
+
+
+def _assemble(grid: Grid, coefs: np.ndarray, elements: np.ndarray,
+              active: np.ndarray | None = None) -> sp.csr_matrix:
+    """sum_t coefs[cell, t] * elements[t], scattered into the component-major
+    CSR of _form_layout; restricted to the boolean dof mask active if given.
+
+    coefs: shape (ncells, nterms); elements: shape (nterms, ncomp, 2^dim,
+    ncomp, 2^dim).  Entries that sum to exactly zero are dropped, so a
+    coefficient that vanishes on a region leaves no stored zeros there.
+    """
+    node_indptr, node_indices, slots = _node_pattern(grid)
+    nterms, ncomp = elements.shape[:2]
+    if active is not None:  # before data exists: the map's one-time build peaks lower
+        take, red_indptr, red_indices = _restriction_map(grid, ncomp, active.tobytes())
+    # Quadrature leaves roundoff where a Q1 element entry is exactly zero
+    # (e.g. edge neighbours of the 3D Laplacian); keep those out of the matrix.
+    peak = np.abs(elements).reshape(nterms, -1).max(axis=1)
+    elements = np.where(
+        np.abs(elements) <= 16 * np.finfo(float).eps * peak[:, None, None, None, None],
+        0.0, elements)
+    indptr, place = _form_layout(node_indptr, ncomp)
+    if active is None:
+        # before data: allocated after it, the freed arrays of a 3D n=16 cell
+        # problem stayed resident (14 MB more peak RSS on cell-analysis)
+        indices = _form_indices(node_indices, grid.n_nodes, ncomp, place)
+    data = np.empty(indptr[-1])
+    for i in range(ncomp):
+        for j in range(ncomp):
+            vals = coefs @ elements[:, i, :, j, :].reshape(nterms, -1)
+            data[place(i, j)] = np.bincount(slots.ravel(), weights=vals.ravel(),
+                                            minlength=node_indices.size)
+    if active is not None:
+        data, indptr, indices = data[take], red_indptr.copy(), red_indices.copy()
+    A = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
     A.eliminate_zeros()
     return A
 
@@ -241,13 +295,27 @@ def _assemble(grid: Grid, terms, ncomp: int) -> sp.csr_matrix:
 def assemble_scalar_stiffness(grid: Grid, coef_cells: np.ndarray,
                               tensor: np.ndarray) -> sp.csr_matrix:
     """Stiffness of the form  sum_cells coef * grad u . tensor grad u."""
-    return _assemble(grid, [(coef_cells, _diffusion_element(grid, tensor))], 1)
+    coefs = np.asarray(coef_cells, dtype=float)[:, None]
+    return _assemble(grid, coefs, _diffusion_element(grid, tensor)[None])
+
+
+def _vector_form_coefs(coef_sym_cells, coef_div_cells) -> np.ndarray:
+    """Per-cell coefficients of assemble_vector_form's D:D and (when given)
+    div*div terms, shape (ncells, nterms), as _assemble takes them."""
+    terms = [coef_sym_cells] if coef_div_cells is None else [coef_sym_cells, coef_div_cells]
+    return np.stack([np.asarray(c, dtype=float) for c in terms], axis=1)
+
+
+def _vector_form_elements(grid: Grid) -> np.ndarray:
+    """The D:D and the div*div element, stacked in that order."""
+    return np.stack([_sym_element(grid), _div_element(grid)])
 
 
 def assemble_vector_form(
     grid: Grid,
     coef_sym_cells: np.ndarray,
     coef_div_cells: np.ndarray | None = None,
+    active: np.ndarray | None = None,
 ) -> sp.csr_matrix:
     """Matrix of  sum coef_sym*D(u):D(v) + coef_div*(div u)(div v).
 
@@ -255,11 +323,15 @@ def assemble_vector_form(
     Off-diagonal strain components carry multiplicity two, so u^T A u equals
     the quadrature of coef_sym |D(u)|^2 + coef_div (div u)^2 exactly; the
     div*div term uses reduced (cell-center) quadrature.
+
+    With a boolean dof mask active the result is restrict(A, active), equal
+    in every stored entry, gathered through an index map computed once per
+    grid and mask; a caller that re-assembles with new coefficients (every
+    MicroSolver step, on every multigrid level) skips the fancy indexing.
     """
-    terms = [(coef_sym_cells, _sym_element(grid))]
-    if coef_div_cells is not None:
-        terms.append((coef_div_cells, _div_element(grid)))
-    return _assemble(grid, terms, grid.dim)
+    coefs = _vector_form_coefs(coef_sym_cells, coef_div_cells)
+    return _assemble(grid, coefs, _vector_form_elements(grid)[:coefs.shape[1]],
+                     None if active is None else np.asarray(active, dtype=bool))
 
 
 def lumped_weights(grid: Grid, ncomp: int = 1) -> np.ndarray:
@@ -269,4 +341,127 @@ def lumped_weights(grid: Grid, ncomp: int = 1) -> np.ndarray:
 
 
 def restrict(A: sp.spmatrix, active: np.ndarray) -> sp.csr_matrix:
+    """A[active][:, active] for a boolean dof mask, as CSR."""
     return A.tocsr()[active][:, active]
+
+
+# -- multigrid hierarchy: nested Q1 spaces on halved grids ------------------
+
+def _coarsen(grid: Grid) -> Grid | None:
+    """The grid with every axis halved, coarse node i on fine node 2i: n -> (n+1)/2
+    nodes on non-periodic axes (n odd), n -> n/2 on periodic ones (n even).
+
+    None when that is impossible or leaves fewer than 3 nodes per axis.  A grid
+    that mixes periodic and non-periodic axes has one node count for both,
+    which can never be odd and even at once, so it is never halved.
+    """
+    n = grid.n_per_axis
+    if not any(grid.periodic) and n % 2 == 1 and n >= 5:
+        return Grid(grid.dim, (n + 1) // 2, grid.periodic)
+    if all(grid.periodic) and n % 2 == 0 and n >= 6:
+        return Grid(grid.dim, n // 2, grid.periodic)
+    return None
+
+
+@dataclass(frozen=True, eq=False)
+class CoarseLevel:
+    """One level of a multigrid hierarchy below the grid it was built from.
+
+    active marks its free dofs (component-major, a coarse node is free when
+    its coincident fine node is); prolongation is the Q1 nodal interpolation
+    from these free dofs to the free dofs of the level above.
+    """
+
+    grid: Grid
+    active: np.ndarray
+    prolongation: sp.csr_matrix
+
+
+def _interpolation_1d(fine: int, coarse: int) -> sp.csr_matrix:
+    """Linear interpolation along one axis: even fine node 2i is coarse node i,
+    odd node 2i+1 the mean of coarse nodes i and i+1 (mod coarse, periodic)."""
+    rows = np.arange(fine)
+    odd = rows[rows % 2 == 1]
+    return sp.csr_matrix(
+        (np.concatenate([np.where(rows % 2 == 1, 0.5, 1.0), np.full(odd.size, 0.5)]),
+         (np.concatenate([rows, odd]), np.concatenate([rows // 2, (odd // 2 + 1) % coarse]))),
+        shape=(fine, coarse))
+
+
+def coarse_levels(grid: Grid, active: np.ndarray, max_dofs: int) -> tuple:
+    """The CoarseLevels below grid for the boolean dof mask active: halve the
+    grid (_coarsen) while the current level has more than max_dofs free dofs.
+
+    Built once per grid, mask and max_dofs and cached like the assembly
+    pattern.  The last level has at most max_dofs free dofs unless its grid
+    cannot be halved; the tuple is empty when the grid itself is small
+    enough or cannot be halved.
+    """
+    return _coarse_levels(grid, np.asarray(active, dtype=bool).tobytes(), max_dofs)
+
+
+@lru_cache(maxsize=_GRID_CACHE)
+def _coarse_levels(grid: Grid, active_bytes: bytes, max_dofs: int) -> tuple:
+    active = np.frombuffer(active_bytes, dtype=bool)
+    ncomp = active.size // grid.n_nodes
+    levels = []
+    fine = grid
+    while np.count_nonzero(active) > max_dofs and (coarse := _coarsen(fine)) is not None:
+        interp = _interpolation_1d(fine.n_per_axis, coarse.n_per_axis)
+        nodal = interp
+        for _ in range(fine.dim - 1):
+            nodal = sp.kron(nodal, interp)
+        coincident = np.ravel_multi_index(
+            tuple(2 * np.indices(coarse.shape).reshape(fine.dim, -1)), fine.shape)
+        coarse_active = active.reshape(ncomp, -1)[:, coincident].ravel()
+        coarse_active.flags.writeable = False  # shared by every user of the cache
+        P = sp.kron(sp.identity(ncomp), nodal).tocsr()[active][:, coarse_active]
+        levels.append(CoarseLevel(coarse, coarse_active, P))
+        fine, active = coarse, coarse_active
+    return tuple(levels)
+
+
+@lru_cache(maxsize=_GRID_CACHE)
+def _child_elements(grid: Grid, depth: int):
+    """(cells, children) for the grid halved depth times.  cells[C, o] is the
+    fine cell at offset o (in [0, 2^depth)^dim) inside coarse cell C;
+    children[o, t] is the element Q_o^T K_t Q_o of the D:D (t = 0) and the
+    div*div (t = 1) element K_t of the fine grid, with Q_o the Q1
+    interpolation from the coarse cell's corners to the corners of the fine
+    cell at offset o (corners ordered as in cell_corner_indices)."""
+    dim, k = grid.dim, 2**depth
+    coarse_cells = np.indices(tuple(c // k for c in cell_counts(grid))).reshape(dim, 1, -1)
+    offsets = np.array(list(itertools.product(range(k), repeat=dim))).T[:, :, None]
+    cells = np.ravel_multi_index(tuple(k * coarse_cells + offsets), cell_counts(grid)).T
+    corners = np.array(list(itertools.product((0, 1), repeat=dim)))
+    # local coordinate of every fine corner in its coarse cell, per axis
+    x = (offsets[:, :, 0].T[:, None, :] + corners[None, :, :]) / k
+    interp = np.where(corners[None, None, :, :] == 1, x[:, :, None, :],
+                      1.0 - x[:, :, None, :]).prod(axis=-1)
+    return cells, np.einsum("oab,tiajc,ocd->otibjd", interp, _vector_form_elements(grid), interp,
+                            optimize=True)
+
+
+def coarse_vector_forms(grid: Grid, levels, coef_sym_cells: np.ndarray,
+                        coef_div_cells: np.ndarray | None = None) -> list:
+    """assemble_vector_form(grid, coef_sym_cells, coef_div_cells) on each of the
+    CoarseLevels levels (coarse_levels), restricted to the level's free dofs.
+
+    Assembled by _assemble on the coarse grid, not multiplied out: a coarse
+    cell carries one child element Q_o^T K Q_o per fine cell o that it covers,
+    the fine element K seen through Q1 interpolation Q_o from the coarse
+    corners, scaled by that fine cell's coefficient.  The Q1 spaces are
+    nested, so this is the Galerkin operator P^T A P of the whole grid; on
+    the free dofs it equals P_red^T A_red P_red when every fixed node lies on
+    a fixed face.  Fixed interior nodes (pin_solid) receive interpolated
+    values in P but not in P_red, and there the two differ.
+    """
+    coefs = _vector_form_coefs(coef_sym_cells, coef_div_cells)
+    nterms = coefs.shape[1]
+    forms = []
+    for depth, level in enumerate(levels, start=1):
+        cells, children = _child_elements(grid, depth)
+        forms.append(_assemble(level.grid, coefs[cells].reshape(len(cells), -1),
+                               children[:, :nterms].reshape((-1,) + children.shape[2:]),
+                               level.active))
+    return forms

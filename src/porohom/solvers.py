@@ -1,12 +1,14 @@
-"""Conjugate gradients and the inverse power iteration built on it."""
+"""Conjugate gradients, its multigrid preconditioner and the inverse power
+iteration built on it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
-__all__ = ["CGResult", "cg_solve", "inverse_power_iteration"]
+__all__ = ["CGResult", "cg_solve", "VCycle", "inverse_power_iteration"]
 
 
 @dataclass
@@ -19,28 +21,33 @@ class CGResult:
 
 def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 5000,
              x0: np.ndarray | None = None, precond_diag: np.ndarray | None = None,
-             atol: float = 0.0) -> CGResult:
-    """Jacobi-preconditioned conjugate gradients for an SPD matrix A (a
-    dense array or a sparse matrix).
+             atol: float = 0.0, precond=None) -> CGResult:
+    """Preconditioned conjugate gradients for an SPD matrix A (a dense array
+    or a sparse matrix).
 
-    The preconditioner is precond_diag, by default the diagonal of A with
-    every non-positive entry replaced by 1 (zero rows of a singular operator
-    then stay finite).  Stops when ||rhs - A x|| <= max(tol * ||rhs||, atol);
-    on stagnation past max_iter the best iterate is returned with
-    converged=False.  An absolute floor matters for consistent singular
-    systems whose rhs is roundoff-small: a purely relative target is then
-    unreachable.
+    precond is a callable r -> M^-1 r with M symmetric positive definite,
+    such as a VCycle.  Without one the preconditioner is Jacobi: precond_diag,
+    by default the diagonal of A with every non-positive entry replaced by 1
+    (zero rows of a singular operator then stay finite).  Stops when
+    ||rhs - A x|| <= max(tol * ||rhs||, atol); on stagnation past max_iter
+    the best iterate is returned with converged=False.  An absolute floor
+    matters for consistent singular systems whose rhs is roundoff-small: a
+    purely relative target is then unreachable.
     """
     b_norm = float(np.linalg.norm(rhs))
     if b_norm <= atol:
         return CGResult(np.zeros_like(rhs), 0, 0.0, True)
-    if precond_diag is None:
-        diag = A.diagonal()
-        precond_diag = np.where(diag > 0, diag, 1.0)
-    inv_d = 1.0 / precond_diag
+    if precond is None:
+        if precond_diag is None:
+            diag = A.diagonal()
+            precond_diag = np.where(diag > 0, diag, 1.0)
+        inv_d = 1.0 / precond_diag
+
+        def precond(r):
+            return inv_d * r
     x = np.zeros_like(rhs) if x0 is None else x0.copy()
     r = rhs - A @ x
-    z = inv_d * r
+    z = precond(r)
     p = z.copy()
     rz = float(r @ z)
     it = 0
@@ -54,13 +61,60 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 5000,
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        z = inv_d * r
+        z = precond(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
         res = float(np.linalg.norm(r))
         it += 1
     return CGResult(x, it, res / b_norm, res <= target)
+
+
+# Damping of the Jacobi smoother, and the most rows a V-cycle factors on its
+# coarsest level.
+MG_OMEGA = 0.6
+COARSE_DOFS = 300
+
+
+class VCycle:
+    """One symmetric multigrid V(1,1)-cycle r -> B r, B an approximate inverse
+    of operators[0], to pass to cg_solve as precond.
+
+    operators[l] is the SPD matrix of level l (0 the one being solved, then
+    ever coarser forms, e.g. operators.coarse_vector_forms) and
+    prolongations[l] maps the dofs of level l+1 to those of level l.  Every
+    level smooths with one damped Jacobi sweep (MG_OMEGA) before and one after
+    its coarse correction.  The coarsest level is factored by splu when it has
+    at most COARSE_DOFS rows; a larger coarsest level (its grid could not be
+    halved) is only smoothed, so no large matrix is ever factored.  B is
+    symmetric, and positive definite whenever the damped sweep converges on
+    every level.
+    """
+
+    def __init__(self, operators, prolongations):
+        self._operators = list(operators)
+        self._prolongations = list(prolongations)
+        self._scaled_inv_diag = []
+        for A in self._operators:
+            diag = A.diagonal()
+            self._scaled_inv_diag.append(MG_OMEGA / np.where(diag > 0, diag, 1.0))
+        coarsest = self._operators[-1]
+        self._lu = spla.splu(coarsest.tocsc()) if coarsest.shape[0] <= COARSE_DOFS else None
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return self._cycle(0, r)
+
+    def _cycle(self, level: int, r: np.ndarray) -> np.ndarray:
+        last = len(self._operators) - 1
+        if level == last and self._lu is not None:
+            return self._lu.solve(r)
+        A, w = self._operators[level], self._scaled_inv_diag[level]
+        x = w * r
+        if level < last:
+            P = self._prolongations[level]
+            x += P @ self._cycle(level + 1, P.T @ (r - A @ x))
+        x += w * (r - A @ x)
+        return x
 
 
 # Rayleigh-residual target and outer-step cap of inverse_power_iteration.

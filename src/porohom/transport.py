@@ -19,7 +19,8 @@ from .geometry import PhaseMask, boundary_tags
 from .grid import ScalarField, VectorField
 from .mollifier import mollify
 
-__all__ = ["advect_upwind", "update_viscosity", "advect_phase", "interface_summary"]
+__all__ = ["cfl_margin", "advect_upwind", "update_viscosity", "advect_phase",
+           "interface_summary"]
 
 
 def _shifted(arr: np.ndarray, axis: int, shift: int, periodic: bool) -> np.ndarray:
@@ -34,13 +35,19 @@ def _shifted(arr: np.ndarray, axis: int, shift: int, periodic: bool) -> np.ndarr
     return out
 
 
-def _cfl_check(v: VectorField, tau: float):
+def cfl_margin(v: VectorField, tau: float) -> float:
+    """tau * max over the nodes of sum_k |v_k| / dx_k: the upwind step is
+    stable while this is at most 1."""
     grid = v.grid
     speed = sum(np.abs(v.values[k]) / grid.spacing(k) for k in range(grid.dim))
-    peak = float(speed.max())
-    if peak * tau > 1.0 + 1e-12:
+    return float(speed.max()) * tau
+
+
+def _cfl_check(v: VectorField, tau: float):
+    margin = cfl_margin(v, tau)
+    if margin > 1.0 + 1e-12:
         raise ValueError(
-            f"CFL violation: tau={tau} exceeds the stable limit {1.0 / peak:.6g}")
+            f"CFL violation: tau={tau} exceeds the stable limit {tau / margin:.6g}")
 
 
 def advect_upwind(q: ScalarField, v: VectorField, mask: PhaseMask, tau: float,

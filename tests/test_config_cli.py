@@ -184,6 +184,25 @@ def test_cli_reruns_are_deterministic(tmp_path):
         assert f.read_bytes() == (outs[1] / f.name).read_bytes()
 
 
+def test_cli_micro_sim_writes_a_deterministic_step_trace(tmp_path):
+    outs = []
+    for tag in ("a", "b"):
+        cfg = tmp_path / f"{tag}.ini"
+        out = tmp_path / tag
+        cfg.write_text(BASE.format(out=out).replace("name = mollifier-props",
+                                                    "name = micro-sim\nsteps = 3")
+                       .replace("n = 65", "n = 17"))
+        proc = _run_cli(["micro-sim", "--config", str(cfg)])
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    rows = (outs[0] / "trace.csv").read_text().splitlines()
+    assert rows[0] == "t,cg_iterations,cg_residual,cfl_margin"
+    assert len(rows) == 4 and all(int(r.split(",")[1]) > 0 for r in rows[1:])
+    assert "trace.csv" in (outs[0] / "manifest.txt").read_text()
+    for f in sorted(outs[0].glob("*.csv")):
+        assert f.read_bytes() == (outs[1] / f.name).read_bytes()
+
+
 def test_cli_validation_failure_exit_code(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[material]\nepsilon = 0.3\n")

@@ -6,13 +6,22 @@ import scipy.sparse.linalg as spla
 from porohom.geometry import UnitCellPattern, build_phase_mask, init_fluid_partition
 from porohom.grid import Grid, VectorField
 from porohom.microsim import (
+    CG_TOL,
     MaterialParams,
     MicroSolver,
     SimState,
     sound_speed_squared,
 )
-from porohom.operators import assemble_vector_form, cell_corner_indices, cell_counts, cell_volume
-from porohom.solvers import cg_solve
+from porohom.operators import (
+    assemble_vector_form,
+    cell_corner_indices,
+    cell_counts,
+    cell_volume,
+    restrict,
+)
+from porohom.operators import _node_pattern
+from porohom.solvers import COARSE_DOFS, cg_solve
+from porohom.transport import cfl_margin
 
 
 def _phase_oracle(mask, fluid_nodal, solid_value):
@@ -131,7 +140,7 @@ def test_sound_speed_follows_the_advected_labels():
     lam = _phase_oracle(mask, 0.0, par.lam)
     E = assemble_vector_form(g, lam, c2)
     A = assemble_vector_form(g, par.epsilon**2 * ms._mu_cells + par.tau * lam, par.tau * c2)
-    for got, want in ((ms._E, E), (ms._A, A)):
+    for got, want in ((ms._E, E), (ms._A_red, restrict(A, ms.active))):
         assert abs(got - want).max() <= 1e-13 * abs(want).max()
     assert all(row[-1] <= 1e-10 for row in ms.history)
     e_cp = 0.5 * cell_volume(g) * np.sum((par.p0 - ms.pressure())**2 / c2)
@@ -154,8 +163,8 @@ def test_one_assembly_operators_match_the_separate_forms(dim, n, pattern):
     compressive = assemble_vector_form(g, zero, _c2_oracle(mask, par, mask.chi))
     mu = _phase_oracle(mask, ms.state.mu.values, 0.0)
     viscous = assemble_vector_form(g, par.epsilon**2 * mu, None)
-    for got, want in ((ms._E, elastic + compressive),
-                      (ms._A, viscous + par.tau * (elastic + compressive))):
+    A = viscous + par.tau * (elastic + compressive)
+    for got, want in ((ms._E, elastic + compressive), (ms._A_red, restrict(A, ms.active))):
         diff = abs(got - want).max()
         assert diff <= 1e-13 * abs(want).max()
 
@@ -360,3 +369,90 @@ def test_cfl_failure_leaves_the_state_unchanged():
     assert np.array_equal(state.chi.values, chi)
     assert ms.energy == energy
     assert ms.history == []
+
+
+# -- multigrid-preconditioned step solve ------------------------------------
+
+# the transient-2d benchmark material
+TRANSIENT = dict(mu1=1.0, mu2=3.0, lam=1.0, epsilon=0.5, tau=0.005, h_mollify=0.1)
+
+
+def _transient_solver(n, **kw):
+    mask = build_phase_mask(UnitCellPattern("disk", 0.25), 0.5, Grid(2, n))
+    return MicroSolver(init_fluid_partition(mask, 0.03), MaterialParams(**TRANSIENT), **kw)
+
+
+def test_vcycle_is_symmetric_and_positive():
+    ms = _transient_solver(65, advance_transport=False)
+    B = ms._vcycle
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        x, y = rng.standard_normal((2, ms._A_red.shape[0]))
+        By = B(y)
+        assert abs(x @ By - y @ B(x)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(By)
+        assert x @ B(x) > 0.0
+
+
+@pytest.mark.parametrize("n", [33, 65, 129])
+def test_multigrid_iterations_do_not_grow_with_the_grid(n):
+    ms = _transient_solver(n, advance_transport=False)
+    ms.step()
+    t, iterations, residual, _ = ms.trace[0]
+    assert 0 < iterations <= 35
+    assert residual <= CG_TOL
+
+
+def test_cg_and_direct_agree_with_coarse_levels_and_transport():
+    a = _transient_solver(33)
+    b = _transient_solver(33, solver="direct")
+    assert len(a._vcycle._operators) >= 3  # at least two coarse levels
+    for _ in range(3):
+        a.step()
+        b.step()
+    assert np.abs(a.state.v.values - b.state.v.values).max() < 1e-9
+    assert [row[1] for row in b.trace] == [0, 0, 0]
+    assert all(0 < row[1] for row in a.trace)
+    assert all(row[2] <= 1e-12 for row in b.trace)
+
+
+def test_cg_and_direct_agree_with_the_solid_pinned():
+    mask = build_phase_mask(UnitCellPattern("disk", 0.25), 0.5, Grid(2, 33))
+    par = MaterialParams(epsilon=0.5, tau=0.05, h_mollify=0.0)
+    a = MicroSolver(mask, par, advance_transport=False, pin_solid=True)
+    b = MicroSolver(mask, par, advance_transport=False, pin_solid=True, solver="direct")
+    assert len(a._vcycle._operators) >= 2
+    for _ in range(3):
+        a.step()
+        b.step()
+    assert np.abs(a.state.v.values - b.state.v.values).max() < 1e-9
+
+
+def test_a_grid_that_cannot_be_halved_is_smoothed_not_factored():
+    # 2D n = 34: 33 intervals per axis, so no coarse grid exists.  The rule:
+    # the hierarchy stops there, and a coarsest level above COARSE_DOFS free
+    # dofs gets no LU; the V-cycle is then its two damped Jacobi sweeps.
+    a = _transient_solver(34)
+    b = _transient_solver(34, solver="direct")
+    assert a._A_red.shape[0] > COARSE_DOFS
+    assert len(a._vcycle._operators) == 1 and a._vcycle._lu is None
+    for _ in range(2):
+        a.step()
+        b.step()
+    assert np.abs(a.state.v.values - b.state.v.values).max() < 1e-9
+
+
+def test_steps_reuse_every_grid_pattern_of_the_hierarchy():
+    ms = _transient_solver(65)
+    ms.step()
+    misses = _node_pattern.cache_info().misses
+    ms.run(3)
+    assert _node_pattern.cache_info().misses == misses
+
+
+def test_trace_records_each_step_solve_and_cfl_margin():
+    ms = _transient_solver(33)
+    ms.run(3)
+    assert len(ms.trace) == len(ms.history) == 3
+    assert [row[0] for row in ms.trace] == [row[0] for row in ms.history]
+    assert ms.trace[-1][3] == cfl_margin(ms.state.v, ms.params.tau)
+    assert 0.0 < ms.trace[-1][3] < 1.0

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from porohom.geometry import boundary_tags
 from porohom.grid import Grid
 from porohom.operators import (
     assemble_scalar_stiffness,
     assemble_vector_form,
+    coarse_levels,
+    coarse_vector_forms,
     cell_corner_indices,
     cell_counts,
     cell_divergence,
@@ -16,6 +19,7 @@ from porohom.operators import (
     restrict,
     strain_load,
 )
+from porohom.operators import _coarsen as coarsen
 from porohom import solvers
 from porohom.solvers import cg_solve, inverse_power_iteration
 
@@ -138,6 +142,21 @@ def test_cg_matches_dense_solve():
     res = cg_solve(A, b, tol=1e-13)
     assert res.converged
     assert np.abs(res.x - np.linalg.solve(A, b)).max() < 1e-9
+
+
+def test_cg_precond_callable_replaces_jacobi():
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((40, 40))
+    A = M @ M.T + np.diag(rng.uniform(1.0, 80.0, 40))
+    b = rng.standard_normal(40)
+    jacobi = cg_solve(A, b, tol=1e-12)
+    inv_d = 1.0 / np.diag(A)
+    same = cg_solve(A, b, tol=1e-12, precond=lambda r: inv_d * r)
+    assert same.iterations == jacobi.iterations
+    assert np.array_equal(same.x, jacobi.x)
+    inverse = np.linalg.inv(A)
+    exact = cg_solve(A, b, tol=1e-12, precond=lambda r: inverse @ r)
+    assert exact.converged and exact.iterations == 1
 
 
 def test_cg_singular_consistent_system():
@@ -346,3 +365,114 @@ def test_second_assembly_on_a_grid_reuses_the_cached_pattern():
     second = assemble_vector_form(g, 2.0 * np.ones(ncells), None)
     assert _node_pattern.cache_info().hits == hits + 1
     assert first.shape == second.shape
+
+
+# -- restriction through the cached index map -------------------------------
+
+@pytest.mark.parametrize("grid", [Grid(2, 17), Grid(3, 9), Grid(2, 8, periodic=(True, True))],
+                         ids=_grid_id)
+def test_restricted_assembly_is_restrict_entry_for_entry(grid):
+    # zero coefficients on a third of the cells drop entries that the index
+    # map keeps; the second call reuses the map with other zeros
+    rng = np.random.default_rng(3)
+    ncells = int(np.prod(cell_counts(grid)))
+    active = rng.random(grid.dim * grid.n_nodes) < 0.8
+    for trial in range(2):
+        sym = rng.uniform(0.5, 2.0, ncells)
+        div = rng.uniform(0.1, 1.0, ncells)
+        sym[trial::3] = 0.0
+        div[trial::3] = 0.0
+        A = assemble_vector_form(grid, sym, div)
+        want = A[active][:, active]
+        got = assemble_vector_form(grid, sym, div, active)
+        assert want.nnz < restrict(assemble_vector_form(grid, sym + 1.0, div + 1.0),
+                                   active).nnz
+        for name in ("indptr", "indices", "data"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+# -- multigrid hierarchy ----------------------------------------------------
+
+def test_coarsen_halves_every_axis_or_returns_none():
+    assert coarsen(Grid(2, 65)) == Grid(2, 33)
+    assert coarsen(Grid(3, 5)) == Grid(3, 3)
+    assert coarsen(Grid(2, 32, periodic=(True, True))) == Grid(2, 16, periodic=(True, True))
+    # an even count on a box axis, an odd one on a periodic axis, too few nodes
+    assert coarsen(Grid(2, 34)) is None
+    assert coarsen(Grid(2, 33, periodic=(True, True))) is None
+    assert coarsen(Grid(2, 3)) is None
+    assert coarsen(Grid(3, 4, periodic=(True,) * 3)) is None
+    # one node count for both kinds of axis: never odd and even at once
+    assert coarsen(Grid(2, 33, periodic=(False, True))) is None
+    assert coarsen(Grid(2, 32, periodic=(False, True))) is None
+
+
+def _random_vector_form_coefs(grid, seed):
+    rng = np.random.default_rng(seed)
+    ncells = int(np.prod(cell_counts(grid)))
+    return rng.uniform(0.5, 2.0, ncells), rng.uniform(0.1, 1.0, ncells)
+
+
+def _galerkin_levels(grid, active, seed):
+    """(levels, forms): the fine restricted form followed by coarse_vector_forms."""
+    sym, div = _random_vector_form_coefs(grid, seed)
+    levels = coarse_levels(grid, active, 40)
+    return levels, [assemble_vector_form(grid, sym, div, active),
+                    *coarse_vector_forms(grid, levels, sym, div)]
+
+
+def _rel(A, B):
+    return abs(A - B).max() / abs(B).max()
+
+
+# A grid that mixes periodic and box axes cannot be halved (see _coarsen), so
+# the periodic case is a fully periodic grid with no fixed dofs.
+@pytest.mark.parametrize("grid,fixed", [
+    (Grid(2, 33), ("S0",)), (Grid(2, 33), ("S0", "S1", "S2")),
+    (Grid(3, 9), ("S0",)), (Grid(3, 9), ("S0", "S1", "S2")),
+    (Grid(2, 32, periodic=(True, True)), ())], ids=lambda v: "+".join(v) if isinstance(v, tuple)
+    else _grid_id(v))
+def test_coarse_forms_are_the_galerkin_products_on_whole_face_dirichlet_sets(grid, fixed):
+    tags = boundary_tags(grid)
+    fixed_nodes = np.zeros(grid.shape, dtype=bool)
+    for name in fixed:
+        fixed_nodes |= tags[name]
+    active = np.tile(~fixed_nodes.ravel(), grid.dim)
+    levels, forms = _galerkin_levels(grid, active, seed=1)
+    assert len(levels) >= 2
+    for level, fine, coarse in zip(levels, forms, forms[1:]):
+        P = level.prolongation
+        assert coarse.shape == (level.active.sum(),) * 2 == (P.shape[1],) * 2
+        assert _rel(coarse, (P.T @ fine @ P).tocsr()) <= 1e-13
+
+
+def test_coarse_forms_restrict_the_whole_grid_galerkin_product():
+    # fixed interior nodes (as with pin_solid): a free coarse node interpolates
+    # onto fixed fine nodes, so the coarse form is the restriction of the
+    # whole-grid product P^T A P, not the product of the restricted ones
+    grid = Grid(2, 33)
+    sym, div = _random_vector_form_coefs(grid, seed=2)
+    everything = np.ones(grid.dim * grid.n_nodes, dtype=bool)
+    whole = coarse_levels(grid, everything, 40)
+    active = everything.copy()
+    active[np.random.default_rng(2).random(active.size) < 0.2] = False
+    levels = coarse_levels(grid, active, 40)
+    assert [lv.grid for lv in levels] == [lv.grid for lv in whole]
+    A = assemble_vector_form(grid, sym, div)
+    for level, full, coarse in zip(levels, whole, coarse_vector_forms(grid, levels, sym, div)):
+        A = (full.prolongation.T @ A @ full.prolongation).tocsr()
+        assert _rel(coarse, restrict(A, level.active)) <= 1e-13
+
+
+def test_coarse_levels_stop_at_max_dofs_or_at_a_grid_that_cannot_be_halved():
+    grid = Grid(2, 65)
+    active = np.ones(2 * grid.n_nodes, dtype=bool)
+    levels = coarse_levels(grid, active, 300)
+    assert [lv.grid.n_per_axis for lv in levels] == [33, 17, 9]
+    assert [int(lv.active.sum()) for lv in levels] == [2 * 33**2, 2 * 17**2, 2 * 9**2]
+    assert coarse_levels(grid, active, 300) is levels  # cached per grid and mask
+    # 35 -> 18 nodes, and 18 cannot be halved: the last level keeps 648 dofs
+    assert [lv.grid.n_per_axis for lv in coarse_levels(Grid(2, 35), active[:2 * 35**2], 300)] \
+        == [18]
+    assert coarse_levels(Grid(2, 34), active[:2 * 34**2], 300) == ()
