@@ -19,7 +19,6 @@ from .operators import (
     assemble_vector_form,
     cell_counts,
     lumped_weights,
-    restrict,
 )
 from .solvers import inverse_power_iteration
 
@@ -45,11 +44,10 @@ def _grid_boundary(grid: Grid) -> np.ndarray:
     return tags["S0"] | tags["S1"] | tags["S2"]
 
 
-def _smallest_eigen_constant(A, active: np.ndarray, mass: np.ndarray,
-                             seed: int) -> ConstantEstimate:
-    """1/sqrt(lambda_min) of A on the active dofs against the lumped mass."""
-    A_red = restrict(A, active)
-    lam, _, iters, resid = inverse_power_iteration(A_red, mass[active], seed=seed)
+def _smallest_eigen_constant(A_red, mass_red: np.ndarray, seed: int) -> ConstantEstimate:
+    """1/sqrt(lambda_min) of the form A_red on the free dofs against their
+    lumped mass mass_red."""
+    lam, _, iters, resid = inverse_power_iteration(A_red, mass_red, seed=seed)
     if lam <= 0:
         raise RuntimeError(f"non-positive smallest eigenvalue {lam}")
     return ConstantEstimate(1.0 / np.sqrt(lam), iters, resid)
@@ -72,9 +70,9 @@ def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0) -> Co
     if not active_node.any():
         raise ValueError("mask has no interior nodes")
     coef = np.ones(int(np.prod(cell_counts(grid))))
-    A = assemble_vector_form(grid, coef, None)
-    active = np.tile(active_node.ravel(), grid.dim)
-    return _smallest_eigen_constant(A, active, lumped_weights(grid, grid.dim), seed)
+    A_red = assemble_vector_form(grid, coef, None, active_node)
+    mass_red = np.tile(lumped_weights(grid)[active_node.ravel()], grid.dim)
+    return _smallest_eigen_constant(A_red, mass_red, seed)
 
 
 def embedding_constant(grid: Grid, zero_tags) -> ConstantEstimate:
@@ -87,8 +85,9 @@ def embedding_constant(grid: Grid, zero_tags) -> ConstantEstimate:
     if not zero.any():
         raise ValueError(f"tagged boundary portion {list(zero_tags)} is empty")
     coef = np.ones(int(np.prod(cell_counts(grid))))
-    A = assemble_scalar_stiffness(grid, coef, np.eye(grid.dim))
-    return _smallest_eigen_constant(A, ~zero.ravel(), lumped_weights(grid), seed=0)
+    free = ~zero.ravel()
+    A_red = assemble_scalar_stiffness(grid, coef, np.eye(grid.dim), free)
+    return _smallest_eigen_constant(A_red, lumped_weights(grid)[free], seed=0)
 
 
 def extend_solid(w_s: VectorField, mask: PhaseMask, h: float,

@@ -32,7 +32,6 @@ from .operators import (
     cell_volume,
     lumped_weights,
     phase_cells,
-    restrict,
     strain_load,
 )
 from .solvers import cg_solve
@@ -41,7 +40,6 @@ __all__ = [
     "periodic_cell_grid",
     "permeability_cell_problem",
     "permeability_from_mask",
-    "elasticity_cell_problem",
     "elasticity_from_mask",
     "darcy_macro_solve",
     "compare_micro_macro",
@@ -84,9 +82,8 @@ def permeability_from_mask(mask: PhaseMask, mu: float) -> tuple:
         raise ValueError("permeability is unbounded without a solid obstacle")
     n = grid.n_nodes
     coef = phase_cells(grid, mask.chi_eps, mu, 0.0)
-    A = assemble_vector_form(grid, coef, PENALTY_RATIO * coef)
+    A_red = assemble_vector_form(grid, coef, PENALTY_RATIO * coef, mask.fluid)
     active = np.tile(mask.fluid.ravel(), grid.dim)
-    A_red = restrict(A, active)
     wq = lumped_weights(grid)
     vol = float(np.sum(wq))
     K = np.zeros((grid.dim, grid.dim))
@@ -157,11 +154,6 @@ def elasticity_from_mask(mask: PhaseMask, lam: float) -> np.ndarray:
     return C
 
 
-def elasticity_cell_problem(pattern: UnitCellPattern, grid: Grid, lam: float) -> np.ndarray:
-    mask = build_phase_mask(pattern, 1.0, grid)
-    return elasticity_from_mask(mask, lam)
-
-
 def darcy_macro_solve(K: np.ndarray, bc: tuple):
     """Solve -div(K grad p) = 0 on the unit cube (33 nodes per axis) with p
     fixed on S1/S2 and no-flux elsewhere.  bc = (p_S1, p_S2).  K already
@@ -173,21 +165,21 @@ def darcy_macro_solve(K: np.ndarray, bc: tuple):
         raise ValueError("K must be symmetric positive definite")
     grid = Grid(dim=dim, n_per_axis=33)
     p_s1, p_s2 = bc
-    A = assemble_scalar_stiffness(grid, np.ones(int(np.prod(cell_counts(grid)))), K)
+    coef = np.ones(int(np.prod(cell_counts(grid))))
 
     x1 = grid.coords()[0]
     lift = p_s2 + (x1 + 0.5) * (p_s1 - p_s2)
     fixed = np.zeros(grid.shape, dtype=bool)
     fixed[0, ...] = True
     fixed[-1, ...] = True
-    active = ~fixed.ravel()
-    rhs = -(A @ lift.ravel())[active]
-    A_red = restrict(A, active)
+    free = ~fixed.ravel()
+    rhs = -(assemble_scalar_stiffness(grid, coef, K) @ lift.ravel())[free]
+    A_red = assemble_scalar_stiffness(grid, coef, K, free)
     res = cg_solve(A_red, rhs, tol=1e-12, max_iter=20000)
     if not res.converged:
         raise RuntimeError(f"Darcy solve failed: residual {res.residual:.2e}")
     p = lift.ravel()
-    p[active] += res.x
+    p[free] += res.x
     pressure = ScalarField(grid, p.reshape(grid.shape))
     flux = -K @ cell_gradient(grid, p).mean(axis=0)
     return pressure, flux

@@ -71,6 +71,10 @@ class MaterialParams:
                     if not getattr(self, name) > 0]
         if not self.h_mollify >= 0:
             problems.append(f"h_mollify must be >= 0, got {self.h_mollify}")
+        if not np.isfinite(self.p0):
+            problems.append(f"p0 must be finite, got {self.p0}")
+        if not np.all(np.isfinite(self.p_drive_grad)):
+            problems.append(f"p_drive_grad must be finite, got {self.p_drive_grad}")
         try:
             cells_across(self.epsilon)
         except ValueError as exc:
@@ -191,6 +195,9 @@ class MicroSolver:
             fixed = fixed | mask.solid
         self.fixed_nodes = fixed
         self.active = np.tile(~fixed.ravel(), grid.dim)
+        g = np.asarray(params.p_drive_grad, dtype=float)
+        if g.size != grid.dim:
+            raise ValueError("p_drive_grad must have one entry per axis")
 
         self.state = SimState.initial(mask, params)
         self._lam_cells = phase_cells(grid, mask.chi_eps, 0.0, params.lam)
@@ -202,9 +209,6 @@ class MicroSolver:
         self._rebuild_operator()
 
         load = np.zeros(grid.dim * grid.n_nodes)
-        g = np.asarray(params.p_drive_grad, dtype=float)
-        if g.size != grid.dim:
-            raise ValueError("p_drive_grad must have one entry per axis")
         wq = lumped_weights(grid)
         for k in range(grid.dim):
             load[k * grid.n_nodes:(k + 1) * grid.n_nodes] = -g[k] * wq
@@ -235,10 +239,10 @@ class MicroSolver:
         tau = params.tau
         coef_sym = params.epsilon**2 * mu_cells + tau * self._lam_cells
         coef_div = tau * self._c2_cells
-        self._A_red = assemble_vector_form(grid, coef_sym, coef_div, self.active)
+        self._A_red = assemble_vector_form(grid, coef_sym, coef_div, ~self.fixed_nodes)
         self._lu = None
         if self.solver == "cg":
-            levels = coarse_levels(grid, self.active, COARSE_DOFS)
+            levels = coarse_levels(grid, ~self.fixed_nodes, COARSE_DOFS)
             coarse = coarse_vector_forms(grid, levels, coef_sym, coef_div)
             self._vcycle = VCycle([self._A_red, *coarse], [lv.prolongation for lv in levels])
 

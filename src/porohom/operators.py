@@ -9,8 +9,10 @@ large compressibility moduli.  Coefficients are piecewise constant per cell
 reference element matrices, each scaled by one coefficient per cell.
 
 All forms go through one vectorized assembler (after Cuvelier, Japhet &
-Scarella, BIT 2016).  A node-to-node CSR pattern is built once per grid
-together with the slot of every (cell, corner a, corner b) pair in it; each
+Scarella, BIT 2016).  A node-to-node CSR pattern among the free nodes of a
+boolean node mask (every node by default) is built once per grid and mask,
+together with the slot of every (cell, corner a, corner b) pair in it; a
+pair that touches a fixed node goes to one sink slot past the end.  Each
 component block of a form is then one np.bincount of the scaled element
 entries over those slots, written into the component-major global CSR.
 The results are symmetric positive semi-definite compact-stencil matrices
@@ -18,7 +20,7 @@ whose 1D reductions are the classical tridiagonal forms.
 
 The multigrid hierarchy of MicroSolver's step solve lives here too:
 coarse_levels halves the grid and builds the Q1 interpolation between the
-free dofs of consecutive levels, and coarse_vector_forms assembles each
+free nodes of consecutive levels, and coarse_vector_forms assembles each
 coarse form with the same assembler, from the fine cell coefficients.
 """
 
@@ -44,17 +46,17 @@ __all__ = [
     "assemble_scalar_stiffness",
     "assemble_vector_form",
     "lumped_weights",
-    "restrict",
     "CoarseLevel",
     "coarse_levels",
     "coarse_vector_forms",
 ]
 
 
-# Bound of the per-grid index caches: an eps sweep touches about four grids,
-# a multigrid hierarchy two to four, and a larger bound only keeps the maps
-# of dead grids alive.
-_GRID_CACHE = 8
+# Bound of the per-grid index caches.  The node pattern is kept per grid and
+# free-node mask: an eps sweep touches ten (the cell and the Darcy grid, then
+# three micro grids, each whole and on its free nodes), a multigrid hierarchy
+# two to four, and at a bound of 8 a repeated sweep evicts its own patterns.
+_GRID_CACHE = 16
 
 
 def cell_counts(grid: Grid):
@@ -196,9 +198,24 @@ def _diffusion_element(grid: Grid, tensor: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_GRID_CACHE)
-def _node_pattern(grid: Grid):
-    """(indptr, indices, slots): CSR pattern of the node-to-node coupling and
-    the int32 slot of each (cell, corner a, corner b) in it, shape (ncells, 4^dim)."""
+def _node_pattern(grid: Grid, free_bytes: bytes | None):
+    """(indptr, indices, slots): CSR pattern of the node-to-node coupling among
+    the free nodes, renumbered in order, and the int32 slot of each (cell,
+    corner a, corner b) in it, shape (ncells, 4^dim).
+
+    free_bytes holds a boolean node mask (None: every node).  A pair that
+    touches a fixed node goes to the sink slot nnz, one past the last entry.
+    The pattern on the free nodes is the whole one with the fixed rows and
+    columns taken out, so every entry keeps its place in the summation."""
+    if free_bytes is not None:
+        indptr, indices, slots = _node_pattern(grid, None)
+        free = np.frombuffer(free_bytes, dtype=bool)
+        keep = np.repeat(free, np.diff(indptr)) & free[indices]
+        kept = np.concatenate([[0], np.cumsum(keep)])  # kept entries before each entry
+        where = np.where(keep, kept[:-1], kept[-1]).astype(np.int32)
+        return (np.concatenate([[0], kept[indptr[1:]][free]]),
+                (np.cumsum(free) - 1)[indices[keep]].astype(np.int32),
+                where[slots])
     corners = cell_corner_indices(grid)
     ncells, nc = corners.shape
     n = grid.n_nodes
@@ -238,36 +255,20 @@ def _form_indices(node_indices: np.ndarray, n: int, ncomp: int, place) -> np.nda
     return indices
 
 
-@lru_cache(maxsize=_GRID_CACHE)
-def _restriction_map(grid: Grid, ncomp: int, active_bytes: bytes):
-    """(take, indptr, indices): restrict() of the full _form_layout pattern,
-    computed once per grid and dof mask; entry k of the restricted form is
-    entry take[k] of the full data.  The map is taken before _assemble drops
-    exact zeros, so a zero that comes or goes with the coefficients cannot
-    shift it; _assemble drops the zeros after the gather."""
-    node_indptr, node_indices, _ = _node_pattern(grid)
-    indptr, place = _form_layout(node_indptr, ncomp)
-    indices = _form_indices(node_indices, grid.n_nodes, ncomp, place)
-    size = ncomp * grid.n_nodes
-    positions = sp.csr_matrix((np.arange(indices.size, dtype=np.int32), indices, indptr),
-                              shape=(size, size))
-    where = restrict(positions, np.frombuffer(active_bytes, dtype=bool))
-    return where.data, where.indptr, where.indices
-
-
 def _assemble(grid: Grid, coefs: np.ndarray, elements: np.ndarray,
-              active: np.ndarray | None = None) -> sp.csr_matrix:
+              free: np.ndarray | None = None) -> sp.csr_matrix:
     """sum_t coefs[cell, t] * elements[t], scattered into the component-major
-    CSR of _form_layout; restricted to the boolean dof mask active if given.
+    CSR of _form_layout on the free nodes of the boolean node mask free
+    (default: every node).
 
     coefs: shape (ncells, nterms); elements: shape (nterms, ncomp, 2^dim,
     ncomp, 2^dim).  Entries that sum to exactly zero are dropped, so a
     coefficient that vanishes on a region leaves no stored zeros there.
     """
-    node_indptr, node_indices, slots = _node_pattern(grid)
+    node_indptr, node_indices, slots = _node_pattern(
+        grid, None if free is None else np.asarray(free, dtype=bool).tobytes())
     nterms, ncomp = elements.shape[:2]
-    if active is not None:  # before data exists: the map's one-time build peaks lower
-        take, red_indptr, red_indices = _restriction_map(grid, ncomp, active.tobytes())
+    nnz = node_indices.size
     # Quadrature leaves roundoff where a Q1 element entry is exactly zero
     # (e.g. edge neighbours of the 3D Laplacian); keep those out of the matrix.
     peak = np.abs(elements).reshape(nterms, -1).max(axis=1)
@@ -275,28 +276,24 @@ def _assemble(grid: Grid, coefs: np.ndarray, elements: np.ndarray,
         np.abs(elements) <= 16 * np.finfo(float).eps * peak[:, None, None, None, None],
         0.0, elements)
     indptr, place = _form_layout(node_indptr, ncomp)
-    if active is None:
-        # before data: allocated after it, the freed arrays of a 3D n=16 cell
-        # problem stayed resident (14 MB more peak RSS on cell-analysis)
-        indices = _form_indices(node_indices, grid.n_nodes, ncomp, place)
     data = np.empty(indptr[-1])
     for i in range(ncomp):
         for j in range(ncomp):
             vals = coefs @ elements[:, i, :, j, :].reshape(nterms, -1)
             data[place(i, j)] = np.bincount(slots.ravel(), weights=vals.ravel(),
-                                            minlength=node_indices.size)
-    if active is not None:
-        data, indptr, indices = data[take], red_indptr.copy(), red_indices.copy()
+                                            minlength=nnz + 1)[:nnz]
+    indices = _form_indices(node_indices, node_indptr.size - 1, ncomp, place)
     A = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
     A.eliminate_zeros()
     return A
 
 
-def assemble_scalar_stiffness(grid: Grid, coef_cells: np.ndarray,
-                              tensor: np.ndarray) -> sp.csr_matrix:
-    """Stiffness of the form  sum_cells coef * grad u . tensor grad u."""
+def assemble_scalar_stiffness(grid: Grid, coef_cells: np.ndarray, tensor: np.ndarray,
+                              free: np.ndarray | None = None) -> sp.csr_matrix:
+    """Stiffness of the form  sum_cells coef * grad u . tensor grad u, on the
+    free nodes of the boolean node mask free if given (as assemble_vector_form)."""
     coefs = np.asarray(coef_cells, dtype=float)[:, None]
-    return _assemble(grid, coefs, _diffusion_element(grid, tensor)[None])
+    return _assemble(grid, coefs, _diffusion_element(grid, tensor)[None], free)
 
 
 def _vector_form_coefs(coef_sym_cells, coef_div_cells) -> np.ndarray:
@@ -315,7 +312,7 @@ def assemble_vector_form(
     grid: Grid,
     coef_sym_cells: np.ndarray,
     coef_div_cells: np.ndarray | None = None,
-    active: np.ndarray | None = None,
+    free: np.ndarray | None = None,
 ) -> sp.csr_matrix:
     """Matrix of  sum coef_sym*D(u):D(v) + coef_div*(div u)(div v).
 
@@ -324,25 +321,20 @@ def assemble_vector_form(
     the quadrature of coef_sym |D(u)|^2 + coef_div (div u)^2 exactly; the
     div*div term uses reduced (cell-center) quadrature.
 
-    With a boolean dof mask active the result is restrict(A, active), equal
-    in every stored entry, gathered through an index map computed once per
-    grid and mask; a caller that re-assembles with new coefficients (every
-    MicroSolver step, on every multigrid level) skips the fancy indexing.
+    With a boolean node mask free (any shape with grid.n_nodes entries) the
+    form acts on the free nodes only, component-major over them: the form on
+    every node restricted to the dof mask np.tile(free.ravel(), grid.dim),
+    equal in every stored entry, assembled on a pattern cached per grid and
+    mask.
     """
     coefs = _vector_form_coefs(coef_sym_cells, coef_div_cells)
-    return _assemble(grid, coefs, _vector_form_elements(grid)[:coefs.shape[1]],
-                     None if active is None else np.asarray(active, dtype=bool))
+    return _assemble(grid, coefs, _vector_form_elements(grid)[:coefs.shape[1]], free)
 
 
 def lumped_weights(grid: Grid, ncomp: int = 1) -> np.ndarray:
     """Diagonal (lumped) quadrature mass, tiled over components."""
     w = grid.node_weights().ravel()
     return np.tile(w, ncomp)
-
-
-def restrict(A: sp.spmatrix, active: np.ndarray) -> sp.csr_matrix:
-    """A[active][:, active] for a boolean dof mask, as CSR."""
-    return A.tocsr()[active][:, active]
 
 
 # -- multigrid hierarchy: nested Q1 spaces on halved grids ------------------
@@ -367,13 +359,14 @@ def _coarsen(grid: Grid) -> Grid | None:
 class CoarseLevel:
     """One level of a multigrid hierarchy below the grid it was built from.
 
-    active marks its free dofs (component-major, a coarse node is free when
-    its coincident fine node is); prolongation is the Q1 nodal interpolation
-    from these free dofs to the free dofs of the level above.
+    free is its boolean node mask (flat; a coarse node is free when its
+    coincident fine node is); prolongation is the Q1 interpolation of every
+    component from these free nodes to the free nodes of the level above,
+    component-major on both sides.
     """
 
     grid: Grid
-    active: np.ndarray
+    free: np.ndarray
     prolongation: sp.csr_matrix
 
 
@@ -388,36 +381,37 @@ def _interpolation_1d(fine: int, coarse: int) -> sp.csr_matrix:
         shape=(fine, coarse))
 
 
-def coarse_levels(grid: Grid, active: np.ndarray, max_dofs: int) -> tuple:
-    """The CoarseLevels below grid for the boolean dof mask active: halve the
-    grid (_coarsen) while the current level has more than max_dofs free dofs.
+def coarse_levels(grid: Grid, free: np.ndarray, max_dofs: int) -> tuple:
+    """The CoarseLevels below grid for the boolean node mask free of a vector
+    form (grid.dim components per node): halve the grid (_coarsen) while the
+    current level has more than max_dofs free dofs.
 
     Built once per grid, mask and max_dofs and cached like the assembly
     pattern.  The last level has at most max_dofs free dofs unless its grid
     cannot be halved; the tuple is empty when the grid itself is small
     enough or cannot be halved.
     """
-    return _coarse_levels(grid, np.asarray(active, dtype=bool).tobytes(), max_dofs)
+    return _coarse_levels(grid, np.asarray(free, dtype=bool).tobytes(), max_dofs)
 
 
 @lru_cache(maxsize=_GRID_CACHE)
-def _coarse_levels(grid: Grid, active_bytes: bytes, max_dofs: int) -> tuple:
-    active = np.frombuffer(active_bytes, dtype=bool)
-    ncomp = active.size // grid.n_nodes
+def _coarse_levels(grid: Grid, free_bytes: bytes, max_dofs: int) -> tuple:
+    free = np.frombuffer(free_bytes, dtype=bool)
     levels = []
     fine = grid
-    while np.count_nonzero(active) > max_dofs and (coarse := _coarsen(fine)) is not None:
+    while (grid.dim * np.count_nonzero(free) > max_dofs
+           and (coarse := _coarsen(fine)) is not None):
         interp = _interpolation_1d(fine.n_per_axis, coarse.n_per_axis)
         nodal = interp
         for _ in range(fine.dim - 1):
             nodal = sp.kron(nodal, interp)
         coincident = np.ravel_multi_index(
             tuple(2 * np.indices(coarse.shape).reshape(fine.dim, -1)), fine.shape)
-        coarse_active = active.reshape(ncomp, -1)[:, coincident].ravel()
-        coarse_active.flags.writeable = False  # shared by every user of the cache
-        P = sp.kron(sp.identity(ncomp), nodal).tocsr()[active][:, coarse_active]
-        levels.append(CoarseLevel(coarse, coarse_active, P))
-        fine, active = coarse, coarse_active
+        coarse_free = free[coincident]
+        coarse_free.flags.writeable = False  # shared by every user of the cache
+        P = sp.kron(sp.identity(grid.dim), nodal.tocsr()[free][:, coarse_free], format="csr")
+        levels.append(CoarseLevel(coarse, coarse_free, P))
+        fine, free = coarse, coarse_free
     return tuple(levels)
 
 
@@ -463,5 +457,5 @@ def coarse_vector_forms(grid: Grid, levels, coef_sym_cells: np.ndarray,
         cells, children = _child_elements(grid, depth)
         forms.append(_assemble(level.grid, coefs[cells].reshape(len(cells), -1),
                                children[:, :nterms].reshape((-1,) + children.shape[2:]),
-                               level.active))
+                               level.free))
     return forms

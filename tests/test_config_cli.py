@@ -94,6 +94,16 @@ def test_parse_config_lists_every_material_problem():
     assert any("epsilon must be an integer reciprocal, got 0.3" in p for p in problems)
 
 
+def test_parse_config_rejects_non_finite_drive_data():
+    text = "[experiment]\nname = micro-sim\n[material]\np0 = nan\np_grad = inf\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    problems = err.value.problems
+    assert len(problems) == 2
+    assert any("p0 must be finite, got nan" in p for p in problems)
+    assert any("p_drive_grad must be finite, got (inf, 0.0)" in p for p in problems)
+
+
 def test_parse_config_reports_grid_and_eps_list_problems():
     text = ("[experiment]\nname = poincare-scaling\neps_list = 0.5, 0.3, -1\n"
             "[grid]\ndim = 4\nn = 2\npattern = hexagon\n")
@@ -209,6 +219,18 @@ def test_cli_validation_failure_exit_code(tmp_path):
     proc = _run_cli(["micro-sim", "--config", cfg.as_posix()])
     assert proc.returncode == 1
     assert "integer reciprocal" in (proc.stderr + proc.stdout)
+
+
+def test_cli_non_finite_drive_exits_1_before_any_step(tmp_path):
+    cfg = tmp_path / "bad.ini"
+    out = tmp_path / "out"
+    cfg.write_text(f"[experiment]\nname = micro-sim\nout_dir = {out}\nsteps = 1\n"
+                   "[material]\np_grad = inf\n")
+    proc = _run_cli(["micro-sim", "--config", cfg.as_posix()])
+    assert proc.returncode == 1
+    assert "p_drive_grad must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "energy.csv").exists()
 
 
 def test_cli_unwritable_output_directory_exits_1_without_traceback(tmp_path):

@@ -8,7 +8,6 @@ from porohom.grid import Grid, sym_component_pairs
 from porohom.homogenize import (
     compare_micro_macro,
     darcy_macro_solve,
-    elasticity_cell_problem,
     elasticity_from_mask,
     periodic_cell_grid,
     permeability_cell_problem,
@@ -16,6 +15,7 @@ from porohom.homogenize import (
 )
 from porohom.microsim import MaterialParams, MicroSolver
 from porohom.operators import assemble_vector_form, cell_corner_indices, lumped_weights
+from porohom.operators import _node_pattern
 
 CELL = periodic_cell_grid(2, 32)
 
@@ -66,7 +66,7 @@ def test_permeability_degenerate_cases():
 
 def test_elasticity_homogeneous_cell_oracle():
     lam = 2.0
-    C = elasticity_cell_problem(UnitCellPattern("full-solid", 0.0), CELL, lam)
+    C = elasticity_from_mask(build_phase_mask(UnitCellPattern("full-solid", 0.0), 1.0, CELL), lam)
     # P = lam D with Voigt order (11, 12, 22) and engineering shear weight
     expect = np.diag([lam, 0.5 * lam, lam])
     assert np.abs(C - expect).max() < 1e-6
@@ -80,7 +80,8 @@ def test_elasticity_symmetries_and_porosity_softening():
     C = elasticity_from_mask(mask, lam)
     assert np.abs(C - C.T).max() <= 1e-8
     assert np.linalg.eigvalsh(C).min() > 0
-    solid = elasticity_cell_problem(UnitCellPattern("full-solid", 0.0), CELL, lam)
+    solid = build_phase_mask(UnitCellPattern("full-solid", 0.0), 1.0, CELL)
+    solid = elasticity_from_mask(solid, lam)
     assert np.all(np.diag(C) < np.diag(solid))
     # the square-symmetric pattern gives C_1111 = C_2222
     assert C[0, 0] == pytest.approx(C[2, 2], rel=1e-6)
@@ -109,7 +110,7 @@ def test_elasticity_laminate_oracle(dim):
 def test_elasticity_floating_inclusion_has_no_stiffness():
     # a disk inclusion is disconnected from the cell frame; its effective
     # stiffness vanishes (it can translate freely)
-    C = elasticity_cell_problem(UnitCellPattern("disk", 0.3), CELL, 2.0)
+    C = elasticity_from_mask(build_phase_mask(UnitCellPattern("disk", 0.3), 1.0, CELL), 2.0)
     assert np.abs(C).max() < 1e-8
 
 
@@ -159,6 +160,19 @@ def test_compare_micro_macro_is_first_order_at_any_radius(r0):
     errors = [r["rel_error"] for r in rows]
     assert errors[0] > errors[1] > errors[2], errors
     assert all(0.7 <= r["observed_order"] <= 1.3 for r in rows[1:]), rows
+
+
+def test_a_repeated_comparison_reuses_every_assembly_pattern():
+    # a sweep assembles on ten patterns: the cell and the Darcy grid, then the
+    # micro grids 21^2, 41^2 and 81^2, each on every node and on its free
+    # nodes; a second identical sweep finds them all cached
+    par = MaterialParams(mu1=1.0, mu2=1.0, lam=1.0, tau=0.05, h_mollify=0.0,
+                         p0=0.0, p_drive_grad=(1.0, 0.0))
+    args = (UnitCellPattern("disk", 0.25), par, [0.5, 0.25, 0.125])
+    compare_micro_macro(*args, nodes_per_cell=10)
+    misses = _node_pattern.cache_info().misses
+    compare_micro_macro(*args, nodes_per_cell=10)
+    assert _node_pattern.cache_info().misses == misses
 
 
 def test_compare_micro_macro_reports_an_unconverged_march():

@@ -16,7 +16,6 @@ from porohom.operators import (
     cell_volume,
     lumped_weights,
     phase_cells,
-    restrict,
     strain_load,
 )
 from porohom.operators import _coarsen as coarsen
@@ -92,21 +91,6 @@ def test_vector_form_energy_on_linear_displacement():
     Adiv = assemble_vector_form(g, np.zeros(ncells), np.ones(ncells))
     v = np.concatenate([x1.ravel(), x2.ravel()])
     assert v @ (Adiv @ v) == pytest.approx(4.0, abs=1e-12)
-
-
-def test_restrict_expand_roundtrip():
-    g = Grid(2, 9)
-    ncells = int(np.prod(cell_counts(g)))
-    A = assemble_vector_form(g, np.ones(ncells), None)
-    active = np.zeros(2 * g.n_nodes, dtype=bool)
-    active[::3] = True
-    A_red = restrict(A, active)
-    assert A_red.shape == (active.sum(), active.sum())
-    # A_red x is A applied to x scattered back onto the active dofs
-    x = np.arange(active.sum(), dtype=float)
-    full = np.zeros(2 * g.n_nodes)
-    full[active] = x
-    assert np.allclose(A_red @ x, (A @ full)[active], rtol=1e-14, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim,n,periodic", [(2, 9, (False, True)), (3, 5, (False,) * 3)])
@@ -367,29 +351,39 @@ def test_second_assembly_on_a_grid_reuses_the_cached_pattern():
     assert first.shape == second.shape
 
 
-# -- restriction through the cached index map -------------------------------
+# -- assembly on the free nodes ---------------------------------------------
 
-@pytest.mark.parametrize("grid", [Grid(2, 17), Grid(3, 9), Grid(2, 8, periodic=(True, True))],
-                         ids=_grid_id)
+def _assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 17), Grid(3, 9), Grid(2, 8, periodic=(True, True)),
+                                  Grid(3, 6, periodic=(True, False, True))], ids=_grid_id)
 def test_restricted_assembly_is_restrict_entry_for_entry(grid):
-    # zero coefficients on a third of the cells drop entries that the index
-    # map keeps; the second call reuses the map with other zeros
+    # the form on the free nodes is the whole form with the fixed rows and
+    # columns cut out, in every stored entry; zero coefficients on a third of
+    # the cells drop entries that the pattern keeps, and the second call
+    # reuses the cached pattern with other zeros
     rng = np.random.default_rng(3)
     ncells = int(np.prod(cell_counts(grid)))
-    active = rng.random(grid.dim * grid.n_nodes) < 0.8
+    free = rng.random(grid.n_nodes) < 0.8
+    act = np.tile(free, grid.dim)
+    tensor = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])[:grid.dim, :grid.dim]
     for trial in range(2):
         sym = rng.uniform(0.5, 2.0, ncells)
         div = rng.uniform(0.1, 1.0, ncells)
         sym[trial::3] = 0.0
         div[trial::3] = 0.0
         A = assemble_vector_form(grid, sym, div)
-        want = A[active][:, active]
-        got = assemble_vector_form(grid, sym, div, active)
-        assert want.nnz < restrict(assemble_vector_form(grid, sym + 1.0, div + 1.0),
-                                   active).nnz
-        for name in ("indptr", "indices", "data"):
-            g, w = getattr(got, name), getattr(want, name)
-            assert g.dtype == w.dtype and np.array_equal(g, w), name
+        want = A[act][:, act]
+        assert want.nnz < assemble_vector_form(grid, sym + 1.0, div + 1.0, free).nnz
+        _assert_same_csr(assemble_vector_form(grid, sym, div, free), want)
+        # the node mask may come shaped like the grid
+        _assert_same_csr(assemble_vector_form(grid, sym, div, free.reshape(grid.shape)), want)
+        S = assemble_scalar_stiffness(grid, sym, tensor)
+        _assert_same_csr(assemble_scalar_stiffness(grid, sym, tensor, free), S[free][:, free])
 
 
 # -- multigrid hierarchy ----------------------------------------------------
@@ -414,11 +408,11 @@ def _random_vector_form_coefs(grid, seed):
     return rng.uniform(0.5, 2.0, ncells), rng.uniform(0.1, 1.0, ncells)
 
 
-def _galerkin_levels(grid, active, seed):
-    """(levels, forms): the fine restricted form followed by coarse_vector_forms."""
+def _galerkin_levels(grid, free, seed):
+    """(levels, forms): the fine form on the free nodes followed by coarse_vector_forms."""
     sym, div = _random_vector_form_coefs(grid, seed)
-    levels = coarse_levels(grid, active, 40)
-    return levels, [assemble_vector_form(grid, sym, div, active),
+    levels = coarse_levels(grid, free, 40)
+    return levels, [assemble_vector_form(grid, sym, div, free),
                     *coarse_vector_forms(grid, levels, sym, div)]
 
 
@@ -438,12 +432,11 @@ def test_coarse_forms_are_the_galerkin_products_on_whole_face_dirichlet_sets(gri
     fixed_nodes = np.zeros(grid.shape, dtype=bool)
     for name in fixed:
         fixed_nodes |= tags[name]
-    active = np.tile(~fixed_nodes.ravel(), grid.dim)
-    levels, forms = _galerkin_levels(grid, active, seed=1)
+    levels, forms = _galerkin_levels(grid, ~fixed_nodes, seed=1)
     assert len(levels) >= 2
     for level, fine, coarse in zip(levels, forms, forms[1:]):
         P = level.prolongation
-        assert coarse.shape == (level.active.sum(),) * 2 == (P.shape[1],) * 2
+        assert coarse.shape == (grid.dim * level.free.sum(),) * 2 == (P.shape[1],) * 2
         assert _rel(coarse, (P.T @ fine @ P).tocsr()) <= 1e-13
 
 
@@ -453,26 +446,26 @@ def test_coarse_forms_restrict_the_whole_grid_galerkin_product():
     # whole-grid product P^T A P, not the product of the restricted ones
     grid = Grid(2, 33)
     sym, div = _random_vector_form_coefs(grid, seed=2)
-    everything = np.ones(grid.dim * grid.n_nodes, dtype=bool)
+    everything = np.ones(grid.n_nodes, dtype=bool)
     whole = coarse_levels(grid, everything, 40)
-    active = everything.copy()
-    active[np.random.default_rng(2).random(active.size) < 0.2] = False
-    levels = coarse_levels(grid, active, 40)
+    free = np.random.default_rng(2).random(grid.n_nodes) >= 0.2
+    levels = coarse_levels(grid, free, 40)
     assert [lv.grid for lv in levels] == [lv.grid for lv in whole]
     A = assemble_vector_form(grid, sym, div)
     for level, full, coarse in zip(levels, whole, coarse_vector_forms(grid, levels, sym, div)):
         A = (full.prolongation.T @ A @ full.prolongation).tocsr()
-        assert _rel(coarse, restrict(A, level.active)) <= 1e-13
+        act = np.tile(level.free, grid.dim)
+        assert _rel(coarse, A[act][:, act]) <= 1e-13
 
 
 def test_coarse_levels_stop_at_max_dofs_or_at_a_grid_that_cannot_be_halved():
     grid = Grid(2, 65)
-    active = np.ones(2 * grid.n_nodes, dtype=bool)
-    levels = coarse_levels(grid, active, 300)
+    free = np.ones(grid.n_nodes, dtype=bool)
+    levels = coarse_levels(grid, free, 300)
     assert [lv.grid.n_per_axis for lv in levels] == [33, 17, 9]
-    assert [int(lv.active.sum()) for lv in levels] == [2 * 33**2, 2 * 17**2, 2 * 9**2]
-    assert coarse_levels(grid, active, 300) is levels  # cached per grid and mask
+    assert [int(lv.free.sum()) for lv in levels] == [33**2, 17**2, 9**2]
+    assert coarse_levels(grid, free, 300) is levels  # cached per grid and mask
     # 35 -> 18 nodes, and 18 cannot be halved: the last level keeps 648 dofs
-    assert [lv.grid.n_per_axis for lv in coarse_levels(Grid(2, 35), active[:2 * 35**2], 300)] \
+    assert [lv.grid.n_per_axis for lv in coarse_levels(Grid(2, 35), free[:35**2], 300)] \
         == [18]
-    assert coarse_levels(Grid(2, 34), active[:2 * 34**2], 300) == ()
+    assert coarse_levels(Grid(2, 34), free[:34**2], 300) == ()
