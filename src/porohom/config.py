@@ -19,7 +19,7 @@ from .geometry import UnitCellPattern, cells_across
 from .grid import Grid
 from .microsim import MaterialParams
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "EXPERIMENTS", "DEFAULTS"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "EXPERIMENTS"]
 
 EXPERIMENTS = (
     "mollifier-props",

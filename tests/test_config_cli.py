@@ -233,6 +233,19 @@ def test_cli_non_finite_drive_exits_1_before_any_step(tmp_path):
     assert not (out / "energy.csv").exists()
 
 
+def test_cli_infinite_lambda_exits_1_without_a_warning(tmp_path):
+    cfg = tmp_path / "bad.ini"
+    out = tmp_path / "out"
+    cfg.write_text(f"[experiment]\nname = micro-sim\nout_dir = {out}\nsteps = 2\n"
+                   "[grid]\nn = 17\n[material]\nlambda = inf\n")
+    proc = _run_cli(["micro-sim", "--config", cfg.as_posix()])
+    assert proc.returncode == 1
+    assert "lam must be finite, got inf" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "energy.csv").exists()
+
+
 def test_cli_unwritable_output_directory_exits_1_without_traceback(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(BASE.format(out=tmp_path / "ignored"))

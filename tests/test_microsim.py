@@ -82,6 +82,12 @@ def test_material_params_names_every_violation_in_one_error():
         assert sum(key in line for line in lines) == 1, key
 
 
+@pytest.mark.parametrize("name", ["mu1", "mu2", "lam", "c_f1", "c_f2", "c_s", "tau"])
+def test_material_params_rejects_an_infinite_coefficient(name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+        MaterialParams(**{name: np.inf})
+
+
 def test_initial_state_viscosity_by_fluid_label():
     mask = _two_fluid_mask()
     par = MaterialParams(mu1=2.0, mu2=5.0)

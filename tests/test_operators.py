@@ -188,10 +188,18 @@ def test_inverse_power_iteration_raises_at_the_outer_cap(monkeypatch):
         inverse_power_iteration(np.diag(d), np.ones(5), seed=3)
 
 
-def test_inverse_power_iteration_raises_on_a_failed_inner_solve():
-    # a negative definite A stops CG at its positivity check, unconverged
-    with pytest.raises(RuntimeError, match="inner CG solve of outer step 1"):
+def test_inverse_power_iteration_raises_on_a_negative_definite_matrix():
+    with pytest.raises(RuntimeError, match="not positive definite"):
         inverse_power_iteration(np.diag([-1.0, -2.0, -3.0]), np.ones(3), seed=3)
+
+
+@pytest.mark.parametrize("A", [
+    [[1.0, 2.0], [2.0, 1.0]],  # eigenvalues 3 and -1: one pivot is negative
+    [[0.0, 1.0], [1.0, 0.0]],  # zero diagonal: splu swaps rows for positive pivots
+], ids=["negative-pivot", "zero-diagonal"])
+def test_inverse_power_iteration_raises_on_an_indefinite_matrix(A):
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        inverse_power_iteration(np.array(A), np.ones(2), seed=3)
 
 
 # -- element-matrix assembly against a dense per-cell reference ------------
