@@ -45,6 +45,7 @@ __all__ = [
     "strain_load",
     "assemble_scalar_stiffness",
     "assemble_vector_form",
+    "periodic_form_symbol",
     "lumped_weights",
     "CoarseLevel",
     "coarse_levels",
@@ -329,6 +330,29 @@ def assemble_vector_form(
     """
     coefs = _vector_form_coefs(coef_sym_cells, coef_div_cells)
     return _assemble(grid, coefs, _vector_form_elements(grid)[:coefs.shape[1]], free)
+
+
+def periodic_form_symbol(grid: Grid, coef_sym: float, coef_div: float) -> np.ndarray:
+    """Fourier symbol of assemble_vector_form with the constant coefficients
+    coef_sym and coef_div on every cell of a fully periodic grid, on the
+    wavenumbers of np.fft.rfftn over the node axes: shape
+    (n, ..., n, n // 2 + 1, dim, dim).
+
+    The form maps the plane wave e^{2 pi i k.p/n} e_j to symbol[k][:, j] times
+    the same wave, with symbol[k][i, j] = sum over corners a, b of the element
+    entry K[i, a, j, b] e^{2 pi i k.(off_b - off_a)/n}.  The stencil is even,
+    so the symbol is real; the cosine sum is its real part.  The k = 0 block
+    holds the translations and is singular.
+    """
+    if not all(grid.periodic):
+        raise ValueError("the Fourier symbol needs a fully periodic grid")
+    dim, n = grid.dim, grid.n_per_axis
+    ke = np.tensordot([coef_sym, coef_div], _vector_form_elements(grid), axes=1)
+    offsets = np.array(list(itertools.product((0, 1), repeat=dim)))
+    shift = offsets[None, :, :] - offsets[:, None, :]  # off_b - off_a, shape (a, b, dim)
+    k = np.indices((n,) * (dim - 1) + (n // 2 + 1,))
+    phase = np.cos((2 * np.pi / n) * np.tensordot(shift, k, axes=1))
+    return np.einsum("iajb,ab...->...ij", ke, phase)
 
 
 def lumped_weights(grid: Grid, ncomp: int = 1) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Conjugate gradients and its multigrid preconditioner, the sparse
-factorization of an SPD matrix, and the inverse power iteration built on it."""
+"""Conjugate gradients and its preconditioners (multigrid, and the FFT
+inverse of a periodic constant-coefficient form), the sparse factorization
+of an SPD matrix, and the inverse power iteration built on it."""
 
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["CGResult", "cg_solve", "VCycle", "SPD_SPLU_OPTIONS", "spd_factor",
-           "inverse_power_iteration"]
+__all__ = ["CGResult", "cg_solve", "VCycle", "PeriodicInverse", "SPD_SPLU_OPTIONS",
+           "spd_factor", "inverse_power_iteration"]
 
 
 @dataclass
@@ -28,7 +29,7 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 5000,
     or a sparse matrix).
 
     precond is a callable r -> M^-1 r with M symmetric positive definite,
-    such as a VCycle.  Without one the preconditioner is Jacobi: precond_diag,
+    such as a VCycle or a PeriodicInverse.  Without one the preconditioner is Jacobi: precond_diag,
     by default the diagonal of A with every non-positive entry replaced by 1
     (zero rows of a singular operator then stay finite).  Stops when
     ||rhs - A x|| <= max(tol * ||rhs||, atol); on stagnation past max_iter
@@ -96,6 +97,9 @@ class VCycle:
     def __init__(self, operators, prolongations):
         self._operators = list(operators)
         self._prolongations = list(prolongations)
+        # P.T builds a new CSC matrix on every call; its CSR copy sums each row
+        # in the same ascending-column order, so the cycle is bit for bit the same.
+        self._restrictions = [P.T.tocsr() for P in self._prolongations]
         self._scaled_inv_diag = []
         for A in self._operators:
             diag = A.diagonal()
@@ -114,9 +118,45 @@ class VCycle:
         x = w * r
         if level < last:
             P = self._prolongations[level]
-            x += P @ self._cycle(level + 1, P.T @ (r - A @ x))
+            x += P @ self._cycle(level + 1, self._restrictions[level] @ (r - A @ x))
         x += w * (r - A @ x)
         return x
+
+
+class PeriodicInverse:
+    """r -> S A0^+ S^T r, to pass to cg_solve as precond: the pseudo-inverse
+    of a constant-coefficient vector form A0 on a fully periodic grid,
+    restricted to the free nodes (S selects their dofs).
+
+    symbol is A0's Fourier symbol (operators.periodic_form_symbol) and free
+    the boolean node mask, shaped like the grid; vectors are component-major
+    over the free nodes, as in assemble_vector_form.  Each application is one
+    rfftn/irfftn pair and a dim x dim product per wavenumber.  Each block of
+    the symbol is inverted once, except the k = 0 block: it holds the
+    translations, and is dropped by its index because at odd n roundoff keeps
+    it from being exactly zero.  The map is symmetric positive semi-definite,
+    and definite when some node is not free.
+    """
+
+    def __init__(self, symbol: np.ndarray, free: np.ndarray):
+        free = np.asarray(free, dtype=bool)
+        self._shape = free.shape
+        dim = len(self._shape)
+        blocks = symbol.reshape(-1, dim, dim)
+        inv = np.zeros_like(blocks)
+        inv[1:] = np.linalg.inv(blocks[1:])
+        self._inv = np.moveaxis(inv, 0, -1).reshape((dim, dim) + symbol.shape[:-2])
+        # flat position of every free dof in the (component, node) array
+        self._dofs = (np.arange(dim)[:, None] * free.size + np.flatnonzero(free)).ravel()
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        dim = len(self._shape)
+        axes = tuple(range(1, dim + 1))
+        u = np.zeros(dim * int(np.prod(self._shape)))
+        u[self._dofs] = r
+        R = np.fft.rfftn(u.reshape((dim,) + self._shape), axes=axes)
+        z = np.fft.irfftn((self._inv * R).sum(axis=1), s=self._shape, axes=axes)
+        return z.ravel().take(self._dofs)
 
 
 # splu settings for a symmetric positive definite matrix: a symmetric

@@ -3,9 +3,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from porohom import homogenize
 from porohom.geometry import UnitCellPattern, boundary_tags, build_phase_mask
 from porohom.grid import Grid, sym_component_pairs
 from porohom.homogenize import (
+    PENALTY_RATIO,
     compare_micro_macro,
     darcy_macro_solve,
     elasticity_from_mask,
@@ -14,8 +16,14 @@ from porohom.homogenize import (
     permeability_from_mask,
 )
 from porohom.microsim import MaterialParams, MicroSolver
-from porohom.operators import assemble_vector_form, cell_corner_indices, lumped_weights
+from porohom.operators import (
+    assemble_vector_form,
+    cell_corner_indices,
+    cell_counts,
+    lumped_weights,
+)
 from porohom.operators import _node_pattern
+from porohom.solvers import cg_solve
 
 CELL = periodic_cell_grid(2, 32)
 
@@ -62,6 +70,56 @@ def test_permeability_degenerate_cases():
     nosolid = build_phase_mask(UnitCellPattern("none", 0.0), 1.0, CELL)
     with pytest.raises(ValueError):
         permeability_from_mask(nosolid, 1.0)
+
+
+def _recorded_permeability(monkeypatch, mask, mu):
+    """permeability_from_mask(mask, mu) and the (A, rhs, result) of each of its
+    cg_solve calls, one per axis."""
+    calls = []
+
+    def recording(A, rhs, **kwargs):
+        res = cg_solve(A, rhs, **kwargs)
+        calls.append((A, rhs, res))
+        return res
+    monkeypatch.setattr(homogenize, "cg_solve", recording)
+    K, _ = permeability_from_mask(mask, mu)
+    return K, calls
+
+
+@pytest.mark.parametrize("dim, n, kind", [(2, 32, "disk"), (3, 12, "sphere")])
+def test_permeability_form_is_the_constant_form_on_the_fluid_dofs(monkeypatch, dim, n, kind):
+    # what makes the FFT inverse of the whole-grid form fit: every cell that
+    # touches a fluid node carries mu, so A_red is the constant-coefficient
+    # form restricted to the fluid dofs, entry for entry (for a mu whose
+    # corner means are exact; otherwise to roundoff)
+    grid = periodic_cell_grid(dim, n)
+    mask = build_phase_mask(UnitCellPattern(kind, 0.25), 1.0, grid)
+    mu = 1.5
+    _, calls = _recorded_permeability(monkeypatch, mask, mu)
+    ncells = int(np.prod(cell_counts(grid)))
+    whole = assemble_vector_form(grid, np.full(ncells, mu), np.full(ncells, PENALTY_RATIO * mu))
+    fluid = np.tile(mask.fluid.ravel(), dim)
+    difference = calls[0][0] - whole[fluid][:, fluid]
+    assert difference.count_nonzero() == 0
+
+
+@pytest.mark.parametrize("dim, n, kind, max_iter", [(3, 16, "sphere", 60), (2, 64, "disk", 110)])
+def test_permeability_cg_is_fft_preconditioned_and_matches_jacobi(monkeypatch, dim, n, kind,
+                                                                  max_iter):
+    # Jacobi-CG needs about 400 (3D) and 1260 (2D) iterations per axis here;
+    # K from Jacobi solves of the same systems agrees to 1e-10
+    mask = build_phase_mask(UnitCellPattern(kind, 0.25), 1.0, periodic_cell_grid(dim, n))
+    K, calls = _recorded_permeability(monkeypatch, mask, 1.0)
+    assert len(calls) == dim
+    assert all(res.converged and res.iterations <= max_iter for _, _, res in calls), \
+        [res.iterations for _, _, res in calls]
+    vol = float(np.sum(lumped_weights(mask.grid)))
+    jacobi = [cg_solve(A, rhs, tol=homogenize.CELL_CG_TOL).x for A, rhs, _ in calls]
+    # the load of axis i is the quadrature weight on component i, so
+    # K_ik = rhs_i . u_k / vol
+    K_jacobi = np.array([[calls[i][1] @ u / vol for u in jacobi] for i in range(dim)])
+    K_jacobi = 0.5 * (K_jacobi + K_jacobi.T)
+    assert np.abs(K - K_jacobi).max() <= 1e-10 * np.abs(K_jacobi).max()
 
 
 def test_elasticity_homogeneous_cell_oracle():

@@ -15,12 +15,13 @@ from porohom.operators import (
     cell_gradient,
     cell_volume,
     lumped_weights,
+    periodic_form_symbol,
     phase_cells,
     strain_load,
 )
 from porohom.operators import _coarsen as coarsen
 from porohom import solvers
-from porohom.solvers import cg_solve, inverse_power_iteration
+from porohom.solvers import PeriodicInverse, cg_solve, inverse_power_iteration
 
 
 def test_cell_counts_and_volume():
@@ -477,3 +478,56 @@ def test_coarse_levels_stop_at_max_dofs_or_at_a_grid_that_cannot_be_halved():
     assert [lv.grid.n_per_axis for lv in coarse_levels(Grid(2, 35), free[:35**2], 300)] \
         == [18]
     assert coarse_levels(Grid(2, 34), free[:34**2], 300) == ()
+
+
+# -- FFT inverse of the periodic constant-coefficient form ------------------
+
+def _constant_form(grid, coef_sym, coef_div):
+    ncells = int(np.prod(cell_counts(grid)))
+    return assemble_vector_form(grid, np.full(ncells, coef_sym), np.full(ncells, coef_div))
+
+
+@pytest.mark.parametrize("dim, n", [(2, 15), (2, 16), (3, 9), (3, 16)])
+def test_periodic_form_symbol_is_the_fft_of_the_node_zero_columns(dim, n):
+    # the form is a convolution, so column (j, node 0) is the stencil of
+    # component j and its rfftn is column j of the symbol; odd and even n
+    grid = Grid(dim, n, periodic=(True,) * dim)
+    A = _constant_form(grid, 1.3, 130.0)
+    axes = tuple(range(1, dim + 1))
+    want = np.stack([np.fft.rfftn(A[:, j * grid.n_nodes].toarray().reshape((dim,) + grid.shape),
+                                  axes=axes) for j in range(dim)], axis=-1)
+    want = np.moveaxis(want, 0, -2)  # (wavenumber..., i, j)
+    got = periodic_form_symbol(grid, 1.3, 130.0)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_periodic_form_symbol_needs_a_periodic_grid():
+    with pytest.raises(ValueError, match="periodic"):
+        periodic_form_symbol(Grid(2, 8, periodic=(True, False)), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 15), (3, 8)])
+def test_periodic_inverse_is_the_pseudo_inverse_on_the_whole_grid(dim, n):
+    # every node free: M A0 x is x with each component's mean removed, the
+    # k = 0 block (translations) being dropped
+    grid = Grid(dim, n, periodic=(True,) * dim)
+    M = PeriodicInverse(periodic_form_symbol(grid, 0.7, 70.0), np.ones(grid.shape, dtype=bool))
+    x = np.random.default_rng(2).standard_normal(dim * grid.n_nodes)
+    mean_free = (x.reshape(dim, -1) - x.reshape(dim, -1).mean(axis=1, keepdims=True)).ravel()
+    assert np.abs(M(_constant_form(grid, 0.7, 70.0) @ x) - mean_free).max() < 1e-11
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 9)])
+def test_periodic_inverse_is_symmetric_and_positive_on_the_free_dofs(dim, n):
+    grid = Grid(dim, n, periodic=(True,) * dim)
+    rng = np.random.default_rng(dim + n)
+    free = rng.random(grid.shape) < 0.7
+    M = PeriodicInverse(periodic_form_symbol(grid, 1.0, 100.0), free)
+    for _ in range(5):
+        r, s = rng.standard_normal((2, dim * np.count_nonzero(free)))
+        Mr, Ms = M(r), M(s)
+        assert Mr.shape == r.shape
+        assert abs(s @ Mr - r @ Ms) <= 1e-12 * abs(s @ Mr)
+        assert r @ Mr > 0 and s @ Ms > 0
+
