@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import PhaseMask, boundary_tags
 from .grid import Grid, ScalarField, VectorField
 from .mollifier import mollify
-from .operators import assemble_vector_form, cell_counts, lumped_weights
+from .operators import assemble_vector_form, cell_counts
 from .solvers import inverse_power_iteration
 
 __all__ = [
@@ -56,7 +56,7 @@ def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0) -> Co
         raise ValueError("mask has no interior nodes")
     coef = np.ones(int(np.prod(cell_counts(grid))))
     A_red = assemble_vector_form(grid, coef, None, active_node)
-    mass_red = np.tile(lumped_weights(grid)[active_node.ravel()], grid.dim)
+    mass_red = np.tile(grid.node_weights()[active_node], grid.dim)
     lam, _, iters, resid = inverse_power_iteration(A_red, mass_red, seed=seed)
     if lam <= 0:
         raise RuntimeError(f"non-positive smallest eigenvalue {lam}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -175,9 +174,8 @@ def run_cell_problems(cfg: RunConfig, out: Path, rng) -> list:
 
 
 def run_eps_convergence(cfg: RunConfig, out: Path, rng) -> list:
-    mat = replace(cfg.material, mu2=cfg.material.mu1, c_f2=cfg.material.c_f1)
     eps_list = [e for e in cfg.eps_list if e < 1.0] or list(cfg.eps_list)
-    rows = compare_micro_macro(cfg.pattern, mat, eps_list, nodes_per_cell=max(8, cfg.n))
+    rows = compare_micro_macro(cfg.pattern, cfg.material, eps_list, nodes_per_cell=max(8, cfg.n))
     return [_write_csv(out / "eps_convergence.csv",
                        ["eps", "micro_flux", "darcy_flux", "rel_error", "observed_order",
                         "converged"],

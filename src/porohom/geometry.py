@@ -48,7 +48,12 @@ class UnitCellPattern:
         return self.kind not in ("full-solid", "none")
 
     def indicator(self, *cell_coords):
-        """chi(y) evaluated at cell-local coordinates in [0, 1): 1 = fluid."""
+        """chi(y) evaluated at cell-local coordinates in [0, 1): 1 = fluid.
+
+        A point on the inclusion's surface is solid, and so is every point
+        whose computed distance is within 1e-9 r0 of r0: that absorbs the
+        roundoff of the distance, so surface nodes cannot flip with the axis
+        order and the mask keeps the cell's reflections and axis swaps."""
         if self.kind == "none":
             return np.ones_like(cell_coords[0])
         if self.kind == "full-solid":
@@ -59,7 +64,7 @@ class UnitCellPattern:
         else:  # square-block: Chebyshev ball
             dist = np.max(np.abs(np.stack(delta)), axis=0)
         return (dist >= self.solid_radius).astype(float) if self.solid_radius == 0.0 \
-            else (dist > self.solid_radius).astype(float)
+            else (dist > self.solid_radius * (1.0 + 1e-9)).astype(float)
 
 
 @dataclass

@@ -107,10 +107,6 @@ class ScalarField:
         self.values = np.asarray(self.values, dtype=float)
         _check_values(self.grid, self.values, 0)
 
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.shape))
-
 
 @dataclass
 class VectorField:

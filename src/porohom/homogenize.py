@@ -30,7 +30,6 @@ from .operators import (
     cell_counts,
     cell_gradient,
     cell_volume,
-    lumped_weights,
     periodic_form_symbol,
     phase_cells,
     strain_load,
@@ -90,7 +89,7 @@ def permeability_from_mask(mask: PhaseMask, mu: float) -> tuple:
     # obstacle's dofs.
     precond = PeriodicInverse(periodic_form_symbol(grid, mu, PENALTY_RATIO * mu), mask.fluid)
     active = np.tile(mask.fluid.ravel(), grid.dim)
-    wq = lumped_weights(grid)
+    wq = grid.node_weights().ravel()
     vol = float(np.sum(wq))
     K = np.zeros((grid.dim, grid.dim))
     for k in range(grid.dim):
@@ -133,7 +132,7 @@ def elasticity_from_mask(mask: PhaseMask, lam: float) -> np.ndarray:
     coef = phase_cells(grid, mask.chi_eps, 0.0, lam)
     A = assemble_vector_form(grid, coef, None)
 
-    vol = float(np.sum(lumped_weights(grid)))
+    vol = float(np.sum(grid.node_weights()))
     # A homogeneous cell gives a roundoff-level rhs and a zero corrector;
     # the absolute floor keeps CG from chasing an unreachable relative target.
     floor = CELL_CG_TOL * float(np.abs(A.diagonal()).max()) * np.sqrt(dim * n)
@@ -196,9 +195,10 @@ def compare_micro_macro(pattern: UnitCellPattern, params: MaterialParams, eps_li
                         nodes_per_cell: int = 16, max_steps: int = 400, steady_tol: float = 1e-7):
     """Steady microscopic pore flux vs the Darcy prediction for shrinking eps.
 
-    Single-fluid configurations only (mu1 == mu2); returns a list of rows
-    {eps, micro_flux, darcy_flux, rel_error, observed_order, converged}, where
-    converged says whether the steady march met steady_tol within max_steps.
+    Single-fluid configurations only (mu1 == mu2 and c_f1 == c_f2); returns a
+    list of rows {eps, micro_flux, darcy_flux, rel_error, observed_order,
+    converged}, where converged says whether the steady march met steady_tol
+    within max_steps.
 
     The micro model runs with the solid pinned, so each march step is one
     augmented-Lagrangian / Uzawa iteration with penalty gamma = tau c^2
@@ -207,8 +207,9 @@ def compare_micro_macro(pattern: UnitCellPattern, params: MaterialParams, eps_li
     which puts tau* c^2 four orders above the viscous scale eps^2 mu1, and
     params.tau is not used.  A handful of steps then reaches steady_tol.
     """
-    if params.mu1 != params.mu2:
-        raise ValueError("micro/macro comparison requires a single fluid (mu1 == mu2)")
+    if params.mu1 != params.mu2 or params.c_f1 != params.c_f2:
+        raise ValueError("micro/macro comparison requires a single fluid "
+                         "(mu1 == mu2 and c_f1 == c_f2)")
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")

@@ -23,6 +23,7 @@ exact up to solver tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -36,10 +37,9 @@ from .operators import (
     cell_volume,
     coarse_levels,
     coarse_vector_forms,
-    lumped_weights,
     phase_cells,
 )
-from .solvers import COARSE_DOFS, SPD_SPLU_OPTIONS, VCycle, cg_solve
+from .solvers import SPD_SPLU_OPTIONS, VCycle, cg_solve
 
 __all__ = [
     "MaterialParams",
@@ -109,8 +109,8 @@ class SimState:
         )
 
 
-@dataclass
-class EnergyBreakdown:
+class EnergyBreakdown(NamedTuple):
+    t: float = 0.0
     elastic: float = 0.0
     compressive: float = 0.0
     dissipated_cumulative: float = 0.0
@@ -118,16 +118,14 @@ class EnergyBreakdown:
     balance_residual: float = 0.0
 
 
-def sound_speed_squared(mask: PhaseMask, params: MaterialParams, chi=None):
+def sound_speed_squared(mask: PhaseMask, params: MaterialParams, chi: np.ndarray):
     """Per-cell c^2 (flat, length ncells): on a fluid cell the mean of c_f1^2 /
     c_f2^2 over its fluid corners by fluid label, c_s^2 on a skeleton cell
     (operators.phase_cells).
 
-    chi is the current fluid-1 fraction (default: the initial labels mask.chi);
-    a node belongs to fluid 1 where chi >= 1/2, the rule SimState.initial uses
-    for the viscosity.
+    chi is the current fluid-1 fraction; a node belongs to fluid 1 where
+    chi >= 1/2, the rule SimState.initial uses for the viscosity.
     """
-    chi = mask.chi if chi is None else chi
     c_fluid = np.where(chi >= 0.5, params.c_f1**2, params.c_f2**2)
     return phase_cells(mask.grid, mask.chi_eps, c_fluid, params.c_s**2)
 
@@ -155,15 +153,16 @@ class MicroSolver:
 
     solver: "cg" (conjugate gradients preconditioned by a geometric
     multigrid V-cycle, warm started) or "direct" (cached sparse LU, cheap
-    when the viscosity field does not change).  The V-cycle halves the grid
-    (operators.coarse_levels) down to at most solvers.COARSE_DOFS free dofs,
-    assembles the coarse forms from the fine cell coefficients
-    (operators.coarse_vector_forms) and factors the coarsest one; all of it
-    is refreshed whenever the operator moves.
+    when the viscosity field does not change).  The V-cycle halves the box
+    grid (operators.coarse_levels, built once per grid and free-node mask,
+    restrictions included) down to at most operators.COARSE_DOFS free dofs;
+    the coarse forms are assembled from the fine cell coefficients
+    (operators.coarse_vector_forms) and the coarsest one is factored whenever
+    the operator moves.
 
-    trace holds one row per step: (t, CG iterations, relative residual of
-    the step solve, CFL margin tau * max sum_k |v_k| / dx_k).  A direct step
-    counts 0 iterations.
+    history holds one EnergyBreakdown per step.  trace holds one row per
+    step: (t, CG iterations, relative residual of the step solve, CFL margin
+    tau * max sum_k |v_k| / dx_k).  A direct step counts 0 iterations.
 
     With the solid pinned (pin_solid=True) the elastic term acts on fixed
     dofs only, and one step is exactly one Uzawa / augmented-Lagrangian
@@ -213,15 +212,19 @@ class MicroSolver:
         self._rebuild_operator()
 
         load = np.zeros(grid.dim * grid.n_nodes)
-        wq = lumped_weights(grid)
+        wq = grid.node_weights().ravel()
         for k in range(grid.dim):
             load[k * grid.n_nodes:(k + 1) * grid.n_nodes] = -g[k] * wq
         load += _surface_load(grid, params.p0)
         self.load = load
 
-        self.energy = EnergyBreakdown()
         self.history = []
         self.trace = []
+
+    @property
+    def energy(self) -> EnergyBreakdown:
+        """The ledger after the last step (zeros before the first)."""
+        return self.history[-1] if self.history else EnergyBreakdown()
 
     # -- operator plumbing --------------------------------------------------
 
@@ -246,9 +249,9 @@ class MicroSolver:
         self._A_red = assemble_vector_form(grid, coef_sym, coef_div, ~self.fixed_nodes)
         self._lu = None
         if self.solver == "cg":
-            levels = coarse_levels(grid, ~self.fixed_nodes, COARSE_DOFS)
+            levels = coarse_levels(grid, ~self.fixed_nodes)
             coarse = coarse_vector_forms(grid, levels, coef_sym, coef_div)
-            self._vcycle = VCycle([self._A_red, *coarse], [lv.prolongation for lv in levels])
+            self._vcycle = VCycle([self._A_red, *coarse], levels)
 
     def apply_operator(self, v: VectorField) -> VectorField:
         """Constrained action of the per-step SPD operator on a trial velocity."""
@@ -316,16 +319,10 @@ class MicroSolver:
         if self.advance_transport:
             st.chi, st.mu = chi_new, mu_new
         self._v_warm = v_red
-        self.energy = EnergyBreakdown(
-            elastic=e_el,
-            compressive=e_cp,
-            dissipated_cumulative=self.energy.dissipated_cumulative + diss,
-            external_work_cumulative=self.energy.external_work_cumulative + work,
-            balance_residual=residual,
-        )
-        self.history.append(
-            (self.state.t, e_el, e_cp, self.energy.dissipated_cumulative,
-             self.energy.external_work_cumulative, residual))
+        last = self.energy
+        self.history.append(EnergyBreakdown(
+            st.t, e_el, e_cp, last.dissipated_cumulative + diss,
+            last.external_work_cumulative + work, residual))
         self.trace.append(
             (self.state.t, iterations, solve_residual, transport.cfl_margin(v_new, params.tau)))
         return self.state

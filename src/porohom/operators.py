@@ -19,9 +19,10 @@ The results are symmetric positive semi-definite compact-stencil matrices
 whose 1D reductions are the classical tridiagonal forms.
 
 The multigrid hierarchy of MicroSolver's step solve lives here too:
-coarse_levels halves the grid and builds the Q1 interpolation between the
-free nodes of consecutive levels, and coarse_vector_forms assembles each
-coarse form with the same assembler, from the fine cell coefficients.
+coarse_levels halves a box grid and builds the Q1 interpolation between the
+free nodes of consecutive levels and its transpose, and coarse_vector_forms
+assembles each coarse form with the same assembler, from the fine cell
+coefficients.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "assemble_scalar_stiffness",
     "assemble_vector_form",
     "periodic_form_symbol",
-    "lumped_weights",
     "CoarseLevel",
     "coarse_levels",
     "coarse_vector_forms",
@@ -355,27 +355,21 @@ def periodic_form_symbol(grid: Grid, coef_sym: float, coef_div: float) -> np.nda
     return np.einsum("iajb,ab...->...ij", ke, phase)
 
 
-def lumped_weights(grid: Grid, ncomp: int = 1) -> np.ndarray:
-    """Diagonal (lumped) quadrature mass, tiled over components."""
-    w = grid.node_weights().ravel()
-    return np.tile(w, ncomp)
-
-
 # -- multigrid hierarchy: nested Q1 spaces on halved grids ------------------
 
-def _coarsen(grid: Grid) -> Grid | None:
-    """The grid with every axis halved, coarse node i on fine node 2i: n -> (n+1)/2
-    nodes on non-periodic axes (n odd), n -> n/2 on periodic ones (n even).
+# coarse_levels halves the grid while a level has more free dofs than this, and
+# VCycle factors a coarsest level this small and only smooths a larger one.
+COARSE_DOFS = 300
 
-    None when that is impossible or leaves fewer than 3 nodes per axis.  A grid
-    that mixes periodic and non-periodic axes has one node count for both,
-    which can never be odd and even at once, so it is never halved.
-    """
+
+def _coarsen(grid: Grid) -> Grid | None:
+    """The box grid with every axis halved, coarse node i on fine node 2i:
+    n -> (n+1)/2 nodes (n odd).  None when n is even, when that leaves fewer
+    than 3 nodes per axis, or when any axis is periodic (periodic cell problems
+    use solvers.PeriodicInverse, not multigrid)."""
     n = grid.n_per_axis
     if not any(grid.periodic) and n % 2 == 1 and n >= 5:
         return Grid(grid.dim, (n + 1) // 2, grid.periodic)
-    if all(grid.periodic) and n % 2 == 0 and n >= 6:
-        return Grid(grid.dim, n // 2, grid.periodic)
     return None
 
 
@@ -386,44 +380,46 @@ class CoarseLevel:
     free is its boolean node mask (flat; a coarse node is free when its
     coincident fine node is); prolongation is the Q1 interpolation of every
     component from these free nodes to the free nodes of the level above,
-    component-major on both sides.
+    component-major on both sides, and restriction its transpose (CSR).
     """
 
     grid: Grid
     free: np.ndarray
     prolongation: sp.csr_matrix
+    restriction: sp.csr_matrix
 
 
 def _interpolation_1d(fine: int, coarse: int) -> sp.csr_matrix:
     """Linear interpolation along one axis: even fine node 2i is coarse node i,
-    odd node 2i+1 the mean of coarse nodes i and i+1 (mod coarse, periodic)."""
+    odd node 2i+1 the mean of coarse nodes i and i+1."""
     rows = np.arange(fine)
     odd = rows[rows % 2 == 1]
     return sp.csr_matrix(
         (np.concatenate([np.where(rows % 2 == 1, 0.5, 1.0), np.full(odd.size, 0.5)]),
-         (np.concatenate([rows, odd]), np.concatenate([rows // 2, (odd // 2 + 1) % coarse]))),
+         (np.concatenate([rows, odd]), np.concatenate([rows // 2, odd // 2 + 1]))),
         shape=(fine, coarse))
 
 
-def coarse_levels(grid: Grid, free: np.ndarray, max_dofs: int) -> tuple:
+def coarse_levels(grid: Grid, free: np.ndarray) -> tuple:
     """The CoarseLevels below grid for the boolean node mask free of a vector
-    form (grid.dim components per node): halve the grid (_coarsen) while the
-    current level has more than max_dofs free dofs.
+    form (grid.dim components per node): halve the box grid (_coarsen) while
+    the current level has more than COARSE_DOFS free dofs.
 
-    Built once per grid, mask and max_dofs and cached like the assembly
-    pattern.  The last level has at most max_dofs free dofs unless its grid
-    cannot be halved; the tuple is empty when the grid itself is small
-    enough or cannot be halved.
+    Built once per grid and mask and cached like the assembly pattern, with
+    each level's restriction.  The last level has at most COARSE_DOFS free
+    dofs unless its grid cannot be halved; the tuple is empty when the grid
+    itself is small enough or cannot be halved (an even node count, or a
+    periodic axis).
     """
-    return _coarse_levels(grid, np.asarray(free, dtype=bool).tobytes(), max_dofs)
+    return _coarse_levels(grid, np.asarray(free, dtype=bool).tobytes())
 
 
 @lru_cache(maxsize=_GRID_CACHE)
-def _coarse_levels(grid: Grid, free_bytes: bytes, max_dofs: int) -> tuple:
+def _coarse_levels(grid: Grid, free_bytes: bytes) -> tuple:
     free = np.frombuffer(free_bytes, dtype=bool)
     levels = []
     fine = grid
-    while (grid.dim * np.count_nonzero(free) > max_dofs
+    while (grid.dim * np.count_nonzero(free) > COARSE_DOFS
            and (coarse := _coarsen(fine)) is not None):
         interp = _interpolation_1d(fine.n_per_axis, coarse.n_per_axis)
         nodal = interp
@@ -434,7 +430,7 @@ def _coarse_levels(grid: Grid, free_bytes: bytes, max_dofs: int) -> tuple:
         coarse_free = free[coincident]
         coarse_free.flags.writeable = False  # shared by every user of the cache
         P = sp.kron(sp.identity(grid.dim), nodal.tocsr()[free][:, coarse_free], format="csr")
-        levels.append(CoarseLevel(coarse, coarse_free, P))
+        levels.append(CoarseLevel(coarse, coarse_free, P, P.T.tocsr()))
         fine, free = coarse, coarse_free
     return tuple(levels)
 

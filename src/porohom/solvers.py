@@ -10,6 +10,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .operators import COARSE_DOFS
+
 __all__ = ["CGResult", "cg_solve", "VCycle", "PeriodicInverse", "SPD_SPLU_OPTIONS",
            "spd_factor", "inverse_power_iteration"]
 
@@ -73,10 +75,8 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 5000,
     return CGResult(x, it, res / b_norm, res <= target)
 
 
-# Damping of the Jacobi smoother, and the most rows a V-cycle factors on its
-# coarsest level.
+# Damping of the Jacobi smoother.
 MG_OMEGA = 0.6
-COARSE_DOFS = 300
 
 
 class VCycle:
@@ -84,22 +84,20 @@ class VCycle:
     of operators[0], to pass to cg_solve as precond.
 
     operators[l] is the SPD matrix of level l (0 the one being solved, then
-    ever coarser forms, e.g. operators.coarse_vector_forms) and
-    prolongations[l] maps the dofs of level l+1 to those of level l.  Every
-    level smooths with one damped Jacobi sweep (MG_OMEGA) before and one after
-    its coarse correction.  The coarsest level is factored by splu when it has
-    at most COARSE_DOFS rows; a larger coarsest level (its grid could not be
-    halved) is only smoothed, so no large matrix is ever factored.  B is
-    symmetric, and positive definite whenever the damped sweep converges on
-    every level.
+    ever coarser forms, e.g. operators.coarse_vector_forms) and levels[l] the
+    operators.CoarseLevel of level l+1, whose prolongation maps its dofs to
+    those of level l and whose restriction is the transpose.  Every level
+    smooths with one damped Jacobi sweep (MG_OMEGA) before and one after its
+    coarse correction.  The coarsest level is factored by splu when it has
+    at most operators.COARSE_DOFS rows, the bound coarse_levels halves to; a
+    larger coarsest level (its grid could not be halved) is only smoothed,
+    so no large matrix is ever factored.  B is symmetric, and positive
+    definite whenever the damped sweep converges on every level.
     """
 
-    def __init__(self, operators, prolongations):
+    def __init__(self, operators, levels):
         self._operators = list(operators)
-        self._prolongations = list(prolongations)
-        # P.T builds a new CSC matrix on every call; its CSR copy sums each row
-        # in the same ascending-column order, so the cycle is bit for bit the same.
-        self._restrictions = [P.T.tocsr() for P in self._prolongations]
+        self._levels = list(levels)
         self._scaled_inv_diag = []
         for A in self._operators:
             diag = A.diagonal()
@@ -117,8 +115,8 @@ class VCycle:
         A, w = self._operators[level], self._scaled_inv_diag[level]
         x = w * r
         if level < last:
-            P = self._prolongations[level]
-            x += P @ self._cycle(level + 1, self._restrictions[level] @ (r - A @ x))
+            coarse = self._levels[level]
+            x += coarse.prolongation @ self._cycle(level + 1, coarse.restriction @ (r - A @ x))
         x += w * (r - A @ x)
         return x
 

@@ -246,6 +246,22 @@ def test_cli_infinite_lambda_exits_1_without_a_warning(tmp_path):
     assert not (out / "energy.csv").exists()
 
 
+@pytest.mark.parametrize("second_fluid", ["mu2 = 3", "c_f2 = 2"])
+def test_cli_eps_convergence_rejects_a_second_fluid(tmp_path, second_fluid):
+    # the micro/macro comparison is single-fluid; a second fluid is an error,
+    # not silently replaced by the first
+    cfg = tmp_path / "two.ini"
+    out = tmp_path / "out"
+    cfg.write_text(f"[experiment]\nname = eps-convergence\nout_dir = {out}\n"
+                   f"eps_list = 0.5, 0.25\n[grid]\nn = 8\n[material]\n{second_fluid}\n")
+    proc = _run_cli(["eps-convergence", "--config", cfg.as_posix()])
+    assert proc.returncode == 1
+    assert "single fluid" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "validation-failure" in (out / "manifest.txt").read_text()
+    assert not (out / "eps_convergence.csv").exists()
+
+
 def test_cli_unwritable_output_directory_exits_1_without_traceback(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(BASE.format(out=tmp_path / "ignored"))

@@ -13,13 +13,14 @@ from porohom.microsim import (
     sound_speed_squared,
 )
 from porohom.operators import (
+    COARSE_DOFS,
     assemble_vector_form,
     cell_corner_indices,
     cell_counts,
     cell_volume,
 )
 from porohom.operators import _node_pattern
-from porohom.solvers import COARSE_DOFS, cg_solve
+from porohom.solvers import cg_solve
 from porohom.transport import cfl_margin
 
 
@@ -111,7 +112,7 @@ def test_pressure_deviation_form():
     c2 = _c2_oracle(mask, par, mask.chi)
     assert np.allclose(ms.pressure(), 0.7 - 2.0 * c2, rtol=1e-13, atol=1e-13)
     # per cell: c_s^2 on the skeleton, a fluid-corner mean of c_f^2 elsewhere
-    c2 = sound_speed_squared(mask, par)
+    c2 = sound_speed_squared(mask, par, mask.chi)
     assert c2.shape == p.shape
     assert {1.5**2, 0.5**2, 2.0**2} <= set(np.unique(c2))
     assert c2.min() >= 0.5**2 and c2.max() <= 2.0**2
@@ -404,6 +405,27 @@ def test_vcycle_is_symmetric_and_positive():
         By = B(y)
         assert abs(x @ By - y @ B(x)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(By)
         assert x @ B(x) > 0.0
+
+
+def test_transient_3d_step_solve_uses_two_coarse_levels():
+    # the transient-3d benchmark case: 3D n = 17 halves to 9 and 5 nodes per
+    # axis before the coarsest level drops below COARSE_DOFS free dofs
+    mask = build_phase_mask(UnitCellPattern("sphere", 0.25), 0.5, Grid(3, 17))
+    par = MaterialParams(**{**TRANSIENT, "h_mollify": 0.15, "p_drive_grad": (1.0, 0.0, 0.0)})
+    ms = MicroSolver(init_fluid_partition(mask, 0.03), par, advance_transport=False)
+    B = ms._vcycle
+    assert [lv.grid.n_per_axis for lv in B._levels] == [9, 5]
+    assert B._operators[-1].shape[0] <= COARSE_DOFS and B._lu is not None
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        x, y = rng.standard_normal((2, ms._A_red.shape[0]))
+        By = B(y)
+        assert abs(x @ By - y @ B(x)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(By)
+        assert x @ B(x) > 0.0
+    ms.step()
+    t, iterations, residual, _ = ms.trace[0]
+    assert 0 < iterations <= 20
+    assert residual <= CG_TOL
 
 
 @pytest.mark.parametrize("n", [33, 65, 129])

@@ -7,6 +7,7 @@ from porohom.grid import Grid
 from porohom.operators import (
     assemble_scalar_stiffness,
     assemble_vector_form,
+    COARSE_DOFS,
     coarse_levels,
     coarse_vector_forms,
     cell_corner_indices,
@@ -14,7 +15,6 @@ from porohom.operators import (
     cell_divergence,
     cell_gradient,
     cell_volume,
-    lumped_weights,
     periodic_form_symbol,
     phase_cells,
     strain_load,
@@ -109,14 +109,6 @@ def test_cell_divergence_is_the_reduced_div_form(dim, n, periodic):
     lin = np.concatenate([(k + 1) * x.ravel() for k, x in enumerate(g.coords())])
     if not any(periodic):
         assert np.allclose(cell_divergence(g, lin), dim * (dim + 1) / 2, rtol=1e-13)
-
-
-def test_lumped_weights_match_node_weights():
-    g = Grid(2, 17)
-    w = lumped_weights(g)
-    assert np.array_equal(w, g.node_weights().ravel())
-    w2 = lumped_weights(g, 2)
-    assert w2.size == 2 * g.n_nodes
 
 
 def test_cg_matches_dense_solve():
@@ -400,13 +392,12 @@ def test_restricted_assembly_is_restrict_entry_for_entry(grid):
 def test_coarsen_halves_every_axis_or_returns_none():
     assert coarsen(Grid(2, 65)) == Grid(2, 33)
     assert coarsen(Grid(3, 5)) == Grid(3, 3)
-    assert coarsen(Grid(2, 32, periodic=(True, True))) == Grid(2, 16, periodic=(True, True))
-    # an even count on a box axis, an odd one on a periodic axis, too few nodes
+    # an even count, too few nodes
     assert coarsen(Grid(2, 34)) is None
-    assert coarsen(Grid(2, 33, periodic=(True, True))) is None
     assert coarsen(Grid(2, 3)) is None
-    assert coarsen(Grid(3, 4, periodic=(True,) * 3)) is None
-    # one node count for both kinds of axis: never odd and even at once
+    # a periodic axis, whatever the node count
+    assert coarsen(Grid(2, 32, periodic=(True, True))) is None
+    assert coarsen(Grid(2, 33, periodic=(True, True))) is None
     assert coarsen(Grid(2, 33, periodic=(False, True))) is None
     assert coarsen(Grid(2, 32, periodic=(False, True))) is None
 
@@ -420,7 +411,7 @@ def _random_vector_form_coefs(grid, seed):
 def _galerkin_levels(grid, free, seed):
     """(levels, forms): the fine form on the free nodes followed by coarse_vector_forms."""
     sym, div = _random_vector_form_coefs(grid, seed)
-    levels = coarse_levels(grid, free, 40)
+    levels = coarse_levels(grid, free)
     return levels, [assemble_vector_form(grid, sym, div, free),
                     *coarse_vector_forms(grid, levels, sym, div)]
 
@@ -429,13 +420,11 @@ def _rel(A, B):
     return abs(A - B).max() / abs(B).max()
 
 
-# A grid that mixes periodic and box axes cannot be halved (see _coarsen), so
-# the periodic case is a fully periodic grid with no fixed dofs.
+# Grids that coarse_levels halves at least twice before COARSE_DOFS stops it.
 @pytest.mark.parametrize("grid,fixed", [
     (Grid(2, 33), ("S0",)), (Grid(2, 33), ("S0", "S1", "S2")),
-    (Grid(3, 9), ("S0",)), (Grid(3, 9), ("S0", "S1", "S2")),
-    (Grid(2, 32, periodic=(True, True)), ())], ids=lambda v: "+".join(v) if isinstance(v, tuple)
-    else _grid_id(v))
+    (Grid(3, 17), ("S0",)), (Grid(3, 17), ("S0", "S1", "S2"))],
+    ids=lambda v: "+".join(v) if isinstance(v, tuple) else _grid_id(v))
 def test_coarse_forms_are_the_galerkin_products_on_whole_face_dirichlet_sets(grid, fixed):
     tags = boundary_tags(grid)
     fixed_nodes = np.zeros(grid.shape, dtype=bool)
@@ -456,9 +445,9 @@ def test_coarse_forms_restrict_the_whole_grid_galerkin_product():
     grid = Grid(2, 33)
     sym, div = _random_vector_form_coefs(grid, seed=2)
     everything = np.ones(grid.n_nodes, dtype=bool)
-    whole = coarse_levels(grid, everything, 40)
+    whole = coarse_levels(grid, everything)
     free = np.random.default_rng(2).random(grid.n_nodes) >= 0.2
-    levels = coarse_levels(grid, free, 40)
+    levels = coarse_levels(grid, free)
     assert [lv.grid for lv in levels] == [lv.grid for lv in whole]
     A = assemble_vector_form(grid, sym, div)
     for level, full, coarse in zip(levels, whole, coarse_vector_forms(grid, levels, sym, div)):
@@ -470,14 +459,20 @@ def test_coarse_forms_restrict_the_whole_grid_galerkin_product():
 def test_coarse_levels_stop_at_max_dofs_or_at_a_grid_that_cannot_be_halved():
     grid = Grid(2, 65)
     free = np.ones(grid.n_nodes, dtype=bool)
-    levels = coarse_levels(grid, free, 300)
+    levels = coarse_levels(grid, free)
     assert [lv.grid.n_per_axis for lv in levels] == [33, 17, 9]
     assert [int(lv.free.sum()) for lv in levels] == [33**2, 17**2, 9**2]
-    assert coarse_levels(grid, free, 300) is levels  # cached per grid and mask
+    assert 2 * 9**2 <= COARSE_DOFS < 2 * 17**2
+    assert coarse_levels(grid, free) is levels  # cached per grid and mask
+    for lv in levels:  # each restriction is built once, as the CSR transpose
+        assert lv.restriction.format == "csr"
+        assert (lv.restriction != lv.prolongation.T).nnz == 0
     # 35 -> 18 nodes, and 18 cannot be halved: the last level keeps 648 dofs
-    assert [lv.grid.n_per_axis for lv in coarse_levels(Grid(2, 35), free[:35**2], 300)] \
+    assert [lv.grid.n_per_axis for lv in coarse_levels(Grid(2, 35), free[:35**2])] \
         == [18]
-    assert coarse_levels(Grid(2, 34), free[:34**2], 300) == ()
+    assert coarse_levels(Grid(2, 34), free[:34**2]) == ()
+    # a periodic grid is never halved
+    assert coarse_levels(Grid(2, 33, periodic=(True, True)), free[:33**2]) == ()
 
 
 # -- FFT inverse of the periodic constant-coefficient form ------------------
