@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .grid import Grid
 
@@ -140,13 +141,32 @@ def porosity(mask: PhaseMask) -> float:
 
 
 def check_pore_connectivity(mask: PhaseMask) -> bool:
-    """True iff a face-connected fluid path joins the S1 and S2 faces."""
-    labels, nlab = ndimage.label(mask.chi_eps)  # cross-shaped structure: 4/6-connectivity
-    if nlab == 0:
+    """True iff a face-connected fluid path joins the S1 and S2 faces.
+
+    The fluid nodes and their face neighbours (4-connectivity in 2D,
+    6-connectivity in 3D) form an undirected graph whose connected
+    components are found by scipy.sparse.csgraph.  Paths do not wrap
+    around periodic axes.
+    """
+    fluid = mask.chi_eps != 0
+    count = int(fluid.sum())
+    if count == 0:
         return False
-    on_s1 = set(np.unique(labels[-1, ...])) - {0}
-    on_s2 = set(np.unique(labels[0, ...])) - {0}
-    return bool(on_s1 & on_s2)
+    index = np.full(fluid.shape, -1)
+    index[fluid] = np.arange(count)
+    rows, cols = [], []
+    for k in range(fluid.ndim):
+        lo = (slice(None),) * k + (slice(0, -1),)
+        hi = (slice(None),) * k + (slice(1, None),)
+        both = fluid[lo] & fluid[hi]
+        rows.append(index[lo][both])
+        cols.append(index[hi][both])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    graph = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(count, count))
+    _, labels = connected_components(graph, directed=False)
+    on_s1 = labels[index[-1][fluid[-1]]]
+    on_s2 = labels[index[0][fluid[0]]]
+    return bool(np.intersect1d(on_s1, on_s2).size)
 
 
 def init_fluid_partition(mask: PhaseMask, interface_plane_x1: float) -> PhaseMask:

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
-from porohom.analysis import extend_fluid, extend_solid, poincare_constant
+from porohom.analysis import _erode, extend_fluid, extend_solid, poincare_constant
 from porohom.geometry import UnitCellPattern, boundary_tags, build_phase_mask
 from porohom.grid import Grid, ScalarField, VectorField, l2_norm
 from porohom.operators import assemble_vector_form, cell_counts
@@ -58,6 +62,21 @@ def test_poincare_constant_matches_a_shift_invert_eigensolve():
     lam = spla.eigsh(A.tocsc(), k=1, M=sp.diags(mass).tocsc(), sigma=0,
                      return_eigenvectors=False)[0]
     assert est.value == pytest.approx(1.0 / np.sqrt(lam), rel=1e-8)
+
+
+@st.composite
+def _node_sets(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(3, 12 if dim == 2 else 6))
+    return draw(arrays(bool, (n,) * dim, elements=st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_node_sets())
+def test_erosion_matches_ndimage_binary_erosion(inside):
+    # The erosion reads only the array, never the grid's periodic flags, so
+    # box and periodic grids share this one oracle.
+    assert np.array_equal(_erode(inside), ndimage.binary_erosion(inside, border_value=1))
 
 
 def test_extend_solid_zero_maps_to_zero():

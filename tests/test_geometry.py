@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from porohom.geometry import (
     PhaseMask,
@@ -83,6 +87,33 @@ def test_connectivity():
     x1 = g.coords()[0]
     blocked.chi_eps = np.where(np.abs(x1) < 0.1, 0.0, 1.0)
     assert not check_pore_connectivity(blocked)
+
+
+@st.composite
+def _fluid_masks(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(3, 12 if dim == 2 else 6))
+    periodic = draw(st.sampled_from([(False,) * dim, (True,) * dim]))
+    fluid = draw(arrays(bool, (n,) * dim, elements=st.booleans()))
+    return Grid(dim, n, periodic), fluid
+
+
+def _label_rule(chi_eps):
+    """The ndimage.label rule check_pore_connectivity replaced: a label
+    (cross-shaped, no wrap-around) present on both the S1 and S2 faces."""
+    labels, nlab = ndimage.label(chi_eps)
+    if nlab == 0:
+        return False
+    return bool((set(np.unique(labels[-1, ...])) - {0}) & (set(np.unique(labels[0, ...])) - {0}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fluid_masks())
+def test_connectivity_matches_the_ndimage_label_rule(case):
+    grid, fluid = case
+    chi_eps = fluid.astype(float)
+    mask = PhaseMask(grid, chi_eps, np.ones(grid.shape), 1.0)
+    assert check_pore_connectivity(mask) == _label_rule(chi_eps)
 
 
 def test_init_fluid_partition():

@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import porohom
 from porohom.grid import Grid, ScalarField, VectorField, l2_norm
 from porohom.mollifier import (
     MollifierKernel,
+    _stencil,
     bump,
     interior_mask,
     kernel_normalization,
@@ -43,6 +45,54 @@ def test_normalization_constants_per_dim():
     # frozen from an independent polar-coordinate quadrature of the bump
     assert kernel_normalization(2) == pytest.approx(2.1436, abs=2e-4)
     assert kernel_normalization(3) == pytest.approx(2.2671, abs=2e-4)
+
+
+def test_normalization_matches_adaptive_quadrature():
+    surface = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
+    for dim in (1, 2, 3):
+        radial, _ = integrate.quad(lambda s: bump(s) * s ** (dim - 1), 0.0, 1.0,
+                                   epsabs=1e-14, epsrel=1e-14)
+        assert kernel_normalization(dim) == pytest.approx(1.0 / (surface[dim] * radial), rel=1e-14)
+
+
+def _direct_mollify(values, grid, h):
+    """Reference: the sum over the stencil offsets d of st[d] * (w u)(x - d),
+    with w u extended by zero (np.roll on fully periodic grids)."""
+    st_ = _stencil(grid, h)
+    radii = [(m - 1) // 2 for m in st_.shape]
+    f = values * grid.node_weights()
+    axes = tuple(range(-grid.dim, 0))
+    out = np.zeros_like(f)
+    for off in itertools.product(*[range(-r, r + 1) for r in radii]):
+        c = st_[tuple(o + r for o, r in zip(off, radii))]
+        if all(grid.periodic):
+            out += c * np.roll(f, off, axis=axes)
+            continue
+        n = grid.n_per_axis
+        if any(abs(o) >= n for o in off):
+            continue
+        dst = tuple(slice(max(o, 0), n + min(o, 0)) for o in off)
+        src = tuple(slice(max(-o, 0), n - max(o, 0)) for o in off)
+        out[(...,) + dst] += c * f[(...,) + src]
+    return out
+
+
+@pytest.mark.parametrize("dim, n, h, periodic, vector", [
+    (2, 33, 0.1, False, False),
+    (2, 129, 0.2, False, False),
+    (3, 17, 0.15, False, False),
+    (2, 33, 0.1, False, True),
+    (2, 8, 0.6, True, False),  # stencil radius 4 >= n/2: the kernel folds onto itself
+    (3, 8, 0.3, True, True),
+])
+def test_fft_mollify_matches_a_direct_sum(dim, n, h, periodic, vector):
+    g = Grid(dim, n, (periodic,) * dim)
+    lead = (dim,) if vector else ()
+    u = XorShift64Star(n).array(lead + g.shape)
+    field = VectorField(g, u) if vector else ScalarField(g, u)
+    out = mollify(field, h)
+    assert type(out) is type(field)
+    assert np.abs(out.values - _direct_mollify(u, g, h)).max() <= 1e-14 * np.abs(u).max()
 
 
 def test_mollify_preserves_interior_constants():
@@ -126,14 +176,20 @@ def _fresh_modules(code):
 
 
 def test_mollify_does_not_load_scipy_integrate():
-    if "scipy.integrate" in _fresh_modules("import scipy.ndimage, scipy.sparse.linalg"):
-        pytest.skip("this scipy loads scipy.integrate from ndimage or sparse.linalg")
+    heavy = {"scipy.ndimage", "scipy.integrate"}
+    if heavy & _fresh_modules("import scipy.sparse.linalg"):
+        pytest.skip("this scipy loads scipy.ndimage or scipy.integrate from sparse.linalg")
     loaded = _fresh_modules(
         "import numpy as np\n"
         "import porohom.cli\n"
+        "from porohom.analysis import poincare_constant\n"
+        "from porohom.geometry import UnitCellPattern, build_phase_mask, check_pore_connectivity\n"
         "from porohom.grid import Grid, ScalarField\n"
-        "from porohom.mollifier import mollify\n"
+        "from porohom.mollifier import kernel_normalization, mollify\n"
         "g = Grid(2, 17)\n"
-        "mollify(ScalarField(g, np.ones(g.shape)), 0.2)")
+        "mollify(ScalarField(g, np.ones(g.shape)), 0.2)\n"
+        "kernel_normalization(2)\n"
+        "check_pore_connectivity(build_phase_mask(UnitCellPattern('disk', 0.25), 1.0, g))\n"
+        "poincare_constant(ScalarField(g, np.ones(g.shape)), g)")
     assert "porohom.cli" in loaded
-    assert "scipy.integrate" not in loaded
+    assert not heavy & loaded
