@@ -6,7 +6,9 @@ two-scale cell problems as the engineering stand-in:
 
   * permeability: penalized (slightly compressible) Stokes flow on the
     periodic cell, unit body force per axis, no-slip on the solid inclusion;
-    K_ik = cell average of velocity component i for force e_k.
+    K_ik = cell average of velocity component i for force e_k.  It is solved
+    for the obstacle's reaction on the solid dofs (a capacitance matrix),
+    through the FFT inverse of the whole-grid constant-coefficient form.
   * effective elasticity: periodic correctors for unit macroscopic strains
     on the skeleton (P = lam * D law), pores treated as traction-free voids;
     C_eff assembled from the energy form so both symmetries are structural.
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .geometry import PhaseMask, UnitCellPattern, build_phase_mask, check_pore_connectivity
 from .grid import Grid, ScalarField, sym_component_pairs
@@ -27,6 +30,7 @@ from .microsim import MaterialParams, MicroSolver
 from .operators import (
     assemble_scalar_stiffness,
     assemble_vector_form,
+    cell_corner_indices,
     cell_counts,
     cell_gradient,
     cell_volume,
@@ -70,7 +74,9 @@ def permeability_from_mask(mask: PhaseMask, mu: float) -> tuple:
     K already carries the 1/mu dependence: the Darcy flux is q = -K grad p.
     The viscosity is mu on every cell with a fluid corner; the skeleton is
     the set of cells with no fluid corner (operators.phase_cells), the same
-    cells as in MicroSolver, and the velocity vanishes on its nodes.
+    cells as in MicroSolver, and the velocity vanishes on its nodes.  K_ik is
+    the cell average of component i of the velocity for the unit force e_k
+    (_cell_velocities).
     """
     grid = mask.grid
     _require_periodic(grid)
@@ -80,32 +86,87 @@ def permeability_from_mask(mask: PhaseMask, mu: float) -> tuple:
         return np.zeros((grid.dim, grid.dim)), 0.0
     if not mask.solid.any():
         raise ValueError("permeability is unbounded without a solid obstacle")
-    n = grid.n_nodes
-    coef = phase_cells(grid, mask.chi_eps, mu, 0.0)
-    A_red = assemble_vector_form(grid, coef, PENALTY_RATIO * coef, mask.fluid)
-    # Every cell with a fluid corner carries mu, so A_red is the whole-grid form
-    # with constant coefficients restricted to the fluid nodes, and the
-    # preconditioned operator differs from the identity only through the
-    # obstacle's dofs.
-    precond = PeriodicInverse(periodic_form_symbol(grid, mu, PENALTY_RATIO * mu), mask.fluid)
-    active = np.tile(mask.fluid.ravel(), grid.dim)
+    dim, n = grid.dim, grid.n_nodes
     wq = grid.node_weights().ravel()
-    vol = float(np.sum(wq))
-    K = np.zeros((grid.dim, grid.dim))
-    for k in range(grid.dim):
-        rhs = np.zeros(grid.dim * n)
-        rhs[k * n:(k + 1) * n] = wq
-        res = cg_solve(A_red, rhs[active], tol=CELL_CG_TOL, max_iter=CELL_CG_MAX_ITER,
-                       precond=precond)
-        if not res.converged:
-            raise RuntimeError(f"cell-problem CG failed for axis {k}: residual {res.residual:.2e}")
-        u = np.zeros(grid.dim * n)
-        u[active] = res.x
-        for i in range(grid.dim):
-            K[i, k] = float(np.sum(wq * u[i * n:(i + 1) * n])) / vol
+    K = (_cell_velocities(mask, mu).reshape(dim, dim, n) @ wq).T / float(np.sum(wq))
     asym = float(np.abs(K - K.T).max())
     K = 0.5 * (K + K.T)
     return K, asym
+
+
+def _cell_velocities(mask: PhaseMask, mu: float) -> np.ndarray:
+    """Velocity of the penalized Stokes cell problem for each unit force e_k,
+    shape (dim, dim * n_nodes): row k, component-major, zero on the solid.
+
+    The problem is A_ff u_f = b_f on the fluid dofs f, b the quadrature
+    weights on component k.  Every cell with a fluid corner carries mu, so
+    A_ff is the whole-grid form A0 with the constant coefficients mu and
+    PENALTY_RATIO mu restricted to the fluid dofs.  It is solved for the
+    obstacle's reaction lam on the solid dofs, A0 u = b + S^T lam with
+    S u = 0 and S selecting the solid dofs: the capacitance-matrix method
+    (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971;
+    Proskurowski & Widlund, Math. Comp. 30, 1976), with A0^+ one FFT pair
+    (solvers.PeriodicInverse).  A0^+ needs a load with zero mean in each
+    component, so lam is a uniform part that balances the force plus a
+    correction whose components have zero mean over the solid nodes (the
+    projector P).  The correction solves P S A0^+ S^T P lam = -P S A0^+ (b +
+    S^T lam_uniform) by cg_solve, preconditioned by P A_ss P with A_ss the
+    solid block of A0; u is then A0^+ (b + S^T lam) minus each component's
+    mean over the solid nodes.
+
+    The fluid residual b_f - A_ff u_f is A_fs u_s, with A_fs the fluid-solid
+    block of A0 and u_s = P S u, which is minus the CG residual.  So CG
+    stops at CELL_CG_TOL ||b_f|| / sqrt(||A_fs||_1 ||A_fs||_inf), which
+    bounds the fluid residual by CELL_CG_TOL ||b_f||, and a solve that
+    misses it raises RuntimeError.  The bound holds for the CG recurrence:
+    an evaluated residual of any computed u carries roundoff of order
+    eps ||A0|| ||u||, about 1e-10 ||b_f|| on a 2D n = 128 cell.
+    """
+    grid = mask.grid
+    dim, n = grid.dim, grid.n_nodes
+    solid = mask.solid.ravel()
+    corners = cell_corner_indices(grid)
+    # the solid nodes and every corner of a cell that touches one: A0's solid
+    # rows couple only to these
+    near = np.zeros(n, dtype=bool)
+    near[corners[solid[corners].any(axis=1)]] = True
+    ncells = corners.shape[0]
+    A_near = assemble_vector_form(grid, np.full(ncells, mu), np.full(ncells, PENALTY_RATIO * mu),
+                                  near)
+    on_solid = np.tile(solid[near], dim)
+    A_ss = A_near[on_solid][:, on_solid]
+    abs_fs = abs(A_near[~on_solid][:, on_solid])  # |A_fs|, for its 1- and inf-norms
+    A_fs_norm = np.sqrt(abs_fs.sum(axis=0).max() * abs_fs.sum(axis=1).max())
+    inverse = PeriodicInverse(periodic_form_symbol(grid, mu, PENALTY_RATIO * mu))
+    dofs = (np.arange(dim)[:, None] * n + np.flatnonzero(solid)).ravel()
+
+    def project(x):
+        x = x.reshape(dim, -1)
+        return (x - x.mean(axis=1, keepdims=True)).ravel()
+
+    def capacitance(lam):
+        load = np.zeros(dim * n)
+        load[dofs] = lam
+        return project(inverse(load)[dofs])
+
+    C = spla.LinearOperator((dofs.size, dofs.size), matvec=capacitance, dtype=float)
+    wq = grid.node_weights().ravel()
+    b_f = wq[~solid]
+    atol = CELL_CG_TOL * float(np.linalg.norm(b_f)) / A_fs_norm
+    # b on the fluid nodes and the uniform reaction that balances it on the solid
+    force = np.where(solid, -b_f.sum() / np.count_nonzero(solid), wq)
+    velocities = np.zeros((dim, dim, n))
+    for k in range(dim):
+        load = np.zeros(dim * n)
+        load[k * n:(k + 1) * n] = force
+        res = cg_solve(C, -project(inverse(load)[dofs]), tol=0.0, max_iter=CELL_CG_MAX_ITER,
+                       atol=atol, precond=lambda r: project(A_ss @ project(r)))
+        if not res.converged:
+            raise RuntimeError(f"cell-problem CG failed for axis {k}: residual {res.residual:.2e}")
+        load[dofs] += res.x
+        u = inverse(load).reshape(dim, n)
+        velocities[k] = np.where(solid, 0.0, u - u[:, solid].mean(axis=1, keepdims=True))
+    return velocities.reshape(dim, dim * n)
 
 
 def permeability_cell_problem(pattern: UnitCellPattern, grid: Grid, mu: float) -> np.ndarray:

@@ -13,11 +13,11 @@ with w^{n+1} = w^n + tau v^{n+1} and homogeneous displacement conditions on
 S0.  chi_f is the cell phase of operators.phase_cells: a cell with a fluid
 corner is fluid and takes the mean of mu (and of c_f^2) over its fluid
 corners; every other cell is skeleton and takes lam (and c_s^2).  div is the
-cell-center divergence of the reduced div*div form, and the reported
-pressure p = p0 - c^2 div w uses the same one, per cell.  A per-step
-energy ledger tracks elastic + compressive storage, viscous (plus
-implicit-Euler numerical) dissipation and external work; their balance is
-exact up to solver tolerance.
+cell-center divergence of the reduced div*div form, and the ledger's
+compressive energy 1/2 int (p - p0)^2 / c^2 = 1/2 int c^2 (div w)^2 uses the
+same one, per cell.  A per-step energy ledger tracks elastic + compressive
+storage, viscous (plus implicit-Euler numerical) dissipation and external
+work; their balance is exact up to solver tolerance.
 """
 
 from __future__ import annotations
@@ -326,12 +326,6 @@ class MicroSolver:
         self.trace.append(
             (self.state.t, iterations, solve_residual, transport.cfl_margin(v_new, params.tau)))
         return self.state
-
-    def pressure(self) -> np.ndarray:
-        """Cell-center pressure p = p0 - c^2 div w (flat, length ncells), with the
-        solver's own c^2 and divergence, so w = 0 carries the reference p0."""
-        div = cell_divergence(self.grid, self.state.w.values.reshape(-1))
-        return self.params.p0 - self._c2_cells * div
 
     def run(self, n_steps: int) -> SimState:
         for _ in range(n_steps):

@@ -365,8 +365,8 @@ COARSE_DOFS = 300
 def _coarsen(grid: Grid) -> Grid | None:
     """The box grid with every axis halved, coarse node i on fine node 2i:
     n -> (n+1)/2 nodes (n odd).  None when n is even, when that leaves fewer
-    than 3 nodes per axis, or when any axis is periodic (periodic cell problems
-    use solvers.PeriodicInverse, not multigrid)."""
+    than 3 nodes per axis, or when any axis is periodic (the periodic cell
+    problems use no multigrid)."""
     n = grid.n_per_axis
     if not any(grid.periodic) and n % 2 == 1 and n >= 5:
         return Grid(grid.dim, (n + 1) // 2, grid.periodic)

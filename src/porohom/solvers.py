@@ -1,6 +1,6 @@
-"""Conjugate gradients and its preconditioners (multigrid, and the FFT
-inverse of a periodic constant-coefficient form), the sparse factorization
-of an SPD matrix, and the inverse power iteration built on it."""
+"""Conjugate gradients and its multigrid preconditioner, the FFT inverse of
+a periodic constant-coefficient form, the sparse factorization of an SPD
+matrix, and the inverse power iteration built on it."""
 
 from __future__ import annotations
 
@@ -27,13 +27,15 @@ class CGResult:
 def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 5000,
              x0: np.ndarray | None = None, precond_diag: np.ndarray | None = None,
              atol: float = 0.0, precond=None) -> CGResult:
-    """Preconditioned conjugate gradients for an SPD matrix A (a dense array
-    or a sparse matrix).
+    """Preconditioned conjugate gradients for a symmetric positive definite
+    operator A: anything with @ (a dense array, a sparse matrix, a
+    scipy LinearOperator).
 
     precond is a callable r -> M^-1 r with M symmetric positive definite,
-    such as a VCycle or a PeriodicInverse.  Without one the preconditioner is Jacobi: precond_diag,
-    by default the diagonal of A with every non-positive entry replaced by 1
-    (zero rows of a singular operator then stay finite).  Stops when
+    such as a VCycle.  Without one the preconditioner is Jacobi: precond_diag,
+    by default the diagonal of A (which A must then provide) with every
+    non-positive entry replaced by 1 (zero rows of a singular operator then
+    stay finite).  Stops when
     ||rhs - A x|| <= max(tol * ||rhs||, atol); on stagnation past max_iter
     the best iterate is returned with converged=False.  An absolute floor
     matters for consistent singular systems whose rhs is roundoff-small: a
@@ -122,39 +124,32 @@ class VCycle:
 
 
 class PeriodicInverse:
-    """r -> S A0^+ S^T r, to pass to cg_solve as precond: the pseudo-inverse
-    of a constant-coefficient vector form A0 on a fully periodic grid,
-    restricted to the free nodes (S selects their dofs).
+    """r -> A0^+ r: the pseudo-inverse of a constant-coefficient vector form A0
+    on a fully periodic grid, on component-major vectors over every node (as
+    in assemble_vector_form).
 
-    symbol is A0's Fourier symbol (operators.periodic_form_symbol) and free
-    the boolean node mask, shaped like the grid; vectors are component-major
-    over the free nodes, as in assemble_vector_form.  Each application is one
-    rfftn/irfftn pair and a dim x dim product per wavenumber.  Each block of
-    the symbol is inverted once, except the k = 0 block: it holds the
-    translations, and is dropped by its index because at odd n roundoff keeps
-    it from being exactly zero.  The map is symmetric positive semi-definite,
-    and definite when some node is not free.
+    symbol is A0's Fourier symbol (operators.periodic_form_symbol).  Each
+    application is one rfftn/irfftn pair and a dim x dim product per
+    wavenumber.  Each block of the symbol is inverted once, except the k = 0
+    block: it holds the translations, and is dropped by its index because at
+    odd n roundoff keeps it from being exactly zero.  So the result has zero
+    mean in each component, and the map is symmetric positive semi-definite,
+    positive on vectors whose components have zero mean.
     """
 
-    def __init__(self, symbol: np.ndarray, free: np.ndarray):
-        free = np.asarray(free, dtype=bool)
-        self._shape = free.shape
-        dim = len(self._shape)
+    def __init__(self, symbol: np.ndarray):
+        dim = symbol.shape[-1]
+        self._shape = (symbol.shape[0],) * dim  # grids are cubes of dim 2 or 3
         blocks = symbol.reshape(-1, dim, dim)
         inv = np.zeros_like(blocks)
         inv[1:] = np.linalg.inv(blocks[1:])
         self._inv = np.moveaxis(inv, 0, -1).reshape((dim, dim) + symbol.shape[:-2])
-        # flat position of every free dof in the (component, node) array
-        self._dofs = (np.arange(dim)[:, None] * free.size + np.flatnonzero(free)).ravel()
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         dim = len(self._shape)
         axes = tuple(range(1, dim + 1))
-        u = np.zeros(dim * int(np.prod(self._shape)))
-        u[self._dofs] = r
-        R = np.fft.rfftn(u.reshape((dim,) + self._shape), axes=axes)
-        z = np.fft.irfftn((self._inv * R).sum(axis=1), s=self._shape, axes=axes)
-        return z.ravel().take(self._dofs)
+        R = np.fft.rfftn(r.reshape((dim,) + self._shape), axes=axes)
+        return np.fft.irfftn((self._inv * R).sum(axis=1), s=self._shape, axes=axes).ravel()
 
 
 # splu settings for a symmetric positive definite matrix: a symmetric

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import porohom
-from porohom import cli, solvers
+from porohom import cli, homogenize, solvers
 from porohom.config import ConfigError, EXPERIMENTS, parse_config
-from porohom.geometry import UnitCellPattern
+from porohom.geometry import UnitCellPattern, build_phase_mask
+from porohom.homogenize import periodic_cell_grid, permeability_from_mask
 from porohom.rng import XorShift64Star
 
 BASE = """
@@ -310,6 +311,20 @@ def test_registry_matches_config_module():
 
 def test_cli_registry_has_every_config_experiment():
     assert set(cli.REGISTRY) == set(EXPERIMENTS)
+
+
+def test_unconverged_cell_problem_raises_and_cli_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(homogenize, "CELL_CG_MAX_ITER", 2)
+    mask = build_phase_mask(UnitCellPattern("disk", 0.25), 1.0, periodic_cell_grid(2, 16))
+    with pytest.raises(RuntimeError, match="cell-problem CG failed"):
+        permeability_from_mask(mask, 1.0)
+    cfg = tmp_path / "run.ini"
+    out = tmp_path / "out"
+    cfg.write_text(BASE.format(out=out).replace(
+        "name = mollifier-props", "name = cell-problems").replace("n = 65", "n = 16"))
+    assert cli.main(["cell-problems", "--config", str(cfg)]) == 2
+    assert "status solver-failure: cell-problem CG failed" in (out / "manifest.txt").read_text()
+    assert not (out / "effective_tensors.csv").exists()
 
 
 def test_cli_unconverged_power_iteration_exits_2(tmp_path, monkeypatch):

@@ -22,6 +22,7 @@ from porohom.operators import (
     assemble_vector_form,
     cell_corner_indices,
     cell_counts,
+    phase_cells,
 )
 from porohom.operators import _node_pattern
 from porohom.solvers import cg_solve
@@ -74,53 +75,98 @@ def test_permeability_degenerate_cases():
 
 
 def _recorded_permeability(monkeypatch, mask, mu):
-    """permeability_from_mask(mask, mu) and the (A, rhs, result) of each of its
+    """permeability_from_mask(mask, mu) and the result of each of its
     cg_solve calls, one per axis."""
     calls = []
 
     def recording(A, rhs, **kwargs):
         res = cg_solve(A, rhs, **kwargs)
-        calls.append((A, rhs, res))
+        calls.append(res)
         return res
     monkeypatch.setattr(homogenize, "cg_solve", recording)
     K, _ = permeability_from_mask(mask, mu)
     return K, calls
 
 
+def _fluid_system(mask, mu):
+    """The permeability cell problem on the fluid dofs, assembled: the form
+    on the phase cells (mu on every cell with a fluid corner) restricted to
+    the fluid nodes, its dof mask, and the load of each axis."""
+    grid = mask.grid
+    coef = phase_cells(grid, mask.chi_eps, mu, 0.0)
+    A = assemble_vector_form(grid, coef, PENALTY_RATIO * coef, mask.fluid)
+    fluid = np.tile(mask.fluid.ravel(), grid.dim)
+    wq = grid.node_weights().ravel()
+    loads = [np.kron(np.eye(grid.dim)[k], wq)[fluid] for k in range(grid.dim)]
+    return A, fluid, loads
+
+
 @pytest.mark.parametrize("dim, n, kind", [(2, 32, "disk"), (3, 12, "sphere")])
-def test_permeability_form_is_the_constant_form_on_the_fluid_dofs(monkeypatch, dim, n, kind):
-    # what makes the FFT inverse of the whole-grid form fit: every cell that
-    # touches a fluid node carries mu, so A_red is the constant-coefficient
-    # form restricted to the fluid dofs, entry for entry (for a mu whose
-    # corner means are exact; otherwise to roundoff)
+def test_permeability_form_is_the_constant_form_on_the_fluid_dofs(dim, n, kind):
+    # what lets the solve go through the FFT inverse of the whole-grid form:
+    # every cell that touches a fluid node carries mu, so the fluid system is
+    # the constant-coefficient form restricted to the fluid dofs, entry for
+    # entry (for a mu whose corner means are exact; otherwise to roundoff)
     grid = periodic_cell_grid(dim, n)
     mask = build_phase_mask(UnitCellPattern(kind, 0.25), 1.0, grid)
     mu = 1.5
-    _, calls = _recorded_permeability(monkeypatch, mask, mu)
+    A, fluid, _ = _fluid_system(mask, mu)
     ncells = int(np.prod(cell_counts(grid)))
     whole = assemble_vector_form(grid, np.full(ncells, mu), np.full(ncells, PENALTY_RATIO * mu))
-    fluid = np.tile(mask.fluid.ravel(), dim)
-    difference = calls[0][0] - whole[fluid][:, fluid]
-    assert difference.count_nonzero() == 0
+    assert (A - whole[fluid][:, fluid]).count_nonzero() == 0
 
 
-@pytest.mark.parametrize("dim, n, kind, max_iter", [(3, 16, "sphere", 60), (2, 64, "disk", 110)])
-def test_permeability_cg_is_fft_preconditioned_and_matches_jacobi(monkeypatch, dim, n, kind,
-                                                                  max_iter):
-    # Jacobi-CG needs about 400 (3D) and 1260 (2D) iterations per axis here;
-    # K from Jacobi solves of the same systems agrees to 1e-10
-    mask = build_phase_mask(UnitCellPattern(kind, 0.25), 1.0, periodic_cell_grid(dim, n))
+@pytest.mark.parametrize("dim, n, kind, r0, max_iter", [
+    (2, 64, "disk", 0.25, 90),
+    (3, 16, "sphere", 0.25, 46),
+    (2, 64, "disk", 0.45, 145),
+])
+def test_permeability_matches_jacobi_cg_on_the_fluid_system(monkeypatch, dim, n, kind, r0,
+                                                            max_iter):
+    # the solid-dof CG needs 79, 41 and 132 iterations per axis here; the
+    # velocities solve the assembled fluid system to CELL_CG_TOL, and K from
+    # Jacobi-CG solves of that system agrees to 1e-10
+    mask = build_phase_mask(UnitCellPattern(kind, r0), 1.0, periodic_cell_grid(dim, n))
     K, calls = _recorded_permeability(monkeypatch, mask, 1.0)
     assert len(calls) == dim
-    assert all(res.converged and res.iterations <= max_iter for _, _, res in calls), \
-        [res.iterations for _, _, res in calls]
-    vol = float(np.sum(mask.grid.node_weights()))
-    jacobi = [cg_solve(A, rhs, tol=homogenize.CELL_CG_TOL).x for A, rhs, _ in calls]
+    assert all(res.converged and res.iterations <= max_iter for res in calls), \
+        [res.iterations for res in calls]
+    A, fluid, loads = _fluid_system(mask, 1.0)
+    velocities = homogenize._cell_velocities(mask, 1.0)
+    assert np.all(velocities[:, ~fluid] == 0.0)
+    for u, b in zip(velocities, loads):
+        assert np.linalg.norm(b - A @ u[fluid]) <= homogenize.CELL_CG_TOL * np.linalg.norm(b)
+    jacobi = [cg_solve(A, b, tol=homogenize.CELL_CG_TOL, max_iter=homogenize.CELL_CG_MAX_ITER)
+              for b in loads]
+    assert all(res.converged for res in jacobi)
     # the load of axis i is the quadrature weight on component i, so
-    # K_ik = rhs_i . u_k / vol
-    K_jacobi = np.array([[calls[i][1] @ u / vol for u in jacobi] for i in range(dim)])
+    # K_ik = load_i . u_k / vol
+    vol = float(np.sum(mask.grid.node_weights()))
+    K_jacobi = np.array([[b @ res.x / vol for res in jacobi] for b in loads])
     K_jacobi = 0.5 * (K_jacobi + K_jacobi.T)
     assert np.abs(K - K_jacobi).max() <= 1e-10 * np.abs(K_jacobi).max()
+
+
+@pytest.mark.parametrize("dim, n, kind", [(2, 32, "disk"), (3, 12, "sphere")])
+def test_permeability_assembles_no_form_on_the_fluid_nodes(monkeypatch, dim, n, kind):
+    # the one form assembled holds the solid nodes and the corners of the
+    # cells that touch them, nothing more of the fluid
+    grid = periodic_cell_grid(dim, n)
+    mask = build_phase_mask(UnitCellPattern(kind, 0.25), 1.0, grid)
+    masks = []
+
+    def recording(grid, coef_sym, coef_div=None, free=None):
+        masks.append(free)
+        return assemble_vector_form(grid, coef_sym, coef_div, free)
+    monkeypatch.setattr(homogenize, "assemble_vector_form", recording)
+    permeability_from_mask(mask, 1.0)
+    corners = cell_corner_indices(grid)
+    solid = mask.solid.ravel()
+    near = np.zeros(grid.n_nodes, dtype=bool)
+    near[corners[solid[corners].any(axis=1)]] = True
+    assert len(masks) == 1 and masks[0] is not None
+    assert np.array_equal(np.asarray(masks[0]).ravel(), near)
+    assert np.count_nonzero(near & mask.fluid.ravel()) < np.count_nonzero(mask.fluid)
 
 
 def _cell_symmetry_images(a):

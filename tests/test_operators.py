@@ -504,25 +504,29 @@ def test_periodic_form_symbol_needs_a_periodic_grid():
 
 @pytest.mark.parametrize("dim, n", [(2, 15), (3, 8)])
 def test_periodic_inverse_is_the_pseudo_inverse_on_the_whole_grid(dim, n):
-    # every node free: M A0 x is x with each component's mean removed, the
-    # k = 0 block (translations) being dropped
+    # M A0 x is x with each component's mean removed, the k = 0 block
+    # (translations) being dropped
     grid = Grid(dim, n, periodic=(True,) * dim)
-    M = PeriodicInverse(periodic_form_symbol(grid, 0.7, 70.0), np.ones(grid.shape, dtype=bool))
+    M = PeriodicInverse(periodic_form_symbol(grid, 0.7, 70.0))
     x = np.random.default_rng(2).standard_normal(dim * grid.n_nodes)
     mean_free = (x.reshape(dim, -1) - x.reshape(dim, -1).mean(axis=1, keepdims=True)).ravel()
     assert np.abs(M(_constant_form(grid, 0.7, 70.0) @ x) - mean_free).max() < 1e-11
 
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 9)])
-def test_periodic_inverse_is_symmetric_and_positive_on_the_free_dofs(dim, n):
+def test_periodic_inverse_is_symmetric_semidefinite_and_positive_on_mean_free_vectors(dim, n):
     grid = Grid(dim, n, periodic=(True,) * dim)
     rng = np.random.default_rng(dim + n)
-    free = rng.random(grid.shape) < 0.7
-    M = PeriodicInverse(periodic_form_symbol(grid, 1.0, 100.0), free)
+    M = PeriodicInverse(periodic_form_symbol(grid, 1.0, 100.0))
     for _ in range(5):
-        r, s = rng.standard_normal((2, dim * np.count_nonzero(free)))
+        r, s = rng.standard_normal((2, dim * grid.n_nodes))
         Mr, Ms = M(r), M(s)
         assert Mr.shape == r.shape
         assert abs(s @ Mr - r @ Ms) <= 1e-12 * abs(s @ Mr)
-        assert r @ Mr > 0 and s @ Ms > 0
+        # the translations are its kernel, and mean-free vectors see it positive
+        translation = np.kron(rng.standard_normal(dim), np.ones(grid.n_nodes))
+        assert np.abs(M(translation)).max() <= 1e-12 * np.abs(Mr).max()
+        assert np.abs(M(r + translation) - Mr).max() <= 1e-12 * np.abs(Mr).max()
+        mean_free = (r.reshape(dim, -1) - r.reshape(dim, -1).mean(axis=1, keepdims=True)).ravel()
+        assert mean_free @ M(mean_free) > 0 and r @ Mr > 0
 
