@@ -514,7 +514,8 @@ def test_periodic_inverse_is_the_pseudo_inverse_on_the_whole_grid(dim, n):
 
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 9)])
-def test_periodic_inverse_is_symmetric_semidefinite_and_positive_on_mean_free_vectors(dim, n):
+def test_periodic_inverse_is_symmetric_and_positive_on_the_free_dofs(dim, n):
+    # every node of the periodic grid is a free dof
     grid = Grid(dim, n, periodic=(True,) * dim)
     rng = np.random.default_rng(dim + n)
     M = PeriodicInverse(periodic_form_symbol(grid, 1.0, 100.0))
