@@ -2,7 +2,7 @@
 
 Each experiment writes CSV outputs plus a manifest (config echo, library
 versions, wall time) into the output directory.  Exit codes: 0 success,
-1 validation failure, 2 solver failure.
+1 validation failure, 2 solver failure (including running out of memory).
 """
 
 from __future__ import annotations
@@ -251,9 +251,10 @@ def _run(experiment: str, cfg: RunConfig, cfg_text: str, out: Path) -> int:
         _write_manifest(out, cfg_text, f"validation-failure: {exc}", time.time() - start, [])
         print(str(exc), file=sys.stderr)
         return 1
-    except RuntimeError as exc:
-        _write_manifest(out, cfg_text, f"solver-failure: {exc}", time.time() - start, [])
-        print(str(exc), file=sys.stderr)
+    except (RuntimeError, MemoryError) as exc:
+        msg = str(exc) or type(exc).__name__
+        _write_manifest(out, cfg_text, f"solver-failure: {msg}", time.time() - start, [])
+        print(msg, file=sys.stderr)
         return 2
     _write_manifest(out, cfg_text, "ok", time.time() - start, files)
     return 0

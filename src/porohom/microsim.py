@@ -22,7 +22,7 @@ work; their balance is exact up to solver tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -97,14 +97,16 @@ class SimState:
 
     @classmethod
     def initial(cls, mask: PhaseMask, params: MaterialParams) -> "SimState":
-        """Zero displacement, viscosity mu_j on the initial fluid-j region."""
+        """Zero displacement and velocity, chi from the mask.  mu is derived
+        from chi (transport.update_viscosity) here and after every step; it
+        is kept only so the operator and the output can read it."""
         grid = mask.grid
-        mu = np.where(mask.chi >= 0.5, params.mu1, params.mu2)
+        chi = ScalarField(grid, mask.chi.copy())
         return cls(
             w=VectorField.zeros(grid),
             v=VectorField.zeros(grid),
-            mu=ScalarField(grid, mu),
-            chi=ScalarField(grid, mask.chi.copy()),
+            mu=transport.update_viscosity(chi, mask, params),
+            chi=chi,
             t=0.0,
         )
 
@@ -124,7 +126,7 @@ def sound_speed_squared(mask: PhaseMask, params: MaterialParams, chi: np.ndarray
     (operators.phase_cells).
 
     chi is the current fluid-1 fraction; a node belongs to fluid 1 where
-    chi >= 1/2, the rule SimState.initial uses for the viscosity.
+    chi >= 1/2, the side of the free boundary it lies on (geometry.PhaseMask).
     """
     c_fluid = np.where(chi >= 0.5, params.c_f1**2, params.c_f2**2)
     return phase_cells(mask.grid, mask.chi_eps, c_fluid, params.c_s**2)
@@ -307,10 +309,9 @@ class MicroSolver:
 
         v_new = VectorField(grid, v_flat.reshape((grid.dim,) + grid.shape))
         if self.advance_transport:
-            # splitting order: momentum -> phase -> viscosity (advect + mollify)
-            moved = replace(self.state, v=v_new)
-            chi_new = transport.advect_phase(moved, self.mask, params.tau)
-            mu_new = transport.update_viscosity(moved, self.mask, params)
+            # splitting order: momentum -> phase (advected) -> viscosity mu(chi)
+            chi_new = transport.advect_phase(self.state.chi, v_new, self.mask, params.tau)
+            mu_new = transport.update_viscosity(chi_new, self.mask, params)
 
         st = self.state
         st.w = VectorField(grid, w_new.reshape((grid.dim,) + grid.shape))

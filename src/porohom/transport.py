@@ -1,4 +1,4 @@
-"""Upwind advection of the viscosity and phase-indicator fields.
+"""Upwind advection of the phase indicator, and the viscosity it defines.
 
 First-order monotone upwinding restricted to the pore nodes: differences are
 taken from the flow direction, solid neighbors contribute a zero-gradient
@@ -6,9 +6,11 @@ ghost value, inflow portions of S1/S2 carry Dirichlet data and the remaining
 open-boundary nodes use a zero normal derivative.  The scheme satisfies the
 discrete maximum principle under the CFL condition sum_k |v_k| tau <= dx.
 
-The viscosity update additionally mollifies the advected field on the pore
-nodes (the smoothing that defines the regularized model) and clamps it to
-the physical range [min(mu1, mu2), max(mu1, mu2)].
+Only the fluid-1 fraction chi is advected.  The viscosity is a function of
+it, mu = mu2 + (mu1 - mu2) chi_h (the regularized model): on the pore nodes
+chi_h = mollify(chi 1_f) / mollify(1_f), chi mollified over the pore only,
+so neither the skeleton nor the zero extension beyond the box bleeds in;
+elsewhere, and with h_mollify = 0, chi_h = chi.
 """
 
 from __future__ import annotations
@@ -82,23 +84,21 @@ def advect_upwind(q: ScalarField, v: VectorField, mask: PhaseMask, tau: float,
     return ScalarField(grid, out)
 
 
-def update_viscosity(state, mask: PhaseMask, params) -> ScalarField:
-    """Advect mu with the current velocity, then smooth it on the pore nodes."""
-    adv = advect_upwind(state.mu, state.v, mask, params.tau,
-                        inflow={"S1": params.mu1, "S2": params.mu2})
-    lo = min(params.mu1, params.mu2)
-    hi = max(params.mu1, params.mu2)
-    if params.h_mollify > 0.0:
-        smooth = np.clip(mollify(adv, params.h_mollify).values, lo, hi)
-        vals = np.where(mask.fluid, smooth, adv.values)
-    else:
-        vals = np.clip(adv.values, lo, hi)
-    return ScalarField(mask.grid, vals)
+def update_viscosity(chi: ScalarField, mask: PhaseMask, params) -> ScalarField:
+    """mu = mu2 + (mu1 - mu2) chi_h of the fluid-1 fraction chi, with chi_h in
+    [0, 1] (module docstring).  With mu1 == mu2 nothing is mollified."""
+    grid, h = mask.grid, params.h_mollify
+    chi_h = chi.values
+    if h > 0.0 and params.mu1 != params.mu2:
+        num = mollify(ScalarField(grid, chi.values * mask.chi_eps), h).values
+        den = mollify(ScalarField(grid, mask.chi_eps), h).values
+        chi_h = np.clip(np.divide(num, den, out=chi.values.copy(), where=mask.fluid), 0.0, 1.0)
+    return ScalarField(grid, params.mu2 + (params.mu1 - params.mu2) * chi_h)
 
 
-def advect_phase(state, mask: PhaseMask, tau: float) -> ScalarField:
+def advect_phase(chi: ScalarField, v: VectorField, mask: PhaseMask, tau: float) -> ScalarField:
     """Advect the fluid-1 fraction chi; the free boundary is its 1/2 level set."""
-    adv = advect_upwind(state.chi, state.v, mask, tau, inflow={"S1": 1.0, "S2": 0.0})
+    adv = advect_upwind(chi, v, mask, tau, inflow={"S1": 1.0, "S2": 0.0})
     return ScalarField(mask.grid, np.clip(adv.values, 0.0, 1.0))
 
 

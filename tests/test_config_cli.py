@@ -263,6 +263,30 @@ def test_cli_eps_convergence_rejects_a_second_fluid(tmp_path, second_fluid):
     assert not (out / "eps_convergence.csv").exists()
 
 
+def test_cli_eps_convergence_of_one_fluid_never_mollifies(tmp_path):
+    # at eps = 1/2 the grid has 17 nodes, so the default h_mollify 0.1 is
+    # below the floor 2/16; one viscosity needs no mollification
+    cfg = tmp_path / "one.ini"
+    out = tmp_path / "out"
+    cfg.write_text(f"[experiment]\nname = eps-convergence\nout_dir = {out}\n"
+                   "eps_list = 0.5, 0.25\n[grid]\nn = 8\n")
+    assert cli.main(["eps-convergence", "--config", str(cfg)]) == 0
+    assert (out / "eps_convergence.csv").exists()
+
+
+def test_cli_micro_sim_of_two_fluids_rejects_an_unresolved_mollifier(tmp_path):
+    cfg = tmp_path / "two.ini"
+    out = tmp_path / "out"
+    cfg.write_text(f"[experiment]\nname = micro-sim\nout_dir = {out}\nsteps = 2\n"
+                   "[grid]\nn = 17\n[material]\nmu2 = 3\n")
+    proc = _run_cli(["micro-sim", "--config", cfg.as_posix()])
+    assert proc.returncode == 1
+    assert "below resolution floor" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "validation-failure" in (out / "manifest.txt").read_text()
+    assert not list(out.glob("*.csv"))
+
+
 def test_cli_unwritable_output_directory_exits_1_without_traceback(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(BASE.format(out=tmp_path / "ignored"))
@@ -336,3 +360,16 @@ def test_cli_unconverged_power_iteration_exits_2(tmp_path, monkeypatch):
     assert cli.main(["poincare-scaling", "--config", str(cfg)]) == 2
     assert "status solver-failure" in (out / "manifest.txt").read_text()
     assert not (out / "poincare_scaling.csv").exists()
+
+
+def test_cli_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch):
+    def exhausted(cfg, out, rng):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.REGISTRY, "mollifier-props", exhausted)
+    cfg = tmp_path / "run.ini"
+    out = tmp_path / "out"
+    cfg.write_text(BASE.format(out=out))
+    assert cli.main(["mollifier-props", "--config", str(cfg)]) == 2
+    assert "status solver-failure: MemoryError" in (out / "manifest.txt").read_text()
+    assert not list(out.glob("*.csv"))

@@ -22,7 +22,8 @@ from porohom.operators import (
 )
 from porohom.operators import _node_pattern
 from porohom.solvers import cg_solve
-from porohom.transport import cfl_margin
+from porohom import transport
+from porohom.transport import cfl_margin, update_viscosity
 
 
 def _phase_oracle(mask, fluid_nodal, solid_value):
@@ -90,15 +91,23 @@ def test_material_params_rejects_an_infinite_coefficient(name):
         MaterialParams(**{name: np.inf})
 
 
-def test_initial_state_viscosity_by_fluid_label():
+def test_initial_viscosity_is_derived_from_the_phase():
     mask = _two_fluid_mask()
-    par = MaterialParams(mu1=2.0, mu2=5.0)
+    par = MaterialParams(mu1=2.0, mu2=5.0, h_mollify=0.0)
     st = SimState.initial(mask, par)
+    assert np.array_equal(st.mu.values, update_viscosity(st.chi, mask, par).values)
     x1 = mask.grid.coords()[0]
-    fluid = mask.fluid
-    assert np.all(st.mu.values[fluid & (x1 > 0.01)] == 2.0)
-    assert np.all(st.mu.values[fluid & (x1 < -0.01)] == 5.0)
+    assert np.all(st.mu.values[x1 > 0.01] == 2.0)
+    assert np.all(st.mu.values[x1 < -0.01] == 5.0)
     assert np.abs(st.w.values).max() == 0.0
+
+
+def test_two_fluid_solver_rejects_an_unresolved_mollifier():
+    # 2D n = 17: the default h_mollify 0.1 is below the floor of 2 spacings
+    mask = _two_fluid_mask(n=17)
+    with pytest.raises(ValueError, match="resolution floor"):
+        MicroSolver(mask, MaterialParams(mu1=1.0, mu2=2.0))
+    MicroSolver(mask, MaterialParams(mu1=2.0, mu2=2.0)).run(2)  # one fluid: never mollified
 
 
 def _pressure_deviation(ms, c2):
@@ -498,3 +507,46 @@ def test_trace_records_each_step_solve_and_cfl_margin():
     assert [row[0] for row in ms.trace] == [row[0] for row in ms.history]
     assert ms.trace[-1][3] == cfl_margin(ms.state.v, ms.params.tau)
     assert 0.0 < ms.trace[-1][3] < 1.0
+
+
+def _at_rest_solver(tau):
+    mask = build_phase_mask(UnitCellPattern("disk", 0.25), 0.5, Grid(2, 65))
+    par = MaterialParams(**{**TRANSIENT, "tau": tau, "p_drive_grad": (0.0, 0.0)})
+    return MicroSolver(init_fluid_partition(mask, 0.03), par)
+
+
+def test_viscosity_at_rest_is_stationary_and_independent_of_tau():
+    # no drive: v = 0, so chi stays still, and mu with it, bit for bit
+    ms = _at_rest_solver(TRANSIENT["tau"])
+    mu0, mu_cells = ms.state.mu.values.copy(), ms._mu_cells
+    ms.run(200)
+    assert np.abs(ms.state.v.values).max() == 0.0
+    assert np.array_equal(ms.state.mu.values, mu0)
+    assert ms._mu_cells is mu_cells  # the operator was never re-assembled
+    half = _at_rest_solver(TRANSIENT["tau"] / 2)
+    coarse = _at_rest_solver(TRANSIENT["tau"])
+    half.run(20)
+    coarse.run(10)
+    assert half.state.t == pytest.approx(coarse.state.t, rel=1e-12)
+    assert np.array_equal(half.state.mu.values, coarse.state.mu.values)
+
+
+def test_viscosity_follows_the_advected_phase_every_step(monkeypatch):
+    ms = _transient_solver(33)
+    par = ms.params
+    calls = []
+    advect = transport.advect_upwind
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return advect(*args, **kw)
+
+    monkeypatch.setattr(transport, "advect_upwind", counted)
+    for step in range(1, 6):
+        chi = ms.state.chi
+        ms.step()
+        assert len(calls) == step and calls[-1] is chi  # chi is the only advected field
+        assert np.array_equal(ms.state.mu.values,
+                              update_viscosity(ms.state.chi, ms.mask, par).values)
+        assert ms.state.mu.values.min() >= par.mu1 and ms.state.mu.values.max() <= par.mu2
+    assert not np.array_equal(ms.state.chi.values, ms.mask.chi)

@@ -1,11 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from porohom.geometry import UnitCellPattern, build_phase_mask, init_fluid_partition
+from porohom.geometry import (
+    UnitCellPattern,
+    boundary_tags,
+    build_phase_mask,
+    init_fluid_partition,
+)
 from porohom.grid import Grid, ScalarField, VectorField
 from porohom.microsim import MaterialParams
+from porohom.mollifier import mollify
 from porohom.rng import XorShift64Star
 from porohom.transport import advect_upwind, advect_phase, interface_summary, update_viscosity
 
@@ -95,39 +103,49 @@ def test_mass_balance_against_boundary_flux():
     assert np.all(out.values[0, 1:-1] == 0.25)
 
 
-def test_update_viscosity_range_and_core_values():
+def test_viscosity_is_the_pore_mollified_phase():
     g = Grid(2, 65)
     mask = init_fluid_partition(build_phase_mask(UnitCellPattern("disk", 0.25), 1.0, g), 0.0)
     par = MaterialParams(mu1=1.0, mu2=4.0, tau=0.004, h_mollify=0.08)
-
-    class St:
-        pass
-
-    st_ = St()
-    st_.mu = ScalarField(g, np.where(mask.chi >= 0.5, par.mu1, par.mu2))
-    st_.v = _uniform_velocity(g, 0.5)
-    st_.chi = ScalarField(g, mask.chi.copy())
-    out = update_viscosity(st_, mask, par)
-    assert out.values.min() >= 1.0 - 1e-12
-    assert out.values.max() <= 4.0 + 1e-12
-    # away from the interface and boundaries the cores keep their values
-    x1 = g.coords()[0]
+    chi = ScalarField(g, mask.chi.copy())
+    mu = update_viscosity(chi, mask, par).values
     fluid = mask.fluid
-    core1 = fluid & (x1 > 0.25) & (x1 < 0.4) & (np.abs(g.coords()[1]) < 0.3)
-    assert np.abs(out.values[core1] - par.mu1).max() < 1e-10
+    # chi mollified over the pore only, from two direct mollify calls
+    num = mollify(ScalarField(g, mask.chi * mask.chi_eps), par.h_mollify).values[fluid]
+    den = mollify(ScalarField(g, mask.chi_eps), par.h_mollify).values[fluid]
+    chi_h = np.clip(num / den, 0.0, 1.0)
+    assert np.abs(mu[fluid] - (4.0 - 3.0 * chi_h)).max() <= 1e-14
+    assert np.array_equal(mu[~fluid], 4.0 - 3.0 * mask.chi[~fluid])
+    assert mu.min() >= 1.0 and mu.max() <= 4.0
+    # away from the interface the cores keep their values
+    x1, x2 = g.coords()
+    core1 = fluid & (x1 > 0.25) & (x1 < 0.4) & (np.abs(x2) < 0.3)
+    assert np.abs(mu[core1] - par.mu1).max() < 1e-12
+    # no zero-extension sag: the S2 face pore nodes (their h-neighbourhood
+    # holds only fluid 2) read mu2 up to the FFT's roundoff, one ulp here
+    s2 = boundary_tags(g)["S2"] & fluid
+    assert s2.sum() > 20
+    assert np.abs(mu[s2] - par.mu2).max() <= 2 * np.spacing(par.mu2)
+    # h = 0: chi itself
+    sharp = update_viscosity(chi, mask, replace(par, h_mollify=0.0)).values
+    assert np.array_equal(sharp, 4.0 - 3.0 * mask.chi)
+
+
+def test_one_fluid_viscosity_is_constant_and_never_mollified():
+    g = Grid(2, 17)  # h_mollify 0.1 is below the floor 2/16
+    mask = init_fluid_partition(build_phase_mask(UnitCellPattern("disk", 0.25), 1.0, g), 0.0)
+    chi = ScalarField(g, mask.chi.copy())
+    mu = update_viscosity(chi, mask, MaterialParams(mu1=2.5, mu2=2.5, h_mollify=0.1))
+    assert np.all(mu.values == 2.5)
+    with pytest.raises(ValueError, match="resolution floor"):
+        update_viscosity(chi, mask, MaterialParams(mu1=1.0, mu2=2.5, h_mollify=0.1))
 
 
 def test_advect_phase_stays_in_unit_interval_and_solid_untouched():
     g = Grid(2, 33)
     mask = init_fluid_partition(build_phase_mask(UnitCellPattern("disk", 0.25), 1.0, g), 0.0)
-
-    class St:
-        pass
-
-    st_ = St()
-    st_.chi = ScalarField(g, mask.chi.copy())
-    st_.v = _uniform_velocity(g, -0.4, 0.2)
-    out = advect_phase(st_, mask, 0.01)
+    chi = ScalarField(g, mask.chi.copy())
+    out = advect_phase(chi, _uniform_velocity(g, -0.4, 0.2), mask, 0.01)
     assert out.values.min() >= 0.0
     assert out.values.max() <= 1.0
     solid = mask.solid
