@@ -54,7 +54,10 @@ __all__ = [
 # times the viscosity; on a 2D n = 32 cell the finite penalty raises K11 by
 # about 0.8% against a nearly incompressible solve (penalty ratio 1e4).
 PENALTY_RATIO = 100.0
-# CG settings of both cell problems.
+# CG settings of both cell problems.  CELL_CG_TOL bounds the residual of the
+# CG recurrence: a residual evaluated from the returned solution floors at
+# roundoff of order eps ||A0|| ||u||, near 2e-10 ||b_f|| on a 2D n = 128
+# permeability cell, so it is not checked against this tolerance.
 CELL_CG_TOL = 1e-10
 CELL_CG_MAX_ITER = 50000
 

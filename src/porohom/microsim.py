@@ -22,6 +22,7 @@ work; their balance is exact up to solver tolerance.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,7 +40,7 @@ from .operators import (
     coarse_vector_forms,
     phase_cells,
 )
-from .solvers import SPD_SPLU_OPTIONS, VCycle, cg_solve
+from .solvers import SPD_SPLU_OPTIONS, VCycle, cg_solve, projected_guess
 
 __all__ = [
     "MaterialParams",
@@ -127,6 +128,9 @@ def sound_speed_squared(mask: PhaseMask, params: MaterialParams, chi: np.ndarray
 
     chi is the current fluid-1 fraction; a node belongs to fluid 1 where
     chi >= 1/2, the side of the free boundary it lies on (geometry.PhaseMask).
+    The regularized model mollifies only the viscosity
+    (transport.update_viscosity), so c^2 follows these sharp labels while mu
+    follows the mollified chi_h.
     """
     c_fluid = np.where(chi >= 0.5, params.c_f1**2, params.c_f2**2)
     return phase_cells(mask.grid, mask.chi_eps, c_fluid, params.c_s**2)
@@ -148,14 +152,22 @@ def _surface_load(grid: Grid, p0: float) -> np.ndarray:
 # Stopping rule of the solver="cg" step solve (multigrid-preconditioned CG).
 CG_TOL = 1e-11
 CG_MAX_ITER = 20000
+# Committed step velocities whose Galerkin projection starts that solve.
+CG_WINDOW = 8
 
 
 class MicroSolver:
     """Holds the assembled forms for one (grid, mask, params) instance.
 
     solver: "cg" (conjugate gradients preconditioned by a geometric
-    multigrid V-cycle, warm started) or "direct" (cached sparse LU, cheap
-    when the viscosity field does not change).  The V-cycle halves the box
+    multigrid V-cycle) or "direct" (cached sparse LU, cheap when the
+    viscosity field does not change).  CG starts each step from
+    solvers.projected_guess over the last CG_WINDOW committed step
+    velocities: their combination closest to the new velocity in the norm
+    of this step's operator, so never farther from it than the last
+    velocity alone.  The window gains a velocity only when a step commits;
+    an empty window, or one with no positive Gram eigenvalue (a run at
+    rest), starts CG from zero.  The V-cycle halves the box
     grid (operators.coarse_levels, built once per grid and free-node mask,
     restrictions included) down to at most operators.COARSE_DOFS free dofs;
     the coarse forms are assembled from the fine cell coefficients
@@ -210,7 +222,7 @@ class MicroSolver:
         self._c2_cells = None
         self._lu = None
         self._vcycle = None
-        self._v_warm = None
+        self._window = deque(maxlen=CG_WINDOW)
         self._rebuild_operator()
 
         load = np.zeros(grid.dim * grid.n_nodes)
@@ -274,8 +286,11 @@ class MicroSolver:
             b_norm = float(np.linalg.norm(rhs_red))
             residual = np.linalg.norm(rhs_red - self._A_red @ x) / b_norm if b_norm else 0.0
             return x, 0, float(residual)
+        x0 = None
+        if self._window:
+            x0 = projected_guess(self._A_red, np.stack(self._window, axis=1), rhs_red)
         res = cg_solve(self._A_red, rhs_red, tol=CG_TOL, max_iter=CG_MAX_ITER,
-                       x0=self._v_warm, precond=self._vcycle)
+                       x0=x0, precond=self._vcycle)
         if not res.converged:
             raise RuntimeError(
                 f"CG failed to converge: {res.iterations} iterations, residual {res.residual:.3e}")
@@ -319,7 +334,8 @@ class MicroSolver:
         st.t += params.tau
         if self.advance_transport:
             st.chi, st.mu = chi_new, mu_new
-        self._v_warm = v_red
+        if self.solver == "cg":
+            self._window.append(v_red)
         last = self.energy
         self.history.append(EnergyBreakdown(
             st.t, e_el, e_cp, last.dissipated_cumulative + diss,

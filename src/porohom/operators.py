@@ -12,9 +12,10 @@ All forms go through one vectorized assembler (after Cuvelier, Japhet &
 Scarella, BIT 2016).  A node-to-node CSR pattern among the free nodes of a
 boolean node mask (every node by default) is built once per grid and mask,
 together with the slot of every (cell, corner a, corner b) pair in it; a
-pair that touches a fixed node goes to one sink slot past the end.  Each
-component block of a form is then one np.bincount of the scaled element
-entries over those slots, written into the component-major global CSR.
+pair that touches a fixed node goes to one sink slot past the end, and a
+cell with no free corner is skipped.  Each component block of a form is
+then one np.bincount of the scaled element entries over those slots,
+written into the component-major global CSR.
 The results are symmetric positive semi-definite compact-stencil matrices
 whose 1D reductions are the classical tridiagonal forms.
 
@@ -200,23 +201,26 @@ def _diffusion_element(grid: Grid, tensor: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=_GRID_CACHE)
 def _node_pattern(grid: Grid, free_bytes: bytes | None):
-    """(indptr, indices, slots): CSR pattern of the node-to-node coupling among
-    the free nodes, renumbered in order, and the int32 slot of each (cell,
-    corner a, corner b) in it, shape (ncells, 4^dim).
+    """(indptr, indices, cells, slots): CSR pattern of the node-to-node
+    coupling among the free nodes, renumbered in order, the cells with a free
+    corner (None: every cell), and the int32 slot of each (cell, corner a,
+    corner b) of those cells in the pattern, shape (len(cells), 4^dim).
 
     free_bytes holds a boolean node mask (None: every node).  A pair that
-    touches a fixed node goes to the sink slot nnz, one past the last entry.
-    The pattern on the free nodes is the whole one with the fixed rows and
-    columns taken out, so every entry keeps its place in the summation."""
+    touches a fixed node goes to the sink slot nnz, one past the last entry;
+    a cell without a free corner would send every pair there, so it is left
+    out.  The pattern on the free nodes is the whole one with the fixed rows
+    and columns taken out, so every entry keeps its place in the summation."""
     if free_bytes is not None:
-        indptr, indices, slots = _node_pattern(grid, None)
+        indptr, indices, _, slots = _node_pattern(grid, None)
         free = np.frombuffer(free_bytes, dtype=bool)
         keep = np.repeat(free, np.diff(indptr)) & free[indices]
         kept = np.concatenate([[0], np.cumsum(keep)])  # kept entries before each entry
         where = np.where(keep, kept[:-1], kept[-1]).astype(np.int32)
+        cells = np.flatnonzero(free[cell_corner_indices(grid)].any(axis=1))
         return (np.concatenate([[0], kept[indptr[1:]][free]]),
                 (np.cumsum(free) - 1)[indices[keep]].astype(np.int32),
-                where[slots])
+                cells, where[slots[cells]])
     corners = cell_corner_indices(grid)
     ncells, nc = corners.shape
     n = grid.n_nodes
@@ -225,7 +229,7 @@ def _node_pattern(grid: Grid, free_bytes: bytes | None):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
     indices = (uniq % n).astype(np.int32)
-    return indptr, indices, slots.astype(np.int32).reshape(ncells, nc * nc)
+    return indptr, indices, None, slots.astype(np.int32).reshape(ncells, nc * nc)
 
 
 def _form_layout(node_indptr: np.ndarray, ncomp: int):
@@ -266,8 +270,10 @@ def _assemble(grid: Grid, coefs: np.ndarray, elements: np.ndarray,
     ncomp, 2^dim).  Entries that sum to exactly zero are dropped, so a
     coefficient that vanishes on a region leaves no stored zeros there.
     """
-    node_indptr, node_indices, slots = _node_pattern(
+    node_indptr, node_indices, cells, slots = _node_pattern(
         grid, None if free is None else np.asarray(free, dtype=bool).tobytes())
+    if cells is not None:
+        coefs = coefs[cells]
     nterms, ncomp = elements.shape[:2]
     nnz = node_indices.size
     # Quadrature leaves roundoff where a Q1 element entry is exactly zero

@@ -15,10 +15,12 @@ elsewhere, and with h_mollify = 0, chi_h = chi.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .geometry import PhaseMask, boundary_tags
-from .grid import ScalarField, VectorField
+from .grid import Grid, ScalarField, VectorField
 from .mollifier import mollify
 
 __all__ = ["cfl_margin", "advect_upwind", "update_viscosity", "advect_phase",
@@ -84,14 +86,27 @@ def advect_upwind(q: ScalarField, v: VectorField, mask: PhaseMask, tau: float,
     return ScalarField(grid, out)
 
 
+@lru_cache(maxsize=4)
+def _mollified_pore(grid: Grid, pore_bytes: bytes, h: float) -> np.ndarray:
+    """mollify(1_f, h) of the pore indicator held in pore_bytes (float64 over
+    the nodes), read-only.  Cached per grid, pore mask and radius like the
+    assembly pattern: the pore never changes, so a run mollifies it once."""
+    pore = np.frombuffer(pore_bytes, dtype=float).reshape(grid.shape)
+    den = mollify(ScalarField(grid, pore), h).values
+    den.flags.writeable = False
+    return den
+
+
 def update_viscosity(chi: ScalarField, mask: PhaseMask, params) -> ScalarField:
     """mu = mu2 + (mu1 - mu2) chi_h of the fluid-1 fraction chi, with chi_h in
-    [0, 1] (module docstring).  With mu1 == mu2 nothing is mollified."""
+    [0, 1] (module docstring).  With mu1 == mu2 nothing is mollified; the
+    mollified pore indicator is computed once per grid, pore mask and
+    h_mollify."""
     grid, h = mask.grid, params.h_mollify
     chi_h = chi.values
     if h > 0.0 and params.mu1 != params.mu2:
         num = mollify(ScalarField(grid, chi.values * mask.chi_eps), h).values
-        den = mollify(ScalarField(grid, mask.chi_eps), h).values
+        den = _mollified_pore(grid, mask.chi_eps.tobytes(), h)
         chi_h = np.clip(np.divide(num, den, out=chi.values.copy(), where=mask.fluid), 0.0, 1.0)
     return ScalarField(grid, params.mu2 + (params.mu1 - params.mu2) * chi_h)
 

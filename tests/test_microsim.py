@@ -7,6 +7,8 @@ from porohom.geometry import UnitCellPattern, build_phase_mask, init_fluid_parti
 from porohom.grid import Grid, VectorField
 from porohom.microsim import (
     CG_TOL,
+    CG_WINDOW,
+    EnergyBreakdown,
     MaterialParams,
     MicroSolver,
     SimState,
@@ -21,8 +23,8 @@ from porohom.operators import (
     cell_volume,
 )
 from porohom.operators import _node_pattern
-from porohom.solvers import cg_solve
-from porohom import transport
+from porohom.solvers import cg_solve, projected_guess
+from porohom import microsim, transport
 from porohom.transport import cfl_margin, update_viscosity
 
 
@@ -385,20 +387,38 @@ def test_cfl_failure_leaves_the_state_unchanged():
     par = MaterialParams(mu1=1.0, mu2=2.0, tau=2.0, h_mollify=0.0,
                          p0=0.3, p_drive_grad=(0.5, 0.0))
     ms = MicroSolver(mask, par, advance_transport=True)
-    state = ms.state
-    w, v = state.w.values.copy(), state.v.values.copy()
-    mu, chi = state.mu.values.copy(), state.chi.values.copy()
-    energy = ms.energy
-    with pytest.raises(ValueError, match="CFL"):
+    _assert_failed_step_changes_nothing(ms, ValueError, "CFL")
+    assert ms.state.t == 0.0 and ms.energy == EnergyBreakdown()
+    assert ms.history == [] and ms.trace == [] and len(ms._window) == 0
+
+
+def _assert_failed_step_changes_nothing(ms, error, match):
+    state, t = ms.state, ms.state.t
+    fields = [f.values.copy() for f in (state.w, state.v, state.mu, state.chi)]
+    history, trace, window = list(ms.history), list(ms.trace), list(ms._window)
+    with pytest.raises(error, match=match):
         ms.step()
-    assert ms.state is state
-    assert state.t == 0.0
-    assert np.array_equal(state.w.values, w)
-    assert np.array_equal(state.v.values, v)
-    assert np.array_equal(state.mu.values, mu)
-    assert np.array_equal(state.chi.values, chi)
-    assert ms.energy == energy
-    assert ms.history == []
+    assert ms.state is state and state.t == t
+    for f, before in zip((state.w, state.v, state.mu, state.chi), fields):
+        assert np.array_equal(f.values, before)
+    assert ms.history == history and ms.trace == trace
+    assert len(ms._window) == len(window)
+    assert all(a is b for a, b in zip(ms._window, window))
+
+
+def test_a_failed_step_leaves_the_projection_window_unchanged(monkeypatch):
+    ms = _transient_solver(33)
+    ms.run(3)
+    # a drive 1e4 times stronger moves chi past the CFL bound
+    load = ms.load
+    ms.load = 1e4 * load
+    _assert_failed_step_changes_nothing(ms, ValueError, "CFL")
+    ms.load = load
+    monkeypatch.setattr(microsim, "CG_MAX_ITER", 1)
+    _assert_failed_step_changes_nothing(ms, RuntimeError, "CG failed to converge")
+    monkeypatch.undo()
+    ms.step()
+    assert len(ms._window) == 4 and len(ms.history) == 4
 
 
 # -- multigrid-preconditioned step solve ------------------------------------
@@ -509,8 +529,8 @@ def test_trace_records_each_step_solve_and_cfl_margin():
     assert 0.0 < ms.trace[-1][3] < 1.0
 
 
-def _at_rest_solver(tau):
-    mask = build_phase_mask(UnitCellPattern("disk", 0.25), 0.5, Grid(2, 65))
+def _at_rest_solver(tau, n=65):
+    mask = build_phase_mask(UnitCellPattern("disk", 0.25), 0.5, Grid(2, n))
     par = MaterialParams(**{**TRANSIENT, "tau": tau, "p_drive_grad": (0.0, 0.0)})
     return MicroSolver(init_fluid_partition(mask, 0.03), par)
 
@@ -550,3 +570,70 @@ def test_viscosity_follows_the_advected_phase_every_step(monkeypatch):
                               update_viscosity(ms.state.chi, ms.mask, par).values)
         assert ms.state.mu.values.min() >= par.mu1 and ms.state.mu.values.max() <= par.mu2
     assert not np.array_equal(ms.state.chi.values, ms.mask.chi)
+
+
+# -- projected start of the step solve ----------------------------------------
+
+def _recorded_step_solves(ms, n_steps, monkeypatch):
+    """(A, rhs, x0, window before the step) of each CG step solve of n_steps."""
+    calls = []
+
+    def recording(A, rhs, **kw):
+        calls.append((A, rhs, kw["x0"], list(ms._window)))
+        return cg_solve(A, rhs, **kw)
+
+    monkeypatch.setattr(microsim, "cg_solve", recording)
+    ms.run(n_steps)
+    return calls
+
+
+def test_projected_guess_drops_parallel_columns_and_a_zero_basis():
+    rng = np.random.default_rng(7)
+    M = rng.standard_normal((30, 30))
+    A = M @ M.T + 30.0 * np.eye(30)
+    rhs = rng.standard_normal(30)
+    B = rng.standard_normal((30, 3))
+    # the oracle: the A-orthogonal projection of A^-1 rhs on span(B), B independent
+    want = B @ np.linalg.solve(B.T @ A @ B, B.T @ rhs)
+    assert np.allclose(projected_guess(A, B, rhs), want, rtol=1e-12, atol=0.0)
+    # a repeated column makes the Gram matrix singular; the span is the same
+    repeated = np.ascontiguousarray(np.column_stack([B, B[:, 1]]))
+    assert np.allclose(projected_guess(A, repeated, rhs), want, rtol=1e-10, atol=0.0)
+    zero = projected_guess(A, np.zeros((30, 2)), rhs)
+    assert np.all(np.isfinite(zero)) and not np.any(zero)
+
+
+def test_projected_start_is_the_galerkin_projection_onto_the_window(monkeypatch):
+    ms = _transient_solver(33)
+    calls = _recorded_step_solves(ms, 12, monkeypatch)
+    assert calls[0][2] is None and calls[0][3] == []  # the first step starts from zero
+    assert [len(c[3]) for c in calls] == [min(k, CG_WINDOW) for k in range(12)]
+    for A, rhs, x0, window in calls[1:]:
+        V = np.stack(window, axis=1)
+        assert np.array_equal(x0, projected_guess(A, V, rhs))
+        # Galerkin orthogonality: the start's residual is orthogonal to the window
+        assert np.linalg.norm(V.T @ (rhs - A @ x0)) <= 1e-10 * np.linalg.norm(V.T @ rhs)
+        # so its A-norm error is no larger than the last velocity's
+        x = spla.spsolve(A.tocsc(), rhs)
+        e0, e_last = x - x0, x - window[-1]
+        assert e0 @ (A @ e0) <= e_last @ (A @ e_last)
+
+
+def test_projected_start_of_a_run_at_rest_is_zero(monkeypatch):
+    ms = _at_rest_solver(TRANSIENT["tau"], n=33)
+    calls = _recorded_step_solves(ms, 3, monkeypatch)
+    for A, rhs, x0, window in calls[1:]:
+        assert not np.any(rhs) and not np.any(np.stack(window))
+        assert np.all(np.isfinite(x0)) and not np.any(x0)
+    assert np.abs(ms.state.v.values).max() == 0.0
+
+
+def test_a_full_window_cuts_the_iterations_of_every_later_step():
+    ms = _transient_solver(33)
+    ms.run(20)
+    iterations = [row[1] for row in ms.trace]
+    assert len(ms._window) == CG_WINDOW
+    # a start from the last velocity alone still took 20 of step 1's 24 here
+    assert all(3 * it <= 2 * iterations[0] for it in iterations[CG_WINDOW:])
+    assert all(row[2] <= CG_TOL for row in ms.trace)
+    assert all(e.balance_residual < 1e-12 for e in ms.history)

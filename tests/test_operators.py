@@ -387,6 +387,26 @@ def test_restricted_assembly_is_restrict_entry_for_entry(grid):
         _assert_same_csr(assemble_scalar_stiffness(grid, sym, tensor, free), S[free][:, free])
 
 
+def test_restricted_pattern_keeps_only_the_cells_with_a_free_corner():
+    from porohom.operators import _node_pattern
+
+    grid = Grid(3, 9)
+    free = np.zeros(grid.n_nodes, dtype=bool)
+    free[np.random.default_rng(4).choice(grid.n_nodes, 20, replace=False)] = True
+    indptr, indices, cells, slots = _node_pattern(grid, free.tobytes())
+    assert _node_pattern(grid, None)[2] is None  # the whole pattern keeps every cell
+    touched = free[cell_corner_indices(grid)].any(axis=1)
+    assert np.array_equal(cells, np.flatnonzero(touched))
+    assert 0 < cells.size < touched.size // 2
+    assert slots.shape == (cells.size, 4**grid.dim)
+    # every kept slot row lands some pair in the pattern, the rest in the sink
+    in_pattern = slots < indices.size
+    assert np.all(in_pattern.any(axis=1)) and np.all(slots[~in_pattern] == indices.size)
+    ncells = touched.size
+    A = assemble_vector_form(grid, np.linspace(1.0, 2.0, ncells), np.full(ncells, 0.5), free)
+    assert A.shape == (3 * 20,) * 2 and 0 < A.nnz <= 9 * indices.size
+
+
 # -- multigrid hierarchy ----------------------------------------------------
 
 def test_coarsen_halves_every_axis_or_returns_none():

@@ -15,6 +15,7 @@ from porohom.grid import Grid, ScalarField, VectorField
 from porohom.microsim import MaterialParams
 from porohom.mollifier import mollify
 from porohom.rng import XorShift64Star
+from porohom import transport
 from porohom.transport import advect_upwind, advect_phase, interface_summary, update_viscosity
 
 
@@ -129,6 +130,31 @@ def test_viscosity_is_the_pore_mollified_phase():
     # h = 0: chi itself
     sharp = update_viscosity(chi, mask, replace(par, h_mollify=0.0)).values
     assert np.array_equal(sharp, 4.0 - 3.0 * mask.chi)
+
+
+def test_the_pore_indicator_is_mollified_once_per_mask(monkeypatch):
+    g = Grid(2, 33)
+    mask = init_fluid_partition(build_phase_mask(UnitCellPattern("disk", 0.25), 1.0, g), 0.1)
+    par = MaterialParams(mu1=1.0, mu2=3.0, h_mollify=0.1)
+    chi = ScalarField(g, mask.chi.copy())
+    pore = mollify(ScalarField(g, mask.chi_eps), par.h_mollify).values
+    calls = []
+
+    def counted(u, h):
+        calls.append(np.array_equal(u.values, mask.chi_eps))
+        return mollify(u, h)
+
+    monkeypatch.setattr(transport, "mollify", counted)
+    first = update_viscosity(chi, mask, par).values
+    moved = ScalarField(g, np.roll(mask.chi, 3, axis=0))
+    second = update_viscosity(moved, mask, par).values
+    # at most the first call mollifies the pore; every call mollifies chi 1_f
+    assert calls.count(True) <= 1 and calls[-1] is False and calls.count(False) == 2
+    # the cached denominator gives the same mu, bit for bit
+    for got, phase in ((first, mask.chi), (second, moved.values)):
+        num = mollify(ScalarField(g, phase * mask.chi_eps), par.h_mollify).values
+        chi_h = np.clip(np.divide(num, pore, out=phase.copy(), where=mask.fluid), 0.0, 1.0)
+        assert np.array_equal(got, 3.0 - 2.0 * chi_h)
 
 
 def test_one_fluid_viscosity_is_constant_and_never_mollified():
