@@ -19,14 +19,13 @@ two-scale cell problems as the engineering stand-in:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .geometry import PhaseMask, UnitCellPattern, build_phase_mask, check_pore_connectivity
+from .geometry import (PhaseMask, UnitCellPattern, boundary_tags, build_phase_mask,
+                       check_pore_connectivity)
 from .grid import Grid, ScalarField, sym_component_pairs
-from .microsim import MaterialParams, MicroSolver
+from .microsim import MaterialParams
 from .operators import (
     assemble_scalar_stiffness,
     assemble_vector_form,
@@ -38,7 +37,7 @@ from .operators import (
     phase_cells,
     strain_load,
 )
-from .solvers import PeriodicInverse, cg_solve
+from .solvers import SPD_SPLU_OPTIONS, PeriodicInverse, cg_solve
 
 __all__ = [
     "periodic_cell_grid",
@@ -60,6 +59,9 @@ PENALTY_RATIO = 100.0
 # permeability cell, so it is not checked against this tolerance.
 CELL_CG_TOL = 1e-10
 CELL_CG_MAX_ITER = 50000
+# Augmented-Lagrangian penalty of the steady micro flow over its viscous
+# coefficient: fast contraction, with the penalized form far from roundoff.
+AL_PENALTY_RATIO = 1e4
 
 
 def periodic_cell_grid(dim: int, n: int) -> Grid:
@@ -255,56 +257,86 @@ def darcy_macro_solve(K: np.ndarray, bc: tuple):
     return pressure, flux
 
 
+def _steady_pore_flux(mask: PhaseMask, visc: float, drive, max_steps: int,
+                      steady_tol: float) -> tuple:
+    """Steady Stokes flow through the rigid skeleton of a box grid, driven by
+    the pressure gradient drive; returns (flux, converged, steps), flux the
+    domain-averaged pore velocity.
+
+    The velocity vanishes on S0 and on the solid.  Every fluid cell
+    (operators.phase_cells) carries visc on the D:D form V and gamma =
+    AL_PENALTY_RATIO visc on the div*div form B'B.  The augmented-Lagrangian /
+    Uzawa loop (Fortin & Glowinski, Augmented Lagrangian Methods, 1983)
+    v_k = A^-1 (f - gamma B'B s_{k-1}), s_k = s_{k-1} + v_k, with A = visc V +
+    gamma B'B factored once, reaches the discretely divergence-free Stokes
+    velocity whatever gamma is.  It stops once the flux of v_k changes by at
+    most steady_tol relative, or after max_steps (converged False).
+    """
+    grid = mask.grid
+    free = ~(boundary_tags(grid)["S0"] | mask.solid)
+    active = np.tile(free.ravel(), grid.dim)
+    fluid = phase_cells(grid, mask.chi_eps, 1.0, 0.0)
+    gamma = AL_PENALTY_RATIO * visc * fluid
+    A = assemble_vector_form(grid, visc * fluid, gamma, free)
+    penalty = assemble_vector_form(grid, 0.0 * fluid, gamma, free)
+    # A is SPD.  spd_factor's pivot check would double the memory of this
+    # factor (+17 MB peak RSS on the eps sweep), so it is not used here.
+    lu = spla.splu(A.tocsc(), **SPD_SPLU_OPTIONS)
+    wq = grid.node_weights().ravel()
+    rhs = (-np.asarray(drive, dtype=float)[:, None] * wq).ravel()[active]  # f - gamma B'B s_k
+    v = np.zeros(grid.dim * grid.n_nodes)
+    prev = np.inf
+    for steps in range(1, max_steps + 1):
+        v[active] = lu.solve(rhs)
+        rhs = rhs - penalty @ v[active]
+        flux = v.reshape(grid.dim, -1) @ wq / np.sum(wq)
+        if np.linalg.norm(flux - prev) <= steady_tol * np.linalg.norm(flux):
+            return flux, True, steps
+        prev = flux
+    return flux, False, max_steps
+
+
 def compare_micro_macro(pattern: UnitCellPattern, params: MaterialParams, eps_list,
                         nodes_per_cell: int = 16, max_steps: int = 400, steady_tol: float = 1e-7):
     """Steady microscopic pore flux vs the Darcy prediction for shrinking eps.
 
     Single-fluid configurations only (mu1 == mu2 and c_f1 == c_f2); returns a
     list of rows {eps, micro_flux, darcy_flux, rel_error, observed_order,
-    converged}, where converged says whether the steady march met steady_tol
-    within max_steps.
-
-    The micro model runs with the solid pinned, so each march step is one
-    augmented-Lagrangian / Uzawa iteration with penalty gamma = tau c^2
-    (see MicroSolver).  The steady velocity does not depend on tau; each
-    level therefore marches with its own step tau* = 1e4 eps^2 mu1 / min(c)^2,
-    which puts tau* c^2 four orders above the viscous scale eps^2 mu1, and
-    params.tau is not used.  A handful of steps then reaches steady_tol.
+    converged, steps}: whether the steady loop met steady_tol within
+    max_steps (ValueError below 1), and its iteration count.  In the Darcy
+    regime the skeleton is rigid and the steady micro flow is Stokes flow
+    with viscosity eps^2 mu1 (_steady_pore_flux); tau, the sound speeds, lam
+    and p0 do not change it and are not read.
     """
     if params.mu1 != params.mu2 or params.c_f1 != params.c_f2:
         raise ValueError("micro/macro comparison requires a single fluid "
                          "(mu1 == mu2 and c_f1 == c_f2)")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
 
     dim = len(params.p_drive_grad)
-    cell = periodic_cell_grid(dim, nodes_per_cell)
-    cell_mask = build_phase_mask(pattern, 1.0, cell)
-    K, _ = permeability_from_mask(cell_mask, params.mu1)
+    K = permeability_cell_problem(pattern, periodic_cell_grid(dim, nodes_per_cell), params.mu1)
     g = np.asarray(params.p_drive_grad, dtype=float)
     _, q_darcy_vec = darcy_macro_solve(K, (0.5 * g[0], -0.5 * g[0]))
     q_darcy = float(q_darcy_vec[0])
 
-    c2_min = min(params.c_f1, params.c_f2, params.c_s)**2
     rows = []
     prev_err = None
     for eps in eps_list:
-        m = round(1.0 / eps)
-        grid = Grid(dim=dim, n_per_axis=m * nodes_per_cell + 1)
+        grid = Grid(dim=dim, n_per_axis=round(1.0 / eps) * nodes_per_cell + 1)
         mask = build_phase_mask(pattern, eps, grid)
-        # 1e4: fast contraction, with the penalized operator far from roundoff
-        tau_al = 1e4 * eps**2 * params.mu1 / c2_min
-        p_eps = replace(params, epsilon=eps, tau=tau_al)
-        ms = MicroSolver(mask, p_eps, advance_transport=False, solver="direct",
-                         pin_solid=True)
-        converged = ms.run_to_steady(max_steps=max_steps, rel_tol=steady_tol)
-        q_micro = float(ms.mean_pore_velocity()[0])
+        flux, converged, steps = _steady_pore_flux(mask, eps**2 * params.mu1, g, max_steps,
+                                                   steady_tol)
+        q_micro = float(flux[0])
         rel = abs(q_micro - q_darcy) / max(abs(q_darcy), 1e-300)
         order = float("nan")
         if prev_err is not None and rel > 0 and prev_err > 0:
             order = float(np.log(prev_err / rel) / np.log(2.0))
         rows.append({"eps": eps, "micro_flux": q_micro, "darcy_flux": q_darcy,
-                     "rel_error": rel, "observed_order": order, "converged": converged})
+                     "rel_error": rel, "observed_order": order, "converged": converged,
+                     "steps": steps})
         prev_err = rel
     return rows

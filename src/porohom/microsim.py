@@ -177,19 +177,11 @@ class MicroSolver:
     history holds one EnergyBreakdown per step.  trace holds one row per
     step: (t, CG iterations, relative residual of the step solve, CFL margin
     tau * max sum_k |v_k| / dx_k).  A direct step counts 0 iterations.
-
-    With the solid pinned (pin_solid=True) the elastic term acts on fixed
-    dofs only, and one step is exactly one Uzawa / augmented-Lagrangian
-    iteration for incompressible Stokes flow with penalty gamma = tau c^2
-    and pressure -c^2 div w: (eps^2 mu V + tau c^2 B'B) v = f - c^2 B'B w,
-    with V the D:D form and B the cell-centre divergence on the free dofs.
-    A steady march converges to the discretely divergence-free Stokes
-    velocity, whatever tau and c^2 are; they set only its contraction rate.
     """
 
     def __init__(self, mask: PhaseMask, params: MaterialParams, *,
                  advance_transport: bool = True, solver: str = "cg",
-                 dirichlet: str = "S0", pin_solid: bool = False):
+                 dirichlet: str = "S0"):
         if solver not in ("cg", "direct"):
             raise ValueError(f"unknown solver {solver!r}")
         self.grid = mask.grid
@@ -206,10 +198,6 @@ class MicroSolver:
             fixed = tags["S0"] | tags["S1"] | tags["S2"]
         else:
             raise ValueError(f"unknown dirichlet set {dirichlet!r}")
-        if pin_solid:
-            # Rigid-skeleton regime: isolated inclusions carry no anchoring of
-            # their own, so Darcy-type comparisons clamp the solid displacement.
-            fixed = fixed | mask.solid
         self.fixed_nodes = fixed
         self.active = np.tile(~fixed.ravel(), grid.dim)
         g = np.asarray(params.p_drive_grad, dtype=float)
@@ -277,10 +265,6 @@ class MicroSolver:
         """(v_red, iterations, relative residual) of A_red v_red = rhs_red."""
         if self.solver == "direct":
             if self._lu is None:
-                # _A_red is SPD for the positive coefficients MaterialParams
-                # admits.  spd_factor's pivot check would double the memory of
-                # this factor (+17 MB peak RSS on the eps sweep), so it is not
-                # used here.
                 self._lu = spla.splu(self._A_red.tocsc(), **SPD_SPLU_OPTIONS)
             x = self._lu.solve(rhs_red)
             b_norm = float(np.linalg.norm(rhs_red))
@@ -348,23 +332,3 @@ class MicroSolver:
         for _ in range(n_steps):
             self.step()
         return self.state
-
-    def mean_pore_velocity(self) -> np.ndarray:
-        """Domain-averaged pore velocity (the micro Darcy flux)."""
-        w = self.grid.node_weights() * self.mask.chi_eps
-        tot = np.sum(self.grid.node_weights())
-        return np.array(
-            [float(np.sum(w * self.state.v.values[k])) / tot for k in range(self.grid.dim)])
-
-    def run_to_steady(self, max_steps: int = 500, rel_tol: float = 1e-7) -> bool:
-        """Step until the mean pore velocity stops changing.  Returns whether
-        it did (True) or the run stopped at max_steps (False)."""
-        prev = None
-        for _ in range(max_steps):
-            self.step()
-            q = self.mean_pore_velocity()
-            if prev is not None:
-                if np.linalg.norm(q - prev) <= rel_tol * max(np.linalg.norm(q), 1e-300):
-                    return True
-            prev = q
-        return False

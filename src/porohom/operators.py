@@ -473,8 +473,8 @@ def coarse_vector_forms(grid: Grid, levels, coef_sym_cells: np.ndarray,
     corners, scaled by that fine cell's coefficient.  The Q1 spaces are
     nested, so this is the Galerkin operator P^T A P of the whole grid; on
     the free dofs it equals P_red^T A_red P_red when every fixed node lies on
-    a fixed face.  Fixed interior nodes (pin_solid) receive interpolated
-    values in P but not in P_red, and there the two differ.
+    a fixed face, as in MicroSolver.  Fixed interior nodes receive
+    interpolated values in P but not in P_red, and there the two differ.
     """
     coefs = _vector_form_coefs(coef_sym_cells, coef_div_cells)
     nterms = coefs.shape[1]

@@ -10,6 +10,7 @@ from porohom.geometry import UnitCellPattern, boundary_tags, build_phase_mask, p
 from porohom.grid import Grid, sym_component_pairs
 from porohom.homogenize import (
     PENALTY_RATIO,
+    _steady_pore_flux,
     compare_micro_macro,
     darcy_macro_solve,
     elasticity_from_mask,
@@ -17,7 +18,7 @@ from porohom.homogenize import (
     permeability_cell_problem,
     permeability_from_mask,
 )
-from porohom.microsim import MaterialParams, MicroSolver
+from porohom.microsim import MaterialParams
 from porohom.operators import (
     assemble_vector_form,
     cell_corner_indices,
@@ -323,6 +324,7 @@ def test_compare_micro_macro_reports_an_unconverged_march():
     rows = compare_micro_macro(UnitCellPattern("disk", 0.25), par, [0.5],
                                nodes_per_cell=8, max_steps=2)
     assert rows[0]["converged"] is False
+    assert rows[0]["steps"] == 2
 
 
 def test_compare_micro_macro_preconditions():
@@ -332,6 +334,10 @@ def test_compare_micro_macro_preconditions():
     par = MaterialParams(mu1=1.0, mu2=1.0)
     with pytest.raises(ValueError):
         compare_micro_macro(UnitCellPattern("disk", 0.25), par, [0.25, 0.5])
+    # with no step there is no micro flux to compare
+    for max_steps in (0, -1):
+        with pytest.raises(ValueError, match="max_steps"):
+            compare_micro_macro(UnitCellPattern("disk", 0.25), par, [0.5], max_steps=max_steps)
 
 
 def test_micro_flux_grid_independence_loose():
@@ -393,28 +399,44 @@ def _saddle_point_flux(pattern, params, eps, nodes_per_cell):
 
 @pytest.mark.parametrize("eps", [0.5, 0.25])
 def test_compare_micro_macro_matches_a_saddle_point_solve(eps):
-    par = MaterialParams(mu1=1.0, mu2=1.0, lam=1.0, tau=0.05, h_mollify=0.0,
-                         p0=0.0, p_drive_grad=(1.0, 0.0))
+    # the second input moves only what the steady flux does not read
     pattern = UnitCellPattern("disk", 0.25)
-    rows = compare_micro_macro(pattern, par, [eps], nodes_per_cell=8)
-    assert all(r["converged"] for r in rows)
-    q = _saddle_point_flux(pattern, par, eps, nodes_per_cell=8)
-    assert rows[0]["micro_flux"] == pytest.approx(q, rel=1e-8)
+    base = dict(mu1=1.0, mu2=1.0, lam=1.0, tau=0.05, h_mollify=0.0, p0=0.0,
+                p_drive_grad=(1.0, 0.0))
+    q = _saddle_point_flux(pattern, MaterialParams(**base), eps, nodes_per_cell=8)
+    for other in ({}, dict(tau=0.3, p0=2.0, c_f1=3.0, c_f2=3.0, c_s=0.5)):
+        rows = compare_micro_macro(pattern, MaterialParams(**{**base, **other}), [eps],
+                                   nodes_per_cell=8)
+        assert all(r["converged"] for r in rows)
+        assert rows[0]["micro_flux"] == pytest.approx(q, rel=1e-8)
 
 
-def test_compare_micro_macro_steady_march_takes_few_steps(monkeypatch):
-    steps = []
-    step = MicroSolver.step
-
-    def counted(self):
-        steps.append(self.params.epsilon)
-        return step(self)
-
-    monkeypatch.setattr(MicroSolver, "step", counted)
+def test_compare_micro_macro_steady_march_takes_few_steps():
     par = MaterialParams(mu1=1.0, mu2=1.0, lam=1.0, tau=0.05, h_mollify=0.0,
                          p0=0.0, p_drive_grad=(1.0, 0.0))
-    eps_list = [0.5, 0.25, 0.125]
-    rows = compare_micro_macro(UnitCellPattern("disk", 0.25), par, eps_list, nodes_per_cell=8)
+    rows = compare_micro_macro(UnitCellPattern("disk", 0.25), par, [0.5, 0.25, 0.125],
+                               nodes_per_cell=8)
     assert all(r["converged"] for r in rows)
-    per_level = [steps.count(eps) for eps in eps_list]
-    assert all(1 <= k <= 10 for k in per_level), per_level
+    # the first step has no earlier flux to compare with
+    assert all(2 <= r["steps"] <= 10 for r in rows), rows
+
+
+def test_direct_solver_factor_is_accurate_and_sparser(monkeypatch):
+    # the eps = 1/4 level of an eps-convergence sweep at 16 nodes per cell
+    splu = spla.splu
+    factored = []
+
+    def recorded(A, **options):
+        factored.append((A, splu(A, **options)))
+        return factored[-1][1]
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    eps = 0.25
+    mask = build_phase_mask(UnitCellPattern("disk", 0.25), eps, Grid(2, 4 * 16 + 1))
+    _steady_pore_flux(mask, eps**2, (1.0, 0.0), max_steps=1, steady_tol=1e-7)
+    [(A, lu)] = factored
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    x = lu.solve(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    default = splu(A)
+    assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz

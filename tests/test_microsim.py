@@ -201,17 +201,6 @@ def test_one_assembly_operators_match_the_separate_forms(dim, n, pattern):
         assert diff <= 1e-13 * abs(want).max()
 
 
-def test_run_to_steady_reports_convergence():
-    mask = _two_fluid_mask(n=9)
-    par = MaterialParams(mu1=1.0, mu2=1.0, tau=0.05, h_mollify=0.0, p_drive_grad=(1.0, 0.0))
-    capped = MicroSolver(mask, par, advance_transport=False, solver="direct", pin_solid=True)
-    assert capped.run_to_steady(max_steps=2) is False
-    assert len(capped.history) == 2
-    free = MicroSolver(mask, par, advance_transport=False, solver="direct", pin_solid=True)
-    assert free.run_to_steady(max_steps=2000, rel_tol=1e-6) is True
-    assert len(free.history) < 2000
-
-
 def test_operator_symmetry_on_random_probes():
     mask = _two_fluid_mask()
     par = MaterialParams(mu1=1.0, mu2=3.0, tau=0.05, h_mollify=0.0)
@@ -347,21 +336,6 @@ def test_direct_solver_refactors_when_mu_moves():
     assert np.abs(a.state.v.values - b.state.v.values).max() < 1e-9
 
 
-def test_direct_solver_factor_is_accurate_and_sparser():
-    # the eps = 1/4 level of an eps-convergence sweep at 16 nodes per cell
-    eps = 0.25
-    mask = build_phase_mask(UnitCellPattern("disk", 0.25), eps, Grid(2, 4 * 16 + 1))
-    par = MaterialParams(epsilon=eps, tau=1e4 * eps**2, h_mollify=0.0)
-    ms = MicroSolver(mask, par, advance_transport=False, solver="direct", pin_solid=True)
-    ms.step()
-    A = ms._A_red
-    b = np.random.default_rng(0).standard_normal(A.shape[0])
-    x = ms._lu.solve(b)
-    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
-    default = spla.splu(A.tocsc())
-    assert ms._lu.L.nnz + ms._lu.U.nnz < default.L.nnz + default.U.nnz
-
-
 def test_viscous_operator_rebuild_tracks_mu_changes():
     mask = _two_fluid_mask(n=17)
     par = MaterialParams(mu1=1.0, mu2=4.0, tau=0.002, h_mollify=0.0,
@@ -484,18 +458,6 @@ def test_cg_and_direct_agree_with_coarse_levels_and_transport():
     assert [row[1] for row in b.trace] == [0, 0, 0]
     assert all(0 < row[1] for row in a.trace)
     assert all(row[2] <= 1e-12 for row in b.trace)
-
-
-def test_cg_and_direct_agree_with_the_solid_pinned():
-    mask = build_phase_mask(UnitCellPattern("disk", 0.25), 0.5, Grid(2, 33))
-    par = MaterialParams(epsilon=0.5, tau=0.05, h_mollify=0.0)
-    a = MicroSolver(mask, par, advance_transport=False, pin_solid=True)
-    b = MicroSolver(mask, par, advance_transport=False, pin_solid=True, solver="direct")
-    assert len(a._vcycle._operators) >= 2
-    for _ in range(3):
-        a.step()
-        b.step()
-    assert np.abs(a.state.v.values - b.state.v.values).max() < 1e-9
 
 
 def test_a_grid_that_cannot_be_halved_is_smoothed_not_factored():

@@ -459,7 +459,7 @@ def test_coarse_forms_are_the_galerkin_products_on_whole_face_dirichlet_sets(gri
 
 
 def test_coarse_forms_restrict_the_whole_grid_galerkin_product():
-    # fixed interior nodes (as with pin_solid): a free coarse node interpolates
+    # fixed interior nodes: a free coarse node interpolates
     # onto fixed fine nodes, so the coarse form is the restriction of the
     # whole-grid product P^T A P, not the product of the restricted ones
     grid = Grid(2, 33)
