@@ -1,13 +1,16 @@
 """Command line harness: `porohom <experiment> --config <path> [--out DIR] [--seed N]`.
 
 Each experiment writes CSV outputs plus a manifest (config echo, library
-versions, wall time) into the output directory.  Exit codes: 0 success,
-1 validation failure, 2 solver failure (including running out of memory).
+versions, wall time, peak resident memory and, for micro-sim, the wall time
+of each stage and the step operator's stored entries) into the output
+directory.  Exit codes: 0 success, 1 validation failure, 2 solver failure
+(including running out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -46,7 +49,7 @@ def _random_scalar(grid, rng):
     return ScalarField(grid, rng.array(grid.shape))
 
 
-def run_mollifier_props(cfg: RunConfig, out: Path, rng) -> list:
+def run_mollifier_props(cfg: RunConfig, out: Path, rng) -> tuple:
     grid = Grid(dim=cfg.dim, n_per_axis=cfg.n)
     # independent Riemann-sum check of the kernel normalization
     s = (np.arange(200000) + 0.5) / 200000
@@ -86,10 +89,10 @@ def run_mollifier_props(cfg: RunConfig, out: Path, rng) -> list:
             zip(rep["h"], rep["norm"], [float("nan")] + rep["order"])
         ]),
     ]
-    return files
+    return files, {}
 
 
-def run_poincare_scaling(cfg: RunConfig, out: Path, rng) -> list:
+def run_poincare_scaling(cfg: RunConfig, out: Path, rng) -> tuple:
     grid = Grid(dim=cfg.dim, n_per_axis=cfg.n)
     coords = grid.coords()
     rows = []
@@ -106,10 +109,10 @@ def run_poincare_scaling(cfg: RunConfig, out: Path, rng) -> list:
                      est.iterations, est.residual))
     return [_write_csv(out / "poincare_scaling.csv",
                        ["eps", "value", "ratio", "expected_ratio", "iterations", "residual"],
-                       rows)]
+                       rows)], {}
 
 
-def run_extension_bounds(cfg: RunConfig, out: Path, rng) -> list:
+def run_extension_bounds(cfg: RunConfig, out: Path, rng) -> tuple:
     rows = []
     for eps in cfg.eps_list:
         n_eps = round((cfg.n - 1) / eps) + 1
@@ -129,10 +132,10 @@ def run_extension_bounds(cfg: RunConfig, out: Path, rng) -> list:
         ident = float(np.max(np.abs((ext_f.values - w_f.values) * mask.chi_eps)))
         rows.append((eps, m_solid, ident, h))
     return [_write_csv(out / "extension_bounds.csv",
-                       ["eps", "m_solid", "fluid_identity_error", "h"], rows)]
+                       ["eps", "m_solid", "fluid_identity_error", "h"], rows)], {}
 
 
-def run_micro_sim(cfg: RunConfig, out: Path, rng) -> list:
+def run_micro_sim(cfg: RunConfig, out: Path, rng) -> tuple:
     grid = Grid(dim=cfg.dim, n_per_axis=cfg.n)
     mask = build_phase_mask(cfg.pattern, cfg.material.epsilon, grid)
     mask = init_fluid_partition(mask, cfg.interface_plane)
@@ -155,10 +158,12 @@ def run_micro_sim(cfg: RunConfig, out: Path, rng) -> list:
         p = out / f"state_{name}.csv"
         save_field(p, field)
         files.append(p)
-    return files
+    stats = {f"{stage}_s": f"{seconds:.4f}" for stage, seconds in ms.stage_seconds.items()}
+    stats["step_operator_nnz"] = ms.operator_nnz
+    return files, stats
 
 
-def run_cell_problems(cfg: RunConfig, out: Path, rng) -> list:
+def run_cell_problems(cfg: RunConfig, out: Path, rng) -> tuple:
     cell = periodic_cell_grid(cfg.dim, cfg.n)
     mask = build_phase_mask(cfg.pattern, 1.0, cell)
     K, asym = permeability_from_mask(mask, cfg.material.mu1)
@@ -170,19 +175,20 @@ def run_cell_problems(cfg: RunConfig, out: Path, rng) -> list:
     for a in range(C.shape[0]):
         for b in range(C.shape[1]):
             rows.append(("C_eff", f"{a}{b}", C[a, b]))
-    return [_write_csv(out / "effective_tensors.csv", ["tensor", "index", "value"], rows)]
+    return [_write_csv(out / "effective_tensors.csv", ["tensor", "index", "value"], rows)], {}
 
 
-def run_eps_convergence(cfg: RunConfig, out: Path, rng) -> list:
+def run_eps_convergence(cfg: RunConfig, out: Path, rng) -> tuple:
     eps_list = [e for e in cfg.eps_list if e < 1.0] or list(cfg.eps_list)
     rows = compare_micro_macro(cfg.pattern, cfg.material, eps_list, nodes_per_cell=max(8, cfg.n))
     return [_write_csv(out / "eps_convergence.csv",
                        ["eps", "micro_flux", "darcy_flux", "rel_error", "observed_order",
                         "converged"],
                        [(r["eps"], r["micro_flux"], r["darcy_flux"], r["rel_error"],
-                         r["observed_order"], int(r["converged"])) for r in rows])]
+                         r["observed_order"], int(r["converged"])) for r in rows])], {}
 
 
+# Each experiment returns (output files, extra manifest lines {key: value}).
 REGISTRY = {
     "mollifier-props": run_mollifier_props,
     "poincare-scaling": run_poincare_scaling,
@@ -193,13 +199,24 @@ REGISTRY = {
 }
 
 
-def _write_manifest(out: Path, cfg_text: str, status: str, elapsed: float, files):
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far (ru_maxrss counts KiB
+    on Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+def _write_manifest(out: Path, cfg_text: str, status: str, elapsed: float, files,
+                    stats=None):
     import scipy
     with open(out / "manifest.txt", "w") as fh:
         fh.write(f"porohom {__version__}\n")
         fh.write(f"python {sys.version.split()[0]} numpy {np.__version__} scipy {scipy.__version__}\n")
         fh.write(f"status {status}\n")
         fh.write(f"wall_time_s {elapsed:.3f}\n")
+        fh.write(f"peak_rss_mb {_peak_rss_mb():.1f}\n")
+        for key, value in (stats or {}).items():
+            fh.write(f"{key} {value}\n")
         fh.write("outputs " + " ".join(str(Path(f).name) for f in files) + "\n")
         fh.write("--- config ---\n")
         fh.write(cfg_text)
@@ -244,19 +261,20 @@ def main(argv=None) -> int:
 def _run(experiment: str, cfg: RunConfig, cfg_text: str, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rng = XorShift64Star(cfg.seed)
-    start = time.time()
+    start = time.perf_counter()
     try:
-        files = REGISTRY[experiment](cfg, out, rng)
+        files, stats = REGISTRY[experiment](cfg, out, rng)
     except ValueError as exc:
-        _write_manifest(out, cfg_text, f"validation-failure: {exc}", time.time() - start, [])
+        _write_manifest(out, cfg_text, f"validation-failure: {exc}",
+                        time.perf_counter() - start, [])
         print(str(exc), file=sys.stderr)
         return 1
     except (RuntimeError, MemoryError) as exc:
         msg = str(exc) or type(exc).__name__
-        _write_manifest(out, cfg_text, f"solver-failure: {msg}", time.time() - start, [])
+        _write_manifest(out, cfg_text, f"solver-failure: {msg}", time.perf_counter() - start, [])
         print(msg, file=sys.stderr)
         return 2
-    _write_manifest(out, cfg_text, "ok", time.time() - start, files)
+    _write_manifest(out, cfg_text, "ok", time.perf_counter() - start, files, stats)
     return 0
 
 

@@ -22,7 +22,9 @@ work; their balance is exact up to solver tolerance.
 
 from __future__ import annotations
 
+import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -177,6 +179,9 @@ class MicroSolver:
     history holds one EnergyBreakdown per step.  trace holds one row per
     step: (t, CG iterations, relative residual of the step solve, CFL margin
     tau * max sum_k |v_k| / dx_k).  A direct step counts 0 iterations.
+    stage_seconds sums the wall time of each stage since construction:
+    "assemble" (the operator rebuilds, the first one included), "solve" (the
+    step solves) and "transport" (advection and the viscosity update).
     """
 
     def __init__(self, mask: PhaseMask, params: MaterialParams, *,
@@ -211,7 +216,9 @@ class MicroSolver:
         self._lu = None
         self._vcycle = None
         self._window = deque(maxlen=CG_WINDOW)
-        self._rebuild_operator()
+        self.stage_seconds = {"assemble": 0.0, "solve": 0.0, "transport": 0.0}
+        with self._stage("assemble"):
+            self._rebuild_operator()
 
         load = np.zeros(grid.dim * grid.n_nodes)
         wq = grid.node_weights().ravel()
@@ -227,6 +234,19 @@ class MicroSolver:
     def energy(self) -> EnergyBreakdown:
         """The ledger after the last step (zeros before the first)."""
         return self.history[-1] if self.history else EnergyBreakdown()
+
+    @property
+    def operator_nnz(self) -> int:
+        """Stored entries of the step operator on the free dofs."""
+        return self._A_red.nnz
+
+    @contextmanager
+    def _stage(self, name: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stage_seconds[name] += time.perf_counter() - start
 
     # -- operator plumbing --------------------------------------------------
 
@@ -286,10 +306,12 @@ class MicroSolver:
         """One implicit-Euler step.  Nothing is committed until the solve and
         the transport update (with its CFL check) have both succeeded."""
         grid, params = self.grid, self.params
-        self._rebuild_operator()
+        with self._stage("assemble"):
+            self._rebuild_operator()
         w_old = self.state.w.values.reshape(-1)
         Ew_old = self._E @ w_old
-        v_red, iterations, solve_residual = self._solve((self.load - Ew_old)[self.active])
+        with self._stage("solve"):
+            v_red, iterations, solve_residual = self._solve((self.load - Ew_old)[self.active])
         v_flat = np.zeros(grid.dim * grid.n_nodes)
         v_flat[self.active] = v_red
 
@@ -309,8 +331,9 @@ class MicroSolver:
         v_new = VectorField(grid, v_flat.reshape((grid.dim,) + grid.shape))
         if self.advance_transport:
             # splitting order: momentum -> phase (advected) -> viscosity mu(chi)
-            chi_new = transport.advect_phase(self.state.chi, v_new, self.mask, params.tau)
-            mu_new = transport.update_viscosity(chi_new, self.mask, params)
+            with self._stage("transport"):
+                chi_new = transport.advect_phase(self.state.chi, v_new, self.mask, params.tau)
+                mu_new = transport.update_viscosity(chi_new, self.mask, params)
 
         st = self.state
         st.w = VectorField(grid, w_new.reshape((grid.dim,) + grid.shape))

@@ -8,14 +8,17 @@ large compressibility moduli.  Coefficients are piecewise constant per cell
 (phase_cells) and the grid is uniform, so every form is a sum of
 reference element matrices, each scaled by one coefficient per cell.
 
-All forms go through one vectorized assembler (after Cuvelier, Japhet &
-Scarella, BIT 2016).  A node-to-node CSR pattern among the free nodes of a
-boolean node mask (every node by default) is built once per grid and mask,
-together with the slot of every (cell, corner a, corner b) pair in it; a
-pair that touches a fixed node goes to one sink slot past the end, and a
-cell with no free corner is skipped.  Each component block of a form is
-then one np.bincount of the scaled element entries over those slots,
-written into the component-major global CSR.
+All forms go through one assembler, _assemble.  On a uniform grid the row of
+a node couples it with its 3^dim stencil neighbours, and it sums, over the
+cells at the node's corners, the element rows of that corner scaled by the
+cells' coefficients.  So each component row block of a form is one small
+dense product per node, coefficients of the node's cells times a fixed
+stencil weight matrix, computed for every node and gathered into the
+component-major CSR on the free nodes of a boolean node mask (every node by
+default).  Where to gather from and to is cached per grid, mask and
+component count (_stencil_layout).  The product is split so that the cells
+around a node that share a coefficient cancel exactly; entries that are
+exactly zero are not stored.
 The results are symmetric positive semi-definite compact-stencil matrices
 whose 1D reductions are the classical tridiagonal forms.
 
@@ -54,10 +57,11 @@ __all__ = [
 ]
 
 
-# Bound of the per-grid index caches.  The node pattern is kept per grid and
-# free-node mask: an eps sweep touches ten (the cell and the Darcy grid, then
-# three micro grids, each whole and on its free nodes), a multigrid hierarchy
-# two to four, and at a bound of 8 a repeated sweep evicts its own patterns.
+# Bound of the per-grid index caches.  The assembly layout is kept per grid,
+# free-node mask and component count: an eps sweep touches ten (the cell and
+# the Darcy grid, then three micro grids, each whole and on its free nodes), a
+# multigrid hierarchy two to four, and at a bound of 8 a repeated sweep
+# evicts its own layouts.
 _GRID_CACHE = 16
 
 
@@ -200,97 +204,140 @@ def _diffusion_element(grid: Grid, tensor: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_GRID_CACHE)
-def _node_pattern(grid: Grid, free_bytes: bytes | None):
-    """(indptr, indices, cells, slots): CSR pattern of the node-to-node
-    coupling among the free nodes, renumbered in order, the cells with a free
-    corner (None: every cell), and the int32 slot of each (cell, corner a,
-    corner b) of those cells in the pattern, shape (len(cells), 4^dim).
+def _stencil_layout(grid: Grid, free_bytes: bytes | None, ncomp: int):
+    """(cells, pick, columns, indptr): where the stencil rows of an
+    ncomp-component form come from and where they go, on the free nodes of a
+    boolean node mask (free_bytes; None: every node).
 
-    free_bytes holds a boolean node mask (None: every node).  A pair that
-    touches a fixed node goes to the sink slot nnz, one past the last entry;
-    a cell without a free corner would send every pair there, so it is left
-    out.  The pattern on the free nodes is the whole one with the fixed rows
-    and columns taken out, so every entry keeps its place in the summation."""
-    if free_bytes is not None:
-        indptr, indices, _, slots = _node_pattern(grid, None)
-        free = np.frombuffer(free_bytes, dtype=bool)
-        keep = np.repeat(free, np.diff(indptr)) & free[indices]
-        kept = np.concatenate([[0], np.cumsum(keep)])  # kept entries before each entry
-        where = np.where(keep, kept[:-1], kept[-1]).astype(np.int32)
-        cells = np.flatnonzero(free[cell_corner_indices(grid)].any(axis=1))
-        return (np.concatenate([[0], kept[indptr[1:]][free]]),
-                (np.cumsum(free) - 1)[indices[keep]].astype(np.int32),
-                cells, where[slots[cells]])
-    corners = cell_corner_indices(grid)
-    ncells, nc = corners.shape
-    n = grid.n_nodes
-    keys = corners[:, :, None].astype(np.int64) * n + corners[:, None, :]
-    uniq, slots = np.unique(keys.ravel(), return_inverse=True)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
-    indices = (uniq % n).astype(np.int32)
-    return indptr, indices, None, slots.astype(np.int32).reshape(ncells, nc * nc)
+    cells[p, a] is the cell that has node p at its corner a, or ncells (a
+    sentinel, one past the last cell) where the grid has none.  Node p has a
+    stencil slot for each step s of {-1, 0, 1}^dim (lexicographic order),
+    the neighbour p + s.  pick lists, free node by free node, the slots
+    (flat over node and step) whose neighbour exists and is free, and
+    columns holds that neighbour's rank among the free nodes.  Row (i, r) of
+    the form stores, slot by slot, the coupling with each component j of the
+    neighbour, in column j * nfree + columns; indptr is the CSR row pointer
+    of the ncomp component row blocks over these entries."""
+    dim, n = grid.dim, grid.n_per_axis
+    node = np.indices(grid.shape).reshape(dim, -1, 1)
+    periodic = np.array(grid.periodic)[:, None, None]
 
+    def locate(pos, counts):
+        """Flat index in a box of counts of each position (dim, nodes, k),
+        wrapped on the periodic axes; -1 outside the box."""
+        pos = np.where(periodic, pos % n, pos)
+        inside = np.all((pos >= 0) & (pos < np.array(counts)[:, None, None]), axis=0)
+        return np.where(inside, np.ravel_multi_index(tuple(np.where(inside, pos, 0)), counts), -1)
 
-def _form_layout(node_indptr: np.ndarray, ncomp: int):
-    """(indptr, place) of the component-major CSR of an ncomp-component form on
-    the node pattern with row pointer node_indptr (_node_pattern), zeros kept.
-
-    Global row i*n + p holds blocks (i, 0), ..., (i, ncomp-1) of node row p
-    one after another, each with that node row's column pattern; place(i, j)
-    gives the positions of block (i, j)'s entries, in node-pattern order."""
-    indptr = node_indptr
-    n, nnz = indptr.size - 1, indptr[-1]
-    row_len = np.diff(indptr)
-    node_row = np.repeat(np.arange(n), row_len)
-    within = (ncomp - 1) * indptr[node_row] + np.arange(nnz)
-    stride = row_len[node_row]
-    g_indptr = np.concatenate([
-        (np.arange(ncomp)[:, None] * (ncomp * nnz) + ncomp * indptr[None, :-1]).ravel(),
-        [ncomp * ncomp * nnz]])
-    return g_indptr, lambda i, j: i * ncomp * nnz + within + j * stride
+    corners = np.array(list(itertools.product((0, 1), repeat=dim))).T[:, None, :]
+    cells = locate(node - corners, cell_counts(grid))
+    cells[cells < 0] = np.prod(cell_counts(grid))
+    steps = np.array(list(itertools.product((-1, 0, 1), repeat=dim))).T[:, None, :]
+    nbr = locate(node + steps, grid.shape)
+    free = (np.ones(grid.n_nodes, dtype=bool) if free_bytes is None
+            else np.frombuffer(free_bytes, dtype=bool))
+    keep = (nbr >= 0) & free[nbr] & free[:, None]  # (node, step)
+    rank = np.cumsum(free) - 1
+    row_len = np.count_nonzero(keep, axis=1)[free] * ncomp
+    indptr = np.concatenate([[0], np.cumsum(np.tile(row_len, ncomp))])
+    return (cells.astype(np.int32), np.flatnonzero(keep).astype(np.int32),
+            rank[nbr[keep]].astype(np.int32), indptr)
 
 
-def _form_indices(node_indices: np.ndarray, n: int, ncomp: int, place) -> np.ndarray:
-    """Column indices of the CSR of _form_layout (place) on n nodes."""
-    indices = np.empty(ncomp * ncomp * node_indices.size, dtype=np.int32)
-    for i in range(ncomp):
-        for j in range(ncomp):
-            indices[place(i, j)] = node_indices + j * n
-    return indices
+def _corner_windows(dim: int):
+    """For each cell corner a (in cell_corner_indices order), the slices of
+    the (3,)*dim stencil of a node at corner a that hold the cell's corners
+    b, in the same order: the steps off_b - off_a."""
+    return [tuple(slice(1 - o, 3 - o) for o in off)
+            for off in itertools.product((0, 1), repeat=dim)]
+
+
+def _cell_major_block(elements: np.ndarray, coefs: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """One component row block of _assemble, shape (nodes, 3^dim, ncomp),
+    from elements of shape (nterms, 2^dim, ncomp) + (2,)*dim (corner a,
+    component j, corner b): the coefficients are contracted with the
+    elements per cell, and each node sums the rows of its cells' element
+    matrices, a corner at a time."""
+    ncomp, dim = elements.shape[2], elements.ndim - 3
+    # node axis last, so that each corner's window adds long contiguous rows
+    per_cell = (elements.reshape(len(elements), -1).T @ coefs.T).reshape(
+        elements.shape[1:] + (-1,))
+    S = np.zeros((ncomp,) + (3,) * dim + (cells.shape[0],))
+    for a, window in enumerate(_corner_windows(dim)):
+        S[(slice(None),) + window] += np.take(per_cell[a], cells[:, a], axis=-1)
+    return S.reshape(ncomp, -1, cells.shape[0]).T
 
 
 def _assemble(grid: Grid, coefs: np.ndarray, elements: np.ndarray,
               free: np.ndarray | None = None) -> sp.csr_matrix:
-    """sum_t coefs[cell, t] * elements[t], scattered into the component-major
-    CSR of _form_layout on the free nodes of the boolean node mask free
-    (default: every node).
+    """sum_t coefs[cell, t] * elements[t] over the cells, on the free nodes of
+    the boolean node mask free (default: every node), as a component-major
+    CSR matrix: row i*nfree + r is component i of free node r, and its
+    entries run over the node's stencil neighbours and, per neighbour, over
+    the components j (_stencil_layout; columns are not sorted in a row).
 
     coefs: shape (ncells, nterms); elements: shape (nterms, ncomp, 2^dim,
-    ncomp, 2^dim).  Entries that sum to exactly zero are dropped, so a
-    coefficient that vanishes on a region leaves no stored zeros there.
+    ncomp, 2^dim).  The row of node p sums, over the cells at its corners a,
+    the element row of corner a scaled by that cell's coefficients, so the
+    row block of component i is one dense product over the nodes,
+    S_i = M W_i, with M[p, (t, a)] the coefficient of term t on the cell at
+    corner a of p (zero where there is no cell) and
+    W_i[(t, a), (s, j)] = elements[t, i, a, j, b] for the corner b = a + s.
+    In this product each entry is sum_a (c_a - c_ref) W_a + c_ref sum_a W_a,
+    with c_ref the lower median of the node's cell coefficients, and the
+    constant-coefficient stencil sum_a W_a is set to exactly zero where it
+    is roundoff: where the cells around a node share a coefficient, an
+    entry that cancels between them comes out exactly zero.
+    When the terms outnumber the corners (the child elements of
+    coarse_vector_forms) the coefficients are contracted with the elements
+    per cell first, and each node row sums its cells' element rows
+    (_cell_major_block).
+
+    Rows are computed on every node whatever the mask, and then the slots of
+    free nodes with free neighbours are picked, so the form on the free
+    nodes is the whole form with the fixed rows and columns cut out, bit for
+    bit.  Exact zeros are not stored: neither a coefficient that vanishes on
+    a region nor the cancellation between equal cells leaves stored entries,
+    so the stored pattern does not depend on roundoff there.
     """
-    node_indptr, node_indices, cells, slots = _node_pattern(
-        grid, None if free is None else np.asarray(free, dtype=bool).tobytes())
-    if cells is not None:
-        coefs = coefs[cells]
-    nterms, ncomp = elements.shape[:2]
-    nnz = node_indices.size
+    nterms, ncomp, nc = elements.shape[:3]
+    cells, pick, columns, indptr = _stencil_layout(
+        grid, None if free is None else np.asarray(free, dtype=bool).tobytes(), ncomp)
+    nodes, stencil = cells.shape[0], (3,) * grid.dim
     # Quadrature leaves roundoff where a Q1 element entry is exactly zero
     # (e.g. edge neighbours of the 3D Laplacian); keep those out of the matrix.
-    peak = np.abs(elements).reshape(nterms, -1).max(axis=1)
-    elements = np.where(
-        np.abs(elements) <= 16 * np.finfo(float).eps * peak[:, None, None, None, None],
-        0.0, elements)
-    indptr, place = _form_layout(node_indptr, ncomp)
-    data = np.empty(indptr[-1])
-    for i in range(ncomp):
-        for j in range(ncomp):
-            vals = coefs @ elements[:, i, :, j, :].reshape(nterms, -1)
-            data[place(i, j)] = np.bincount(slots.ravel(), weights=vals.ravel(),
-                                            minlength=nnz + 1)[:nnz]
-    indices = _form_indices(node_indices, node_indptr.size - 1, ncomp, place)
-    A = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+    tol = 16 * np.finfo(float).eps * np.abs(elements).reshape(nterms, -1).max(axis=1)
+    elements = np.where(np.abs(elements) <= tol[:, None, None, None, None], 0.0, elements)
+    # corner-major, (nterms, a, i, j) + (2,)*dim, b unravelled over the axes
+    elements = elements.transpose(0, 2, 1, 3, 4).reshape(
+        (nterms, nc, ncomp, ncomp) + (2,) * grid.dim)
+    coefs = np.vstack([coefs, np.zeros((1, nterms))])  # the sentinel cell adds nothing
+    if nterms <= nc:
+        W = np.zeros((nterms, nc, ncomp, ncomp) + stencil)
+        for a, window in enumerate(_corner_windows(grid.dim)):
+            W[(slice(None), a, Ellipsis) + window] = elements[:, a]
+        total = W.sum(axis=1)
+        total[np.abs(total) <= tol.reshape((nterms,) + (1,) * (total.ndim - 1))] = 0.0
+        # rows (t, a) then the totals per t; columns (s, j) within each block i
+        weights = np.concatenate([W.reshape(nterms * nc, ncomp, ncomp, -1),
+                                  total.reshape(nterms, ncomp, ncomp, -1)])
+        weights = weights.transpose(1, 0, 3, 2).reshape(ncomp, len(weights), -1)
+        M = np.take(coefs.T, cells, axis=1)  # (term, node, corner)
+        c_ref = np.sort(M, axis=2)[:, :, nc // 2]
+        M -= c_ref[:, :, None]
+        M = np.concatenate([M.transpose(1, 0, 2).reshape(nodes, -1), c_ref.T], axis=1)
+        blocks = (M @ weights[i] for i in range(ncomp))
+    else:
+        blocks = (_cell_major_block(elements[:, :, i], coefs, cells) for i in range(ncomp))
+    data = np.empty((ncomp, pick.size, ncomp))
+    for i, block in enumerate(blocks):
+        np.take(block.reshape(-1, ncomp), pick, axis=0, out=data[i])
+    nfree = (indptr.size - 1) // ncomp
+    indices = np.empty((pick.size, ncomp), dtype=np.int32)
+    for j in range(ncomp):
+        np.add(columns, j * nfree, out=indices[:, j])
+    A = sp.csr_matrix((data.ravel(), np.tile(indices.ravel(), ncomp), indptr.copy()),
+                      shape=(indptr.size - 1,) * 2)
     A.eliminate_zeros()
     return A
 
@@ -310,9 +357,13 @@ def _vector_form_coefs(coef_sym_cells, coef_div_cells) -> np.ndarray:
     return np.stack([np.asarray(c, dtype=float) for c in terms], axis=1)
 
 
+@lru_cache(maxsize=_GRID_CACHE)
 def _vector_form_elements(grid: Grid) -> np.ndarray:
-    """The D:D and the div*div element, stacked in that order."""
-    return np.stack([_sym_element(grid), _div_element(grid)])
+    """The D:D and the div*div element, stacked in that order (read-only,
+    shared by every caller)."""
+    elements = np.stack([_sym_element(grid), _div_element(grid)])
+    elements.flags.writeable = False
+    return elements
 
 
 def assemble_vector_form(
@@ -470,11 +521,14 @@ def coarse_vector_forms(grid: Grid, levels, coef_sym_cells: np.ndarray,
     Assembled by _assemble on the coarse grid, not multiplied out: a coarse
     cell carries one child element Q_o^T K Q_o per fine cell o that it covers,
     the fine element K seen through Q1 interpolation Q_o from the coarse
-    corners, scaled by that fine cell's coefficient.  The Q1 spaces are
-    nested, so this is the Galerkin operator P^T A P of the whole grid; on
-    the free dofs it equals P_red^T A_red P_red when every fixed node lies on
-    a fixed face, as in MicroSolver.  Fixed interior nodes receive
-    interpolated values in P but not in P_red, and there the two differ.
+    corners, scaled by that fine cell's coefficient.  These 2 * 2^(dim*depth)
+    terms outnumber the cell's corners, so _assemble contracts them per
+    coarse cell first and sums each node's row from its cells' element rows.
+    The Q1 spaces are nested, so this is the Galerkin operator P^T A P of the
+    whole grid; on the free dofs it equals P_red^T A_red P_red when every
+    fixed node lies on a fixed face, as in MicroSolver.  Fixed interior nodes
+    receive interpolated values in P but not in P_red, and there the two
+    differ.
     """
     coefs = _vector_form_coefs(coef_sym_cells, coef_div_cells)
     nterms = coefs.shape[1]

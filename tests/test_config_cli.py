@@ -337,6 +337,31 @@ def test_cli_registry_has_every_config_experiment():
     assert set(cli.REGISTRY) == set(EXPERIMENTS)
 
 
+def _manifest_lines(out):
+    head = (out / "manifest.txt").read_text().split("--- config ---")[0]
+    return dict(line.split(" ", 1) for line in head.splitlines())
+
+
+def test_manifest_reports_peak_memory_and_the_micro_sim_stages(tmp_path):
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(BASE.format(out=tmp_path / "sim").replace(
+        "name = mollifier-props", "name = micro-sim\nsteps = 3").replace("n = 65", "n = 17"))
+    assert cli.main(["micro-sim", "--config", str(cfg)]) == 0
+    lines = _manifest_lines(tmp_path / "sim")
+    assert float(lines["peak_rss_mb"]) > 0
+    stages = [float(lines[f"{stage}_s"]) for stage in ("assemble", "solve", "transport")]
+    assert all(t > 0 for t in stages)
+    assert sum(stages) <= float(lines["wall_time_s"]) + 1e-3
+    assert int(lines["step_operator_nnz"]) > 0
+    # the other experiments report the peak memory alone
+    cfg = tmp_path / "poincare.ini"
+    cfg.write_text(BASE.format(out=tmp_path / "poincare").replace(
+        "name = mollifier-props", "name = poincare-scaling").replace("n = 65", "n = 17"))
+    assert cli.main(["poincare-scaling", "--config", str(cfg)]) == 0
+    lines = _manifest_lines(tmp_path / "poincare")
+    assert float(lines["peak_rss_mb"]) > 0 and "assemble_s" not in lines
+
+
 def test_unconverged_cell_problem_raises_and_cli_exits_2(tmp_path, monkeypatch):
     monkeypatch.setattr(homogenize, "CELL_CG_MAX_ITER", 2)
     mask = build_phase_mask(UnitCellPattern("disk", 0.25), 1.0, periodic_cell_grid(2, 16))

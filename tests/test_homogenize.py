@@ -25,7 +25,7 @@ from porohom.operators import (
     cell_counts,
     phase_cells,
 )
-from porohom.operators import _node_pattern
+from porohom.operators import _stencil_layout
 from porohom.solvers import cg_solve
 
 CELL = periodic_cell_grid(2, 32)
@@ -313,9 +313,9 @@ def test_a_repeated_comparison_reuses_every_assembly_pattern():
                          p0=0.0, p_drive_grad=(1.0, 0.0))
     args = (UnitCellPattern("disk", 0.25), par, [0.5, 0.25, 0.125])
     compare_micro_macro(*args, nodes_per_cell=10)
-    misses = _node_pattern.cache_info().misses
+    misses = _stencil_layout.cache_info().misses
     compare_micro_macro(*args, nodes_per_cell=10)
-    assert _node_pattern.cache_info().misses == misses
+    assert _stencil_layout.cache_info().misses == misses
 
 
 def test_compare_micro_macro_reports_an_unconverged_march():

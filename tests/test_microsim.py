@@ -22,7 +22,7 @@ from porohom.operators import (
     cell_divergence,
     cell_volume,
 )
-from porohom.operators import _node_pattern
+from porohom.operators import _stencil_layout
 from porohom.solvers import cg_solve, projected_guess
 from porohom import microsim, transport
 from porohom.transport import cfl_margin, update_viscosity
@@ -71,10 +71,10 @@ def test_material_params_rejects_negative_mollification_radius():
 
 def test_a_drive_gradient_of_the_wrong_length_fails_before_any_assembly():
     mask = _two_fluid_mask(n=11)
-    misses = _node_pattern.cache_info().misses
+    misses = _stencil_layout.cache_info().misses
     with pytest.raises(ValueError, match="one entry per axis"):
         MicroSolver(mask, MaterialParams(p_drive_grad=(1.0, 0.0, 0.0)))
-    assert _node_pattern.cache_info().misses == misses
+    assert _stencil_layout.cache_info().misses == misses
 
 
 def test_material_params_names_every_violation_in_one_error():
@@ -477,9 +477,9 @@ def test_a_grid_that_cannot_be_halved_is_smoothed_not_factored():
 def test_steps_reuse_every_grid_pattern_of_the_hierarchy():
     ms = _transient_solver(65)
     ms.step()
-    misses = _node_pattern.cache_info().misses
+    misses = _stencil_layout.cache_info().misses
     ms.run(3)
-    assert _node_pattern.cache_info().misses == misses
+    assert _stencil_layout.cache_info().misses == misses
 
 
 def test_trace_records_each_step_solve_and_cfl_margin():

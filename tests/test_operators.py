@@ -20,6 +20,7 @@ from porohom.operators import (
     strain_load,
 )
 from porohom.operators import _coarsen as coarsen
+from porohom.operators import _assemble, _child_elements, _diffusion_element, _vector_form_elements
 from porohom import solvers
 from porohom.solvers import PeriodicInverse, cg_solve, inverse_power_iteration
 
@@ -341,14 +342,14 @@ def test_cell_gradient_is_exact_on_linear_and_bilinear_fields(grid):
 
 
 def test_second_assembly_on_a_grid_reuses_the_cached_pattern():
-    from porohom.operators import _node_pattern
+    from porohom.operators import _stencil_layout
 
     g = Grid(3, 6, periodic=(True, False, True))
     ncells = int(np.prod(cell_counts(g)))
     first = assemble_vector_form(g, np.ones(ncells), np.ones(ncells))
-    hits = _node_pattern.cache_info().hits
+    hits = _stencil_layout.cache_info().hits
     second = assemble_vector_form(g, 2.0 * np.ones(ncells), None)
-    assert _node_pattern.cache_info().hits == hits + 1
+    assert _stencil_layout.cache_info().hits == hits + 1
     assert first.shape == second.shape
 
 
@@ -360,7 +361,8 @@ def _assert_same_csr(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
-@pytest.mark.parametrize("grid", [Grid(2, 17), Grid(3, 9), Grid(2, 8, periodic=(True, True)),
+@pytest.mark.parametrize("grid", [Grid(2, 17), Grid(3, 9), Grid(3, 12),
+                                  Grid(2, 8, periodic=(True, True)),
                                   Grid(3, 6, periodic=(True, False, True))], ids=_grid_id)
 def test_restricted_assembly_is_restrict_entry_for_entry(grid):
     # the form on the free nodes is the whole form with the fixed rows and
@@ -388,23 +390,97 @@ def test_restricted_assembly_is_restrict_entry_for_entry(grid):
 
 
 def test_restricted_pattern_keeps_only_the_cells_with_a_free_corner():
-    from porohom.operators import _node_pattern
+    from porohom.operators import _stencil_layout
 
     grid = Grid(3, 9)
     free = np.zeros(grid.n_nodes, dtype=bool)
     free[np.random.default_rng(4).choice(grid.n_nodes, 20, replace=False)] = True
-    indptr, indices, cells, slots = _node_pattern(grid, free.tobytes())
-    assert _node_pattern(grid, None)[2] is None  # the whole pattern keeps every cell
+    nst = 3**grid.dim  # neighbour slots per node row
+    cells, pick, columns, indptr = _stencil_layout(grid, free.tobytes(), 3)
+    whole = _stencil_layout(grid, None, 3)[1]
+    assert np.array_equal(np.unique(whole // nst), np.arange(grid.n_nodes))
+    rows = np.unique(pick // nst)
+    assert np.array_equal(rows, np.flatnonzero(free))
+    # the kept rows draw on exactly the cells with a free corner
     touched = free[cell_corner_indices(grid)].any(axis=1)
-    assert np.array_equal(cells, np.flatnonzero(touched))
-    assert 0 < cells.size < touched.size // 2
-    assert slots.shape == (cells.size, 4**grid.dim)
-    # every kept slot row lands some pair in the pattern, the rest in the sink
-    in_pattern = slots < indices.size
-    assert np.all(in_pattern.any(axis=1)) and np.all(slots[~in_pattern] == indices.size)
     ncells = touched.size
+    reached = np.unique(cells[rows])
+    assert np.array_equal(reached[reached < ncells], np.flatnonzero(touched))
+    assert 0 < reached.size < ncells // 2
+    # every kept slot couples two free nodes, one entry per pair of components
+    assert pick.size == columns.size and indptr[-1] == 9 * pick.size
+    assert 0 <= columns.min() and columns.max() < 20
+    assert np.all(free[pick // nst]) and np.all(free[rows[columns]])
     A = assemble_vector_form(grid, np.linspace(1.0, 2.0, ncells), np.full(ncells, 0.5), free)
-    assert A.shape == (3 * 20,) * 2 and 0 < A.nnz <= 9 * indices.size
+    assert A.shape == (3 * 20,) * 2 and 0 < A.nnz <= indptr[-1]
+
+
+# -- the stencil assembler against a plain loop over cells ------------------
+
+def _loop_assembly(grid, coefs, elements, free):
+    """Dense sum over the cells of sum_t coefs[cell, t] * elements[t] on the
+    cell's corner dofs, restricted to the free dofs."""
+    nterms, ncomp, nc = elements.shape[:3]
+    n = grid.n_nodes
+    A = np.zeros((ncomp * n,) * 2)
+    for cell, nodes in enumerate(cell_corner_indices(grid)):
+        dofs = (n * np.arange(ncomp)[:, None] + nodes).ravel()
+        ke = np.tensordot(coefs[cell], elements, axes=1)
+        A[np.ix_(dofs, dofs)] += ke.reshape(ncomp * nc, ncomp * nc)
+    act = np.tile(free, ncomp)
+    return A[act][:, act]
+
+
+def _term_stack(grid, terms):
+    """An element stack of one term (the scalar Laplacian), two terms (D:D
+    and div*div) or the 2 * 2^dim child elements of a halved grid."""
+    if terms == "one":
+        return _diffusion_element(grid, np.eye(grid.dim))[None]
+    if terms == "two":
+        return _vector_form_elements(grid)
+    children = _child_elements(Grid(grid.dim, 5), 1)[1]
+    return children.reshape((-1,) + children.shape[2:])
+
+
+@pytest.mark.parametrize("terms", ["one", "two", "children"])
+@pytest.mark.parametrize("grid", [Grid(2, 7), Grid(2, 6, periodic=(True, True)),
+                                  Grid(3, 5), Grid(3, 4, periodic=(True, True, True)),
+                                  Grid(3, 5, periodic=(True, False, True))], ids=_grid_id)
+def test_stencil_assembly_matches_a_loop_over_cells(grid, terms):
+    rng = np.random.default_rng(grid.n_nodes + len(terms))
+    elements = _term_stack(grid, terms)
+    ncells = int(np.prod(cell_counts(grid)))
+    coefs = rng.uniform(0.2, 3.0, (ncells, len(elements)))
+    coefs[rng.random(ncells) < 0.2] = 0.0    # regions without the form
+    coefs[rng.random(ncells) < 0.3] = 1.5    # neighbouring cells that agree
+    whole = _assemble(grid, coefs, elements)
+    free = rng.random(grid.n_nodes) < 0.7
+    for mask in (np.ones(grid.n_nodes, dtype=bool), free):
+        A = _assemble(grid, coefs, elements, mask)
+        ref = _loop_assembly(grid, coefs, elements, mask)
+        assert np.abs(A.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.all(A.data != 0.0)
+        act = np.tile(mask, elements.shape[1])
+        _assert_same_csr(A, whole[act][:, act])
+
+
+@pytest.mark.parametrize("with_div", [True, False])
+@pytest.mark.parametrize("grid", [Grid(2, 8, periodic=(True, True)),
+                                  Grid(3, 6, periodic=(True, True, True)),
+                                  Grid(2, 9), Grid(3, 7)], ids=_grid_id)
+def test_equal_cell_coefficients_store_no_roundoff(grid, with_div):
+    # with one coefficient on every cell the entries that cancel between the
+    # cells are exact zeros: a periodic form, and the rows of the interior
+    # nodes of a box form, store no entry at roundoff level
+    ncells = int(np.prod(cell_counts(grid)))
+    A = assemble_vector_form(grid, np.full(ncells, 0.7),
+                             np.full(ncells, 3.0) if with_div else None).tocoo()
+    d = A.diagonal()
+    node = np.array(np.unravel_index(A.row % grid.n_nodes, grid.shape))
+    interior = np.all([grid.periodic[k] | ((node[k] > 0) & (node[k] < grid.n_per_axis - 1))
+                       for k in range(grid.dim)], axis=0)
+    tiny = np.abs(A.data) < 1e-13 * np.sqrt(d[A.row] * d[A.col])
+    assert interior.any() and not np.any(tiny & interior)
 
 
 # -- multigrid hierarchy ----------------------------------------------------
