@@ -172,9 +172,10 @@ class MicroSolver:
     rest), starts CG from zero.  The V-cycle halves the box
     grid (operators.coarse_levels, built once per grid and free-node mask,
     restrictions included) down to at most operators.COARSE_DOFS free dofs;
-    the coarse forms are assembled from the fine cell coefficients
-    (operators.coarse_vector_forms) and the coarsest one is factored whenever
-    the operator moves.
+    each coarse form is the same form rediscretized on its level, every
+    coarse cell taking the mean coefficient of the cells it covers
+    (operators.coarse_vector_forms), and the coarsest one is factored
+    whenever the operator moves.
 
     history holds one EnergyBreakdown per step.  trace holds one row per
     step: (t, CG iterations, relative residual of the step solve, CFL margin

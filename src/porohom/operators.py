@@ -25,8 +25,8 @@ whose 1D reductions are the classical tridiagonal forms.
 The multigrid hierarchy of MicroSolver's step solve lives here too:
 coarse_levels halves a box grid and builds the Q1 interpolation between the
 free nodes of consecutive levels and its transpose, and coarse_vector_forms
-assembles each coarse form with the same assembler, from the fine cell
-coefficients.
+rediscretizes the form on each level with the same assembler, each coarse
+cell taking the mean coefficient of the cells it covers.
 """
 
 from __future__ import annotations
@@ -57,11 +57,12 @@ __all__ = [
 ]
 
 
-# Bound of the per-grid index caches.  The assembly layout is kept per grid,
+# Bound of the per-grid caches.  The assembly layout is kept per grid,
 # free-node mask and component count: an eps sweep touches ten (the cell and
 # the Darcy grid, then three micro grids, each whole and on its free nodes), a
 # multigrid hierarchy two to four, and at a bound of 8 a repeated sweep
-# evicts its own layouts.
+# evicts its own layouts.  The element stacks are kept per grid, one for each
+# level of a hierarchy.
 _GRID_CACHE = 16
 
 
@@ -252,22 +253,6 @@ def _corner_windows(dim: int):
             for off in itertools.product((0, 1), repeat=dim)]
 
 
-def _cell_major_block(elements: np.ndarray, coefs: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """One component row block of _assemble, shape (nodes, 3^dim, ncomp),
-    from elements of shape (nterms, 2^dim, ncomp) + (2,)*dim (corner a,
-    component j, corner b): the coefficients are contracted with the
-    elements per cell, and each node sums the rows of its cells' element
-    matrices, a corner at a time."""
-    ncomp, dim = elements.shape[2], elements.ndim - 3
-    # node axis last, so that each corner's window adds long contiguous rows
-    per_cell = (elements.reshape(len(elements), -1).T @ coefs.T).reshape(
-        elements.shape[1:] + (-1,))
-    S = np.zeros((ncomp,) + (3,) * dim + (cells.shape[0],))
-    for a, window in enumerate(_corner_windows(dim)):
-        S[(slice(None),) + window] += np.take(per_cell[a], cells[:, a], axis=-1)
-    return S.reshape(ncomp, -1, cells.shape[0]).T
-
-
 def _assemble(grid: Grid, coefs: np.ndarray, elements: np.ndarray,
               free: np.ndarray | None = None) -> sp.csr_matrix:
     """sum_t coefs[cell, t] * elements[t] over the cells, on the free nodes of
@@ -288,10 +273,6 @@ def _assemble(grid: Grid, coefs: np.ndarray, elements: np.ndarray,
     constant-coefficient stencil sum_a W_a is set to exactly zero where it
     is roundoff: where the cells around a node share a coefficient, an
     entry that cancels between them comes out exactly zero.
-    When the terms outnumber the corners (the child elements of
-    coarse_vector_forms) the coefficients are contracted with the elements
-    per cell first, and each node row sums its cells' element rows
-    (_cell_major_block).
 
     Rows are computed on every node whatever the mask, and then the slots of
     free nodes with free neighbours are picked, so the form on the free
@@ -312,26 +293,22 @@ def _assemble(grid: Grid, coefs: np.ndarray, elements: np.ndarray,
     elements = elements.transpose(0, 2, 1, 3, 4).reshape(
         (nterms, nc, ncomp, ncomp) + (2,) * grid.dim)
     coefs = np.vstack([coefs, np.zeros((1, nterms))])  # the sentinel cell adds nothing
-    if nterms <= nc:
-        W = np.zeros((nterms, nc, ncomp, ncomp) + stencil)
-        for a, window in enumerate(_corner_windows(grid.dim)):
-            W[(slice(None), a, Ellipsis) + window] = elements[:, a]
-        total = W.sum(axis=1)
-        total[np.abs(total) <= tol.reshape((nterms,) + (1,) * (total.ndim - 1))] = 0.0
-        # rows (t, a) then the totals per t; columns (s, j) within each block i
-        weights = np.concatenate([W.reshape(nterms * nc, ncomp, ncomp, -1),
-                                  total.reshape(nterms, ncomp, ncomp, -1)])
-        weights = weights.transpose(1, 0, 3, 2).reshape(ncomp, len(weights), -1)
-        M = np.take(coefs.T, cells, axis=1)  # (term, node, corner)
-        c_ref = np.sort(M, axis=2)[:, :, nc // 2]
-        M -= c_ref[:, :, None]
-        M = np.concatenate([M.transpose(1, 0, 2).reshape(nodes, -1), c_ref.T], axis=1)
-        blocks = (M @ weights[i] for i in range(ncomp))
-    else:
-        blocks = (_cell_major_block(elements[:, :, i], coefs, cells) for i in range(ncomp))
+    W = np.zeros((nterms, nc, ncomp, ncomp) + stencil)
+    for a, window in enumerate(_corner_windows(grid.dim)):
+        W[(slice(None), a, Ellipsis) + window] = elements[:, a]
+    total = W.sum(axis=1)
+    total[np.abs(total) <= tol.reshape((nterms,) + (1,) * (total.ndim - 1))] = 0.0
+    # rows (t, a) then the totals per t; columns (s, j) within each block i
+    weights = np.concatenate([W.reshape(nterms * nc, ncomp, ncomp, -1),
+                              total.reshape(nterms, ncomp, ncomp, -1)])
+    weights = weights.transpose(1, 0, 3, 2).reshape(ncomp, len(weights), -1)
+    M = np.take(coefs.T, cells, axis=1)  # (term, node, corner)
+    c_ref = np.sort(M, axis=2)[:, :, nc // 2]
+    M -= c_ref[:, :, None]
+    M = np.concatenate([M.transpose(1, 0, 2).reshape(nodes, -1), c_ref.T], axis=1)
     data = np.empty((ncomp, pick.size, ncomp))
-    for i, block in enumerate(blocks):
-        np.take(block.reshape(-1, ncomp), pick, axis=0, out=data[i])
+    for i in range(ncomp):
+        np.take((M @ weights[i]).reshape(-1, ncomp), pick, axis=0, out=data[i])
     nfree = (indptr.size - 1) // ncomp
     indices = np.empty((pick.size, ncomp), dtype=np.int32)
     for j in range(ncomp):
@@ -492,50 +469,26 @@ def _coarse_levels(grid: Grid, free_bytes: bytes) -> tuple:
     return tuple(levels)
 
 
-@lru_cache(maxsize=_GRID_CACHE)
-def _child_elements(grid: Grid, depth: int):
-    """(cells, children) for the grid halved depth times.  cells[C, o] is the
-    fine cell at offset o (in [0, 2^depth)^dim) inside coarse cell C;
-    children[o, t] is the element Q_o^T K_t Q_o of the D:D (t = 0) and the
-    div*div (t = 1) element K_t of the fine grid, with Q_o the Q1
-    interpolation from the coarse cell's corners to the corners of the fine
-    cell at offset o (corners ordered as in cell_corner_indices)."""
-    dim, k = grid.dim, 2**depth
-    coarse_cells = np.indices(tuple(c // k for c in cell_counts(grid))).reshape(dim, 1, -1)
-    offsets = np.array(list(itertools.product(range(k), repeat=dim))).T[:, :, None]
-    cells = np.ravel_multi_index(tuple(k * coarse_cells + offsets), cell_counts(grid)).T
-    corners = np.array(list(itertools.product((0, 1), repeat=dim)))
-    # local coordinate of every fine corner in its coarse cell, per axis
-    x = (offsets[:, :, 0].T[:, None, :] + corners[None, :, :]) / k
-    interp = np.where(corners[None, None, :, :] == 1, x[:, :, None, :],
-                      1.0 - x[:, :, None, :]).prod(axis=-1)
-    return cells, np.einsum("oab,tiajc,ocd->otibjd", interp, _vector_form_elements(grid), interp,
-                            optimize=True)
-
-
 def coarse_vector_forms(grid: Grid, levels, coef_sym_cells: np.ndarray,
                         coef_div_cells: np.ndarray | None = None) -> list:
-    """assemble_vector_form(grid, coef_sym_cells, coef_div_cells) on each of the
-    CoarseLevels levels (coarse_levels), restricted to the level's free dofs.
+    """assemble_vector_form rediscretized on each of the CoarseLevels levels
+    (coarse_levels), on the level's free nodes: each coarse cell takes the
+    arithmetic mean of the coefficients of the 2^dim cells it covers on the
+    level above, and the form is assembled on the coarse grid from these
+    means by the same stencil product as every other form.
 
-    Assembled by _assemble on the coarse grid, not multiplied out: a coarse
-    cell carries one child element Q_o^T K Q_o per fine cell o that it covers,
-    the fine element K seen through Q1 interpolation Q_o from the coarse
-    corners, scaled by that fine cell's coefficient.  These 2 * 2^(dim*depth)
-    terms outnumber the cell's corners, so _assemble contracts them per
-    coarse cell first and sums each node's row from its cells' element rows.
-    The Q1 spaces are nested, so this is the Galerkin operator P^T A P of the
-    whole grid; on the free dofs it equals P_red^T A_red P_red when every
-    fixed node lies on a fixed face, as in MicroSolver.  Fixed interior nodes
-    receive interpolated values in P but not in P_red, and there the two
-    differ.
+    With one D:D coefficient on every cell and no div*div term this is the
+    Galerkin product P^T A P, since the Q1 spaces are nested and the full
+    Gauss rule is exact; the one-point div*div rule and varying
+    coefficients make the two differ.
     """
     coefs = _vector_form_coefs(coef_sym_cells, coef_div_cells)
     nterms = coefs.shape[1]
     forms = []
-    for depth, level in enumerate(levels, start=1):
-        cells, children = _child_elements(grid, depth)
-        forms.append(_assemble(level.grid, coefs[cells].reshape(len(cells), -1),
-                               children[:, :nterms].reshape((-1,) + children.shape[2:]),
-                               level.free))
+    for level in levels:
+        means = coefs.reshape(sum(((m // 2, 2) for m in cell_counts(grid)), ()) + (nterms,))
+        for k in range(grid.dim):  # a pair mean per axis: cells that agree keep their value
+            means = means.mean(axis=k + 1)
+        coefs, grid = means.reshape(-1, nterms), level.grid
+        forms.append(_assemble(grid, coefs, _vector_form_elements(grid)[:nterms], level.free))
     return forms

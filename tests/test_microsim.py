@@ -595,7 +595,7 @@ def test_a_full_window_cuts_the_iterations_of_every_later_step():
     ms.run(20)
     iterations = [row[1] for row in ms.trace]
     assert len(ms._window) == CG_WINDOW
-    # a start from the last velocity alone still took 20 of step 1's 24 here
+    # a start from the last velocity alone still took 20 or 21 of step 1's 24 here
     assert all(3 * it <= 2 * iterations[0] for it in iterations[CG_WINDOW:])
     assert all(row[2] <= CG_TOL for row in ms.trace)
     assert all(e.balance_residual < 1e-12 for e in ms.history)
