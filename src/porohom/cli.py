@@ -2,7 +2,8 @@
 
 Each experiment writes CSV outputs plus a manifest (config echo, library
 versions, wall time, peak resident memory and, for micro-sim, the wall time
-of each stage and the step operator's stored entries) into the output
+of each stage and the step operator's stored entries, for eps-convergence the
+steps and convergence of each level's steady solve) into the output
 directory.  Exit codes: 0 success, 1 validation failure, 2 solver failure
 (including running out of memory).
 """
@@ -180,12 +181,14 @@ def run_cell_problems(cfg: RunConfig, out: Path, rng) -> tuple:
 
 def run_eps_convergence(cfg: RunConfig, out: Path, rng) -> tuple:
     eps_list = [e for e in cfg.eps_list if e < 1.0] or list(cfg.eps_list)
-    rows = compare_micro_macro(cfg.pattern, cfg.material, eps_list, nodes_per_cell=max(8, cfg.n))
+    rows = compare_micro_macro(cfg.pattern, cfg.material, eps_list, nodes_per_cell=cfg.n)
+    stats = {"al_steps": ",".join(str(r["steps"]) for r in rows),
+             "al_converged": ",".join(str(int(r["converged"])) for r in rows)}
     return [_write_csv(out / "eps_convergence.csv",
                        ["eps", "micro_flux", "darcy_flux", "rel_error", "observed_order",
                         "converged"],
                        [(r["eps"], r["micro_flux"], r["darcy_flux"], r["rel_error"],
-                         r["observed_order"], int(r["converged"])) for r in rows])], {}
+                         r["observed_order"], int(r["converged"])) for r in rows])], stats
 
 
 # Each experiment returns (output files, extra manifest lines {key: value}).

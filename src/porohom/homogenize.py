@@ -31,6 +31,7 @@ from .operators import (
     assemble_vector_form,
     cell_corner_indices,
     cell_counts,
+    cell_divergence,
     cell_gradient,
     cell_volume,
     periodic_form_symbol,
@@ -265,12 +266,14 @@ def _steady_pore_flux(mask: PhaseMask, visc: float, drive, max_steps: int,
 
     The velocity vanishes on S0 and on the solid.  Every fluid cell
     (operators.phase_cells) carries visc on the D:D form V and gamma =
-    AL_PENALTY_RATIO visc on the div*div form B'B.  The augmented-Lagrangian /
-    Uzawa loop (Fortin & Glowinski, Augmented Lagrangian Methods, 1983)
-    v_k = A^-1 (f - gamma B'B s_{k-1}), s_k = s_{k-1} + v_k, with A = visc V +
-    gamma B'B factored once, reaches the discretely divergence-free Stokes
-    velocity whatever gamma is.  It stops once the flux of v_k changes by at
-    most steady_tol relative, or after max_steps (converged False).
+    AL_PENALTY_RATIO visc on the div*div form vol B'B, B the cell divergence
+    (operators.cell_divergence).  The augmented-Lagrangian / Uzawa loop
+    (Fortin & Glowinski, Augmented Lagrangian Methods, 1983) v_k = A^-1 (f -
+    vol B'p_{k-1}), p_k = p_{k-1} + gamma B v_k, with A = visc V + gamma vol
+    B'B factored once and vol B' = operators.strain_load(., I), reaches the
+    discretely divergence-free Stokes velocity whatever gamma is.  It stops
+    once the flux of v_k changes by at most steady_tol relative, or after
+    max_steps (converged False).
     """
     grid = mask.grid
     free = ~(boundary_tags(grid)["S0"] | mask.solid)
@@ -278,17 +281,16 @@ def _steady_pore_flux(mask: PhaseMask, visc: float, drive, max_steps: int,
     fluid = phase_cells(grid, mask.chi_eps, 1.0, 0.0)
     gamma = AL_PENALTY_RATIO * visc * fluid
     A = assemble_vector_form(grid, visc * fluid, gamma, free)
-    penalty = assemble_vector_form(grid, 0.0 * fluid, gamma, free)
     # A is SPD.  spd_factor's pivot check would double the memory of this
     # factor (+17 MB peak RSS on the eps sweep), so it is not used here.
     lu = spla.splu(A.tocsc(), **SPD_SPLU_OPTIONS)
     wq = grid.node_weights().ravel()
-    rhs = (-np.asarray(drive, dtype=float)[:, None] * wq).ravel()[active]  # f - gamma B'B s_k
+    rhs = (-np.asarray(drive, dtype=float)[:, None] * wq).ravel()[active]  # f - vol B'p_k
     v = np.zeros(grid.dim * grid.n_nodes)
     prev = np.inf
     for steps in range(1, max_steps + 1):
         v[active] = lu.solve(rhs)
-        rhs = rhs - penalty @ v[active]
+        rhs -= strain_load(grid, gamma * cell_divergence(grid, v), np.eye(grid.dim))[active]
         flux = v.reshape(grid.dim, -1) @ wq / np.sum(wq)
         if np.linalg.norm(flux - prev) <= steady_tol * np.linalg.norm(flux):
             return flux, True, steps

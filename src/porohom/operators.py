@@ -58,11 +58,11 @@ __all__ = [
 
 
 # Bound of the per-grid caches.  The assembly layout is kept per grid,
-# free-node mask and component count: an eps sweep touches ten (the cell and
-# the Darcy grid, then three micro grids, each whole and on its free nodes), a
-# multigrid hierarchy two to four, and at a bound of 8 a repeated sweep
-# evicts its own layouts.  The element stacks are kept per grid, one for each
-# level of a hierarchy.
+# free-node mask and component count: an eps sweep touches six (the cell
+# problem's layout near the solid, the Darcy grid's whole and free layouts,
+# and one free layout on each of three micro grids), a multigrid hierarchy
+# two to four.  The element stacks are kept per grid, one for each level of a
+# hierarchy.
 _GRID_CACHE = 16
 
 
@@ -184,7 +184,10 @@ def strain_load(grid: Grid, coef_cells: np.ndarray, E: np.ndarray) -> np.ndarray
     component-major vector over the test functions v.
 
     Exact for Q1: the cell mean of a shape gradient is its value at the
-    cell center, so the load is vol * coef * (E grad_center) per cell."""
+    cell center, so the load is vol * coef * (E grad_center) per cell.  With
+    E = I it is vol B'coef, B the cell_divergence operator, so that
+    strain_load(grid, coef * cell_divergence(grid, u), I) applies the
+    div*div form with coefficient coef to u."""
     grad = _shape_gradients(grid, (0.5,) * grid.dim)
     corners = cell_corner_indices(grid).ravel()
     local = E @ grad  # (component, corner) of one cell, unit coefficient

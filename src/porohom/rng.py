@@ -5,17 +5,17 @@ Update rule (64-bit unsigned arithmetic):
     x ^= x >> 12;  x ^= x << 25;  x ^= x >> 27;
     output = (x * 2685821657736338717) mod 2^64
 
-Uniform doubles are output / 2^64.  The algorithm is pinned here (rather
-than delegating to a library generator) so that any reimplementation can
-reproduce the harness streams bit-for-bit.
+Uniform doubles in [low, high) are low + (high - low) * output / 2^64.  The
+algorithm is pinned here (rather than delegating to a library generator) so
+that any reimplementation can reproduce the harness streams bit-for-bit.
 
-`next_u64` and `uniform` step the stream one value at a time and are the
-reference.  `array` yields the same values in numpy: the update x -> M x is
+`array` draws a block of the stream at once in numpy: the update x -> M x is
 linear over GF(2), so the states M x, ..., M^B x of a block of B draws are the
 XOR, over the set bits of x, of the cached basis streams M^k e_b (Haramoto et
 al., INFORMS J. Comput. 20, 2008; Vigna, ACM TOMS 42, 2016).  The basis
 streams are cached per byte of x, and the last state of a block starts the
-next one.
+next one.  tests/test_rng.py steps the update above one value at a time and
+checks `array` against it bit for bit.
 """
 
 from __future__ import annotations
@@ -58,19 +58,8 @@ class XorShift64Star:
     def __init__(self, seed: int):
         self.state = (int(seed) & _MASK) or 0x9E3779B97F4A7C15
 
-    def next_u64(self) -> int:
-        x = self.state
-        x ^= x >> 12
-        x ^= (x << 25) & _MASK
-        x ^= x >> 27
-        self.state = x
-        return (x * _MULT) & _MASK
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return low + (high - low) * (self.next_u64() / 2.0**64)
-
     def array(self, shape, low: float = -1.0, high: float = 1.0) -> np.ndarray:
-        """The next prod(shape) values of `uniform(low, high)`, bit for bit;
+        """The next prod(shape) uniform doubles of the stream in [low, high);
         `state` is left at the last raw state drawn."""
         n = int(np.prod(shape))
         fill, (h0, h1, h2, h3, h4, h5, h6, h7) = _byte_tables()

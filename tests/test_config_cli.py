@@ -31,15 +31,6 @@ h_mollify = 0.0
 """
 
 
-def test_rng_reference_sequence():
-    # frozen from the documented xorshift64* update
-    r = XorShift64Star(1)
-    seq = [r.next_u64() for _ in range(3)]
-    assert seq == [5180492295206395165, 12380297144915551517, 13389498078930870103]
-    # seed 0 falls back to the documented nonzero constant
-    assert XorShift64Star(0).state == XorShift64Star(0x9E3779B97F4A7C15).state
-
-
 def test_rng_uniform_range_and_determinism():
     a = XorShift64Star(42).array((100,), low=-2.0, high=3.0)
     b = XorShift64Star(42).array((100,), low=-2.0, high=3.0)
@@ -274,6 +265,21 @@ def test_cli_eps_convergence_of_one_fluid_never_mollifies(tmp_path):
     assert (out / "eps_convergence.csv").exists()
 
 
+def test_cli_eps_convergence_rejects_an_under_resolved_cell(tmp_path):
+    # nodes per cell is n as configured, not raised to a floor behind the
+    # manifest's back
+    cfg = tmp_path / "coarse.ini"
+    out = tmp_path / "out"
+    cfg.write_text(f"[experiment]\nname = eps-convergence\nout_dir = {out}\n"
+                   "eps_list = 0.5, 0.25\n[grid]\nn = 6\n")
+    proc = _run_cli(["eps-convergence", "--config", cfg.as_posix()])
+    assert proc.returncode == 1
+    assert "cell under-resolved on axis 0: 6.0 nodes/cell" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "validation-failure" in (out / "manifest.txt").read_text()
+    assert not (out / "eps_convergence.csv").exists()
+
+
 def test_cli_micro_sim_of_two_fluids_rejects_an_unresolved_mollifier(tmp_path):
     cfg = tmp_path / "two.ini"
     out = tmp_path / "out"
@@ -360,6 +366,20 @@ def test_manifest_reports_peak_memory_and_the_micro_sim_stages(tmp_path):
     assert cli.main(["poincare-scaling", "--config", str(cfg)]) == 0
     lines = _manifest_lines(tmp_path / "poincare")
     assert float(lines["peak_rss_mb"]) > 0 and "assemble_s" not in lines
+    assert "al_steps" not in lines
+    # eps-convergence reports the steady solve of each level; the CSV keeps
+    # its six columns
+    cfg = tmp_path / "eps.ini"
+    cfg.write_text(f"[experiment]\nname = eps-convergence\nout_dir = {tmp_path / 'eps'}\n"
+                   "eps_list = 0.5, 0.25\n[grid]\nn = 8\n")
+    assert cli.main(["eps-convergence", "--config", str(cfg)]) == 0
+    lines = _manifest_lines(tmp_path / "eps")
+    rows = (tmp_path / "eps" / "eps_convergence.csv").read_text().splitlines()
+    assert rows[0].split(",") == ["eps", "micro_flux", "darcy_flux", "rel_error",
+                                  "observed_order", "converged"]
+    steps = [int(k) for k in lines["al_steps"].split(",")]
+    assert len(steps) == 2 and all(k >= 2 for k in steps)
+    assert lines["al_converged"] == ",".join(row.split(",")[-1] for row in rows[1:]) == "1,1"
 
 
 def test_unconverged_cell_problem_raises_and_cli_exits_2(tmp_path, monkeypatch):

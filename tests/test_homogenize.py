@@ -306,9 +306,10 @@ def test_compare_micro_macro_is_first_order_at_any_radius(r0):
 
 
 def test_a_repeated_comparison_reuses_every_assembly_pattern():
-    # a sweep assembles on ten patterns: the cell and the Darcy grid, then the
-    # micro grids 21^2, 41^2 and 81^2, each on every node and on its free
-    # nodes; a second identical sweep finds them all cached
+    # a sweep assembles on six patterns: the cell problem's near-solid nodes,
+    # the Darcy grid on every node and on its free nodes, and the free nodes
+    # of the micro grids 21^2, 41^2 and 81^2; a second identical sweep finds
+    # them all cached
     par = MaterialParams(mu1=1.0, mu2=1.0, lam=1.0, tau=0.05, h_mollify=0.0,
                          p0=0.0, p_drive_grad=(1.0, 0.0))
     args = (UnitCellPattern("disk", 0.25), par, [0.5, 0.25, 0.125])
@@ -419,6 +420,22 @@ def test_compare_micro_macro_steady_march_takes_few_steps():
     assert all(r["converged"] for r in rows)
     # the first step has no earlier flux to compare with
     assert all(2 <= r["steps"] <= 10 for r in rows), rows
+
+
+def test_steady_pore_flux_assembles_one_form(monkeypatch):
+    # the augmented-Lagrangian update goes through cell_divergence and
+    # strain_load, not through a second assembled penalty form
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return assemble_vector_form(*args, **kwargs)
+    monkeypatch.setattr(homogenize, "assemble_vector_form", recording)
+    mask = build_phase_mask(UnitCellPattern("disk", 0.25), 0.5, Grid(2, 2 * 8 + 1))
+    _, converged, steps = _steady_pore_flux(mask, 0.25, (1.0, 0.0), max_steps=50,
+                                            steady_tol=1e-7)
+    assert converged and steps > 1
+    assert len(calls) == 1
 
 
 def test_direct_solver_factor_is_accurate_and_sparser(monkeypatch):

@@ -106,6 +106,9 @@ def test_cell_divergence_is_the_reduced_div_form(dim, n, periodic):
     d = cell_divergence(g, u)
     assert d.shape == (ncells,)
     assert u @ (A @ u) == pytest.approx(cell_volume(g) * np.sum(coef * d**2), rel=1e-13)
+    # strain_load with E = I is the adjoint vol B' of B = cell_divergence
+    Au = strain_load(g, coef * d, np.eye(dim))
+    assert np.abs(A @ u - Au).max() <= 1e-13 * np.abs(A @ u).max()
     # linear field u = (x1, 2 x2, ...): div u = dim (dim + 1) / 2 on every cell
     lin = np.concatenate([(k + 1) * x.ravel() for k, x in enumerate(g.coords())])
     if not any(periodic):
