@@ -32,7 +32,7 @@ from .homogenize import (
 from .microsim import MicroSolver
 from .mollifier import kernel_normalization, mollify, mollify_convergence_report, bump
 from .rng import XorShift64Star
-from .transport import interface_summary
+from .transport import interface_summary, update_viscosity
 
 FMT = ".17g"
 
@@ -138,7 +138,7 @@ def run_extension_bounds(cfg: RunConfig, out: Path, rng) -> tuple:
 
 def run_micro_sim(cfg: RunConfig, out: Path, rng) -> tuple:
     grid = Grid(dim=cfg.dim, n_per_axis=cfg.n)
-    mask = build_phase_mask(cfg.pattern, cfg.material.epsilon, grid)
+    mask = build_phase_mask(cfg.pattern, cfg.epsilon, grid)
     mask = init_fluid_partition(mask, cfg.interface_plane)
     ms = MicroSolver(mask, cfg.material, advance_transport=True, solver="cg")
     iface_rows = []
@@ -154,8 +154,9 @@ def run_micro_sim(cfg: RunConfig, out: Path, rng) -> tuple:
         _write_csv(out / "trace.csv", ["t", "cg_iterations", "cg_residual", "cfl_margin"],
                    ms.trace),
     ]
+    mu = update_viscosity(ms.state.chi, mask, cfg.material)
     for name, field in (("w", ms.state.w), ("v", ms.state.v),
-                        ("mu", ms.state.mu), ("chi", ms.state.chi)):
+                        ("mu", mu), ("chi", ms.state.chi)):
         p = out / f"state_{name}.csv"
         save_field(p, field)
         files.append(p)
@@ -180,8 +181,7 @@ def run_cell_problems(cfg: RunConfig, out: Path, rng) -> tuple:
 
 
 def run_eps_convergence(cfg: RunConfig, out: Path, rng) -> tuple:
-    eps_list = [e for e in cfg.eps_list if e < 1.0] or list(cfg.eps_list)
-    rows = compare_micro_macro(cfg.pattern, cfg.material, eps_list, nodes_per_cell=cfg.n)
+    rows = compare_micro_macro(cfg.pattern, cfg.material, cfg.eps_list, nodes_per_cell=cfg.n)
     stats = {"al_steps": ",".join(str(r["steps"]) for r in rows),
              "al_converged": ",".join(str(int(r["converged"])) for r in rows)}
     return [_write_csv(out / "eps_convergence.csv",

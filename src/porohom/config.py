@@ -7,8 +7,8 @@ Each value rule has one owner.  parse_config checks the syntax and the
 experiment-level keys (name, steps, the eps_list/h_list shapes,
 interface_plane); the objects it builds check the rest and parse_config lists
 their messages: Grid checks [grid] dim and n, UnitCellPattern [grid] pattern
-and r0, MaterialParams every [material] key, and geometry.cells_across each
-eps_list entry.
+and r0, MaterialParams every other [material] key, and geometry.cells_across
+[material] epsilon (kept as RunConfig.epsilon) and each eps_list entry.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ class RunConfig:
     dim: int
     n: int
     pattern: UnitCellPattern
+    epsilon: float
     material: MaterialParams
 
 
@@ -160,6 +161,8 @@ def parse_config(text: str) -> RunConfig:
     dim, n = get("grid", "dim"), get("grid", "n")
     build("[grid]", Grid, dim, n)
     pattern = build("[grid]", UnitCellPattern, get("grid", "pattern"), get("grid", "r0"))
+    epsilon = get("material", "epsilon")
+    build("[material]", cells_across, epsilon)
     material = build(
         "[material]", MaterialParams,
         mu1=get("material", "mu1"),
@@ -170,7 +173,6 @@ def parse_config(text: str) -> RunConfig:
         c_s=get("material", "c_s"),
         p0=get("material", "p0"),
         p_drive_grad=(get("material", "p_grad"),) + (0.0,) * (dim - 1),
-        epsilon=get("material", "epsilon"),
         h_mollify=get("material", "h_mollify"),
         tau=get("material", "tau"),
     )
@@ -187,5 +189,6 @@ def parse_config(text: str) -> RunConfig:
         dim=dim,
         n=n,
         pattern=pattern,
+        epsilon=epsilon,
         material=material,
     )

@@ -258,27 +258,29 @@ def darcy_macro_solve(K: np.ndarray, bc: tuple):
     return pressure, flux
 
 
-def _steady_pore_flux(mask: PhaseMask, visc: float, drive, max_steps: int,
+def _steady_pore_flux(mask: PhaseMask, mu: float, drive, max_steps: int,
                       steady_tol: float) -> tuple:
     """Steady Stokes flow through the rigid skeleton of a box grid, driven by
     the pressure gradient drive; returns (flux, converged, steps), flux the
     domain-averaged pore velocity.
 
     The velocity vanishes on S0 and on the solid.  Every fluid cell
-    (operators.phase_cells) carries visc on the D:D form V and gamma =
-    AL_PENALTY_RATIO visc on the div*div form vol B'B, B the cell divergence
-    (operators.cell_divergence).  The augmented-Lagrangian / Uzawa loop
-    (Fortin & Glowinski, Augmented Lagrangian Methods, 1983) v_k = A^-1 (f -
-    vol B'p_{k-1}), p_k = p_{k-1} + gamma B v_k, with A = visc V + gamma vol
-    B'B factored once and vol B' = operators.strain_load(., I), reaches the
-    discretely divergence-free Stokes velocity whatever gamma is.  It stops
-    once the flux of v_k changes by at most steady_tol relative, or after
-    max_steps (converged False).
+    (operators.phase_cells) carries visc = eps^2 mu (eps = mask.epsilon) on
+    the D:D form V and gamma = AL_PENALTY_RATIO visc on the div*div form
+    vol B'B, B the cell divergence (operators.cell_divergence).  The
+    augmented-Lagrangian / Uzawa loop (Fortin & Glowinski, Augmented
+    Lagrangian Methods, 1983) v_k = A^-1 (f - vol B'p_{k-1}), p_k = p_{k-1}
+    + gamma B v_k, with A = visc V + gamma vol B'B factored once and vol B'
+    = operators.strain_load(., I), reaches the discretely divergence-free
+    Stokes velocity whatever gamma is.  It stops once the flux of v_k
+    changes by at most steady_tol relative, or after max_steps (converged
+    False).
     """
     grid = mask.grid
     free = ~(boundary_tags(grid)["S0"] | mask.solid)
     active = np.tile(free.ravel(), grid.dim)
     fluid = phase_cells(grid, mask.chi_eps, 1.0, 0.0)
+    visc = mask.epsilon**2 * mu
     gamma = AL_PENALTY_RATIO * visc * fluid
     A = assemble_vector_form(grid, visc * fluid, gamma, free)
     # A is SPD.  spd_factor's pivot check would double the memory of this
@@ -304,11 +306,12 @@ def compare_micro_macro(pattern: UnitCellPattern, params: MaterialParams, eps_li
 
     Single-fluid configurations only (mu1 == mu2 and c_f1 == c_f2); returns a
     list of rows {eps, micro_flux, darcy_flux, rel_error, observed_order,
-    converged, steps}: whether the steady loop met steady_tol within
-    max_steps (ValueError below 1), and its iteration count.  In the Darcy
-    regime the skeleton is rigid and the steady micro flow is Stokes flow
-    with viscosity eps^2 mu1 (_steady_pore_flux); tau, the sound speeds, lam
-    and p0 do not change it and are not read.
+    converged, steps}: the order against the previous row, log(error ratio) /
+    log(eps ratio), whether the steady loop met steady_tol within max_steps
+    (ValueError below 1), and its iteration count.  In the Darcy regime the
+    skeleton is rigid and the steady micro flow is Stokes flow with
+    viscosity eps^2 mu1 (_steady_pore_flux); tau, the sound speeds, lam and
+    p0 do not change it and are not read.
     """
     if params.mu1 != params.mu2 or params.c_f1 != params.c_f2:
         raise ValueError("micro/macro comparison requires a single fluid "
@@ -326,19 +329,18 @@ def compare_micro_macro(pattern: UnitCellPattern, params: MaterialParams, eps_li
     q_darcy = float(q_darcy_vec[0])
 
     rows = []
-    prev_err = None
+    prev_eps, prev_err = None, None
     for eps in eps_list:
         grid = Grid(dim=dim, n_per_axis=round(1.0 / eps) * nodes_per_cell + 1)
         mask = build_phase_mask(pattern, eps, grid)
-        flux, converged, steps = _steady_pore_flux(mask, eps**2 * params.mu1, g, max_steps,
-                                                   steady_tol)
+        flux, converged, steps = _steady_pore_flux(mask, params.mu1, g, max_steps, steady_tol)
         q_micro = float(flux[0])
         rel = abs(q_micro - q_darcy) / max(abs(q_darcy), 1e-300)
         order = float("nan")
         if prev_err is not None and rel > 0 and prev_err > 0:
-            order = float(np.log(prev_err / rel) / np.log(2.0))
+            order = float(np.log(prev_err / rel) / np.log(prev_eps / eps))
         rows.append({"eps": eps, "micro_flux": q_micro, "darcy_flux": q_darcy,
                      "rel_error": rel, "observed_order": order, "converged": converged,
                      "steps": steps})
-        prev_err = rel
+        prev_eps, prev_err = eps, rel
     return rows

@@ -10,11 +10,12 @@ symmetric positive definite solve for the velocity:
         - lam (1-chi_f) D(w^n):D(phi) - c^2 (div w^n)(div phi)
 
 with w^{n+1} = w^n + tau v^{n+1} and homogeneous displacement conditions on
-S0.  chi_f is the cell phase of operators.phase_cells: a cell with a fluid
-corner is fluid and takes the mean of mu (and of c_f^2) over its fluid
-corners; every other cell is skeleton and takes lam (and c_s^2).  div is the
-cell-center divergence of the reduced div*div form, and the ledger's
-compressive energy 1/2 int (p - p0)^2 / c^2 = 1/2 int c^2 (div w)^2 uses the
+S0.  eps is the cell size of the phase mask (PhaseMask.epsilon) and mu the
+transport.update_viscosity of the fluid-1 fraction.  chi_f is the cell phase
+of operators.phase_cells: a cell with a fluid corner is fluid and takes the
+mean of mu (and of c_f^2) over its fluid corners; every other cell is
+skeleton and takes lam (and c_s^2).  div is the cell-center divergence of
+the reduced div*div form, and the ledger's compressive energy 1/2 int (p - p0)^2 / c^2 = 1/2 int c^2 (div w)^2 uses the
 same one, per cell.  A per-step energy ledger tracks elastic + compressive
 storage, viscous (plus implicit-Euler numerical) dissipation and external
 work; their balance is exact up to solver tolerance.
@@ -32,7 +33,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import transport
-from .geometry import PhaseMask, boundary_tags, cells_across
+from .geometry import PhaseMask, boundary_tags
 from .grid import Grid, ScalarField, VectorField
 from .operators import (
     assemble_vector_form,
@@ -63,7 +64,6 @@ class MaterialParams:
     c_s: float = 1.0
     p0: float = 0.0
     p_drive_grad: tuple = (1.0, 0.0)  # constant gradient of the driving field p^0
-    epsilon: float = 1.0
     h_mollify: float = 0.1
     tau: float = 0.1
 
@@ -82,10 +82,6 @@ class MaterialParams:
             problems.append(f"p0 must be finite, got {self.p0}")
         if not np.all(np.isfinite(self.p_drive_grad)):
             problems.append(f"p_drive_grad must be finite, got {self.p_drive_grad}")
-        try:
-            cells_across(self.epsilon)
-        except ValueError as exc:
-            problems.append(str(exc))
         if problems:
             raise ValueError("\n".join(problems))
 
@@ -94,24 +90,16 @@ class MaterialParams:
 class SimState:
     w: VectorField
     v: VectorField
-    mu: ScalarField
     chi: ScalarField
     t: float = 0.0
 
     @classmethod
-    def initial(cls, mask: PhaseMask, params: MaterialParams) -> "SimState":
-        """Zero displacement and velocity, chi from the mask.  mu is derived
-        from chi (transport.update_viscosity) here and after every step; it
-        is kept only so the operator and the output can read it."""
+    def initial(cls, mask: PhaseMask) -> "SimState":
+        """Zero displacement and velocity, chi from the mask.  The viscosity
+        is not state: it is transport.update_viscosity of chi."""
         grid = mask.grid
-        chi = ScalarField(grid, mask.chi.copy())
-        return cls(
-            w=VectorField.zeros(grid),
-            v=VectorField.zeros(grid),
-            mu=transport.update_viscosity(chi, mask, params),
-            chi=chi,
-            t=0.0,
-        )
+        return cls(w=VectorField.zeros(grid), v=VectorField.zeros(grid),
+                   chi=ScalarField(grid, mask.chi.copy()))
 
 
 class EnergyBreakdown(NamedTuple):
@@ -181,8 +169,8 @@ class MicroSolver:
     step: (t, CG iterations, relative residual of the step solve, CFL margin
     tau * max sum_k |v_k| / dx_k).  A direct step counts 0 iterations.
     stage_seconds sums the wall time of each stage since construction:
-    "assemble" (the operator rebuilds, the first one included), "solve" (the
-    step solves) and "transport" (advection and the viscosity update).
+    "assemble" (the viscosity update and the operator rebuilds, the first
+    ones included), "solve" (the step solves) and "transport" (advection).
     """
 
     def __init__(self, mask: PhaseMask, params: MaterialParams, *,
@@ -210,7 +198,7 @@ class MicroSolver:
         if g.size != grid.dim:
             raise ValueError("p_drive_grad must have one entry per axis")
 
-        self.state = SimState.initial(mask, params)
+        self.state = SimState.initial(mask)
         self._lam_cells = phase_cells(grid, mask.chi_eps, 0.0, params.lam)
         self._mu_cells = None
         self._c2_cells = None
@@ -255,11 +243,13 @@ class MicroSolver:
         """E (storage: elastic D:D on the skeleton plus compressive div*div),
         re-assembled whenever the fluid labels move c^2, and A = viscous + tau E,
         assembled as one form whenever mu or c^2 moves, with its multigrid
-        V-cycle (solver="cg") or a dropped LU (solver="direct")."""
-        grid, params = self.grid, self.params
-        st = self.state
-        mu_cells = phase_cells(grid, self.mask.chi_eps, st.mu.values, 0.0)
-        c2_cells = sound_speed_squared(self.mask, params, st.chi.values)
+        V-cycle (solver="cg") or a dropped LU (solver="direct").  mu is
+        transport.update_viscosity of the current chi."""
+        grid, params, mask = self.grid, self.params, self.mask
+        chi = self.state.chi
+        mu = transport.update_viscosity(chi, mask, params)
+        mu_cells = phase_cells(grid, mask.chi_eps, mu.values, 0.0)
+        c2_cells = sound_speed_squared(mask, params, chi.values)
         if not np.array_equal(c2_cells, self._c2_cells):
             self._c2_cells = c2_cells
             self._E = assemble_vector_form(grid, self._lam_cells, c2_cells)
@@ -267,7 +257,7 @@ class MicroSolver:
             return
         self._mu_cells = mu_cells
         tau = params.tau
-        coef_sym = params.epsilon**2 * mu_cells + tau * self._lam_cells
+        coef_sym = mask.epsilon**2 * mu_cells + tau * self._lam_cells
         coef_div = tau * self._c2_cells
         self._A_red = assemble_vector_form(grid, coef_sym, coef_div, ~self.fixed_nodes)
         self._lu = None
@@ -331,17 +321,17 @@ class MicroSolver:
 
         v_new = VectorField(grid, v_flat.reshape((grid.dim,) + grid.shape))
         if self.advance_transport:
-            # splitting order: momentum -> phase (advected) -> viscosity mu(chi)
+            # splitting order: momentum -> phase (advected); the next rebuild
+            # derives the viscosity mu(chi) from it
             with self._stage("transport"):
                 chi_new = transport.advect_phase(self.state.chi, v_new, self.mask, params.tau)
-                mu_new = transport.update_viscosity(chi_new, self.mask, params)
 
         st = self.state
         st.w = VectorField(grid, w_new.reshape((grid.dim,) + grid.shape))
         st.v = v_new
         st.t += params.tau
         if self.advance_transport:
-            st.chi, st.mu = chi_new, mu_new
+            st.chi = chi_new
         if self.solver == "cg":
             self._window.append(v_red)
         last = self.energy

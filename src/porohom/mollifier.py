@@ -6,13 +6,13 @@ radial integral) so that the integral of J(|x|) over R^dim equals one.
 
 The discrete convolution is one FFT product: the spectrum of the grid
 stencil is cached per (grid, h), and each call costs a forward and an
-inverse real FFT of the padded field, not a sum over the stencil.  On box
-grids every axis is zero-padded to a 5-smooth length of at least n + r
-(r the stencil radius), so the kept block is exactly the linear
+inverse real FFT of the padded field, not a sum over the stencil.  Each
+box axis is zero-padded to a 5-smooth length of at least n + r (r the
+stencil radius), so along it the kept block is exactly the linear
 convolution of the zero-extended field; mollified constants therefore sag
-inside a boundary layer of width h, and convergence diagnostics restrict
-to interior nodes.  On fully periodic grids the convolution is circular,
-with the stencil folded mod n.
+inside a boundary layer of width h of each box face, and convergence
+diagnostics restrict to interior nodes.  Along each periodic axis the
+convolution is circular, with the stencil folded mod n.
 """
 
 from __future__ import annotations
@@ -108,17 +108,15 @@ def _five_smooth(m: int) -> int:
 def _kernel_spectrum(grid: Grid, h: float):
     """FFT lengths and real spectrum of the stencil, centred at index 0.
 
-    Box grids pad each axis to a 5-smooth length L >= n + r, so no stencil
-    offset folds onto an offset |d| <= n - 1 that the kept block reads.
-    Fully periodic grids use L = n and fold the stencil mod n, which is the
+    A box axis is padded to a 5-smooth length L >= n + r, so no stencil
+    offset folds onto an offset |d| <= n - 1 that the kept block reads.  A
+    periodic axis uses L = n and folds the stencil mod n, which is the
     circular convolution.  The stencil is even, so its spectrum is real.
     """
     st = _stencil(grid, h)
     radii = [(m - 1) // 2 for m in st.shape]
-    if all(grid.periodic):
-        lengths = grid.shape
-    else:
-        lengths = tuple(_five_smooth(n + r) for n, r in zip(grid.shape, radii))
+    lengths = tuple(n if per else _five_smooth(n + r)
+                    for n, r, per in zip(grid.shape, radii, grid.periodic))
     kernel = np.zeros(lengths)
     np.add.at(kernel, np.ix_(*[np.arange(-r, r + 1) % L for r, L in zip(radii, lengths)]), st)
     return lengths, np.fft.rfftn(kernel).real
@@ -127,8 +125,8 @@ def _kernel_spectrum(grid: Grid, h: float):
 def mollify(u, h: float):
     """Mollification u_h(x) = h^-dim * integral of J(|x-y|/h) u(y) dy.
 
-    u is extended by zero outside Omega (wrap-around on fully periodic
-    grids).  Requires h >= 2 * grid spacing so the kernel is resolved.
+    u is extended by zero across each box face and wraps around each
+    periodic axis.  Requires h >= 2 * grid spacing so the kernel is resolved.
     A VectorField is mollified componentwise in one batched transform.
     """
     if not isinstance(u, (ScalarField, VectorField)):

@@ -129,8 +129,10 @@ def _crossing(x: np.ndarray, prof: np.ndarray, level: float):
 
 
 def interface_summary(chi: ScalarField, mask: PhaseMask):
-    """Mean x1 of the chi = 1/2 level set and the 0.05/0.95 interface width,
-    from the pore-averaged profile of chi along x1."""
+    """Interface position and width from the pore-averaged profile of chi
+    along x1: mean_x1 is the profile's first 1/2-crossing, going from S2
+    (x1 = -1/2) towards S1, and width the distance between its first 0.05-
+    and 0.95-crossings (nan where a level is not crossed)."""
     grid = chi.grid
     axes = tuple(range(1, grid.dim))
     weight = mask.chi_eps

@@ -44,7 +44,7 @@ def test_parse_config_defaults_and_values():
     assert cfg.seed == 3
     assert cfg.n == 65
     assert cfg.h_list == (0.2, 0.1, 0.05)
-    assert cfg.material.epsilon == 0.5
+    assert cfg.epsilon == 0.5
     assert cfg.material.p_drive_grad == (1.0, 0.0)
 
 
@@ -83,7 +83,15 @@ def test_parse_config_lists_every_material_problem():
     assert len(problems) == 3
     assert any("mu1 must be positive, got -2.0" in p for p in problems)
     assert any("tau must be positive, got 0.0" in p for p in problems)
-    assert any("epsilon must be an integer reciprocal, got 0.3" in p for p in problems)
+    assert "[material] epsilon must be an integer reciprocal, got 0.3" in problems
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.5])
+def test_parse_config_rejects_a_non_positive_epsilon(eps):
+    text = f"[experiment]\nname = micro-sim\n[material]\nepsilon = {eps}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == [f"[material] epsilon must be an integer reciprocal, got {eps}"]
 
 
 def test_parse_config_rejects_non_finite_drive_data():
@@ -263,6 +271,18 @@ def test_cli_eps_convergence_of_one_fluid_never_mollifies(tmp_path):
                    "eps_list = 0.5, 0.25\n[grid]\nn = 8\n")
     assert cli.main(["eps-convergence", "--config", str(cfg)]) == 0
     assert (out / "eps_convergence.csv").exists()
+
+
+def test_cli_eps_convergence_runs_every_listed_level(tmp_path):
+    # eps = 1 is a level like any other: one cell across the box
+    cfg = tmp_path / "one_cell.ini"
+    out = tmp_path / "out"
+    cfg.write_text(f"[experiment]\nname = eps-convergence\nout_dir = {out}\n"
+                   "eps_list = 1.0, 0.5\n[grid]\nn = 8\n")
+    assert cli.main(["eps-convergence", "--config", str(cfg)]) == 0
+    rows = (out / "eps_convergence.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [1.0, 0.5]
+    assert all(r.split(",")[-1] == "1" for r in rows)
 
 
 def test_cli_eps_convergence_rejects_an_under_resolved_cell(tmp_path):

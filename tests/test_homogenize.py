@@ -305,6 +305,20 @@ def test_compare_micro_macro_is_first_order_at_any_radius(r0):
     assert all(0.7 <= r["observed_order"] <= 1.3 for r in rows[1:]), rows
 
 
+def test_observed_order_divides_by_the_log_of_the_eps_ratio():
+    # eps 1/2 -> 1/5 is no halving: the order is log(err ratio) / log 2.5
+    par = MaterialParams(mu1=1.0, mu2=1.0, lam=1.0, tau=0.05, h_mollify=0.0,
+                         p0=0.0, p_drive_grad=(1.0, 0.0))
+    rows = compare_micro_macro(UnitCellPattern("disk", 0.25), par, [0.5, 0.2],
+                               nodes_per_cell=8)
+    assert all(r["converged"] for r in rows)
+    err = [r["rel_error"] for r in rows]
+    assert err == pytest.approx([0.37498, 0.16191], abs=1e-5)
+    order = rows[1]["observed_order"]
+    assert order == pytest.approx(np.log(err[0] / err[1]) / np.log(2.5), rel=1e-12)
+    assert order == pytest.approx(0.917, abs=1e-3)
+
+
 def test_a_repeated_comparison_reuses_every_assembly_pattern():
     # a sweep assembles on six patterns: the cell problem's near-solid nodes,
     # the Darcy grid on every node and on its free nodes, and the free nodes
@@ -432,7 +446,7 @@ def test_steady_pore_flux_assembles_one_form(monkeypatch):
         return assemble_vector_form(*args, **kwargs)
     monkeypatch.setattr(homogenize, "assemble_vector_form", recording)
     mask = build_phase_mask(UnitCellPattern("disk", 0.25), 0.5, Grid(2, 2 * 8 + 1))
-    _, converged, steps = _steady_pore_flux(mask, 0.25, (1.0, 0.0), max_steps=50,
+    _, converged, steps = _steady_pore_flux(mask, 1.0, (1.0, 0.0), max_steps=50,
                                             steady_tol=1e-7)
     assert converged and steps > 1
     assert len(calls) == 1
@@ -450,7 +464,7 @@ def test_direct_solver_factor_is_accurate_and_sparser(monkeypatch):
     monkeypatch.setattr(spla, "splu", recorded)
     eps = 0.25
     mask = build_phase_mask(UnitCellPattern("disk", 0.25), eps, Grid(2, 4 * 16 + 1))
-    _steady_pore_flux(mask, eps**2, (1.0, 0.0), max_steps=1, steady_tol=1e-7)
+    _steady_pore_flux(mask, 1.0, (1.0, 0.0), max_steps=1, steady_tol=1e-7)
     [(A, lu)] = factored
     b = np.random.default_rng(0).standard_normal(A.shape[0])
     x = lu.solve(b)

@@ -21,6 +21,7 @@ from porohom.operators import (
     cell_counts,
     cell_divergence,
     cell_volume,
+    phase_cells,
 )
 from porohom.operators import _stencil_layout
 from porohom.solvers import cg_solve, projected_guess
@@ -52,15 +53,7 @@ def test_material_params_validation():
         MaterialParams(mu1=0.0)
     with pytest.raises(ValueError):
         MaterialParams(tau=-0.1)
-    with pytest.raises(ValueError):
-        MaterialParams(epsilon=0.3)
-    MaterialParams(epsilon=0.25)  # fine
-
-
-@pytest.mark.parametrize("eps", [0.0, -0.5])
-def test_material_params_rejects_non_positive_epsilon(eps):
-    with pytest.raises(ValueError, match="epsilon"):
-        MaterialParams(epsilon=eps)
+    MaterialParams(mu1=0.25)  # fine
 
 
 def test_material_params_rejects_negative_mollification_radius():
@@ -79,11 +72,10 @@ def test_a_drive_gradient_of_the_wrong_length_fails_before_any_assembly():
 
 def test_material_params_names_every_violation_in_one_error():
     with pytest.raises(ValueError) as err:
-        MaterialParams(mu1=-2.0, tau=0.0, epsilon=0.3, h_mollify=-1.0)
+        MaterialParams(mu1=-2.0, tau=0.0, h_mollify=-1.0)
     lines = str(err.value).splitlines()
-    assert len(lines) == 4
-    for key in ("mu1 must be positive", "tau must be positive", "h_mollify must be >= 0",
-                "epsilon must be an integer reciprocal"):
+    assert len(lines) == 3
+    for key in ("mu1 must be positive", "tau must be positive", "h_mollify must be >= 0"):
         assert sum(key in line for line in lines) == 1, key
 
 
@@ -96,12 +88,28 @@ def test_material_params_rejects_an_infinite_coefficient(name):
 def test_initial_viscosity_is_derived_from_the_phase():
     mask = _two_fluid_mask()
     par = MaterialParams(mu1=2.0, mu2=5.0, h_mollify=0.0)
-    st = SimState.initial(mask, par)
-    assert np.array_equal(st.mu.values, update_viscosity(st.chi, mask, par).values)
+    st = SimState.initial(mask)
+    assert np.array_equal(st.chi.values, mask.chi) and st.chi.values is not mask.chi
+    mu = update_viscosity(st.chi, mask, par).values
     x1 = mask.grid.coords()[0]
-    assert np.all(st.mu.values[x1 > 0.01] == 2.0)
-    assert np.all(st.mu.values[x1 < -0.01] == 5.0)
+    assert np.all(mu[x1 > 0.01] == 2.0)
+    assert np.all(mu[x1 < -0.01] == 5.0)
     assert np.abs(st.w.values).max() == 0.0
+    ms = MicroSolver(mask, par)
+    assert np.array_equal(ms._mu_cells, phase_cells(mask.grid, mask.chi_eps, mu, 0.0))
+
+
+def test_viscous_form_is_scaled_by_the_cell_size_of_the_mask():
+    # eps comes from the mask alone: MaterialParams() carries no cell size
+    mask = build_phase_mask(UnitCellPattern("disk", 0.25), 0.5, Grid(2, 33))
+    par = MaterialParams()
+    ms = MicroSolver(mask, par)
+    g = mask.grid
+    mu = _phase_oracle(mask, par.mu1, 0.0)
+    lam = _phase_oracle(mask, 0.0, par.lam)
+    A = assemble_vector_form(g, 0.25 * mu + par.tau * lam,
+                             par.tau * _c2_oracle(mask, par, mask.chi), ~ms.fixed_nodes)
+    assert abs(ms._A_red - A).max() <= 1e-14 * abs(A).max()
 
 
 def test_two_fluid_solver_rejects_an_unresolved_mollifier():
@@ -171,7 +179,7 @@ def test_sound_speed_follows_the_advected_labels():
     assert np.array_equal(ms._c2_cells, c2)
     lam = _phase_oracle(mask, 0.0, par.lam)
     E = assemble_vector_form(g, lam, c2)
-    A = assemble_vector_form(g, par.epsilon**2 * ms._mu_cells + par.tau * lam, par.tau * c2)
+    A = assemble_vector_form(g, mask.epsilon**2 * ms._mu_cells + par.tau * lam, par.tau * c2)
     for got, want in ((ms._E, E), (ms._A_red, A[ms.active][:, ms.active])):
         assert abs(got - want).max() <= 1e-13 * abs(want).max()
     assert all(row[-1] <= 1e-10 for row in ms.history)
@@ -193,8 +201,8 @@ def test_one_assembly_operators_match_the_separate_forms(dim, n, pattern):
     zero = np.zeros_like(lam)
     elastic = assemble_vector_form(g, lam, None)
     compressive = assemble_vector_form(g, zero, _c2_oracle(mask, par, mask.chi))
-    mu = _phase_oracle(mask, ms.state.mu.values, 0.0)
-    viscous = assemble_vector_form(g, par.epsilon**2 * mu, None)
+    mu = _phase_oracle(mask, update_viscosity(ms.state.chi, mask, par).values, 0.0)
+    viscous = assemble_vector_form(g, mask.epsilon**2 * mu, None)
     A = viscous + par.tau * (elastic + compressive)
     for got, want in ((ms._E, elastic + compressive), (ms._A_red, A[ms.active][:, ms.active])):
         diff = abs(got - want).max()
@@ -368,13 +376,15 @@ def test_cfl_failure_leaves_the_state_unchanged():
 
 def _assert_failed_step_changes_nothing(ms, error, match):
     state, t = ms.state, ms.state.t
-    fields = [f.values.copy() for f in (state.w, state.v, state.mu, state.chi)]
+    fields = [f.values.copy() for f in (state.w, state.v, state.chi)]
+    mu = update_viscosity(state.chi, ms.mask, ms.params).values
     history, trace, window = list(ms.history), list(ms.trace), list(ms._window)
     with pytest.raises(error, match=match):
         ms.step()
     assert ms.state is state and state.t == t
-    for f, before in zip((state.w, state.v, state.mu, state.chi), fields):
+    for f, before in zip((state.w, state.v, state.chi), fields):
         assert np.array_equal(f.values, before)
+    assert np.array_equal(update_viscosity(state.chi, ms.mask, ms.params).values, mu)
     assert ms.history == history and ms.trace == trace
     assert len(ms._window) == len(window)
     assert all(a is b for a, b in zip(ms._window, window))
@@ -398,7 +408,7 @@ def test_a_failed_step_leaves_the_projection_window_unchanged(monkeypatch):
 # -- multigrid-preconditioned step solve ------------------------------------
 
 # the transient-2d benchmark material
-TRANSIENT = dict(mu1=1.0, mu2=3.0, lam=1.0, epsilon=0.5, tau=0.005, h_mollify=0.1)
+TRANSIENT = dict(mu1=1.0, mu2=3.0, lam=1.0, tau=0.005, h_mollify=0.1)
 
 
 def _transient_solver(n, **kw):
@@ -500,17 +510,21 @@ def _at_rest_solver(tau, n=65):
 def test_viscosity_at_rest_is_stationary_and_independent_of_tau():
     # no drive: v = 0, so chi stays still, and mu with it, bit for bit
     ms = _at_rest_solver(TRANSIENT["tau"])
-    mu0, mu_cells = ms.state.mu.values.copy(), ms._mu_cells
+
+    def mu(solver):
+        return update_viscosity(solver.state.chi, solver.mask, solver.params).values
+
+    mu0, mu_cells = mu(ms), ms._mu_cells
     ms.run(200)
     assert np.abs(ms.state.v.values).max() == 0.0
-    assert np.array_equal(ms.state.mu.values, mu0)
+    assert np.array_equal(mu(ms), mu0)
     assert ms._mu_cells is mu_cells  # the operator was never re-assembled
     half = _at_rest_solver(TRANSIENT["tau"] / 2)
     coarse = _at_rest_solver(TRANSIENT["tau"])
     half.run(20)
     coarse.run(10)
     assert half.state.t == pytest.approx(coarse.state.t, rel=1e-12)
-    assert np.array_equal(half.state.mu.values, coarse.state.mu.values)
+    assert np.array_equal(mu(half), mu(coarse))
 
 
 def test_viscosity_follows_the_advected_phase_every_step(monkeypatch):
@@ -528,9 +542,10 @@ def test_viscosity_follows_the_advected_phase_every_step(monkeypatch):
         chi = ms.state.chi
         ms.step()
         assert len(calls) == step and calls[-1] is chi  # chi is the only advected field
-        assert np.array_equal(ms.state.mu.values,
-                              update_viscosity(ms.state.chi, ms.mask, par).values)
-        assert ms.state.mu.values.min() >= par.mu1 and ms.state.mu.values.max() <= par.mu2
+        # the step's operator carries the viscosity of the chi it started from
+        mu = update_viscosity(chi, ms.mask, par).values
+        assert np.array_equal(ms._mu_cells, phase_cells(ms.grid, ms.mask.chi_eps, mu, 0.0))
+        assert mu.min() >= par.mu1 and mu.max() <= par.mu2
     assert not np.array_equal(ms.state.chi.values, ms.mask.chi)
 
 

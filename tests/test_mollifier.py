@@ -55,25 +55,35 @@ def test_normalization_matches_adaptive_quadrature():
         assert kernel_normalization(dim) == pytest.approx(1.0 / (surface[dim] * radial), rel=1e-14)
 
 
+def _shift(f, axis, o, periodic):
+    """f(x - o) along one axis: wrapped around a periodic axis, zero-filled
+    across a box face."""
+    if periodic:
+        return np.roll(f, o, axis=axis)
+    out = np.zeros_like(f)
+    n = f.shape[axis]
+    if abs(o) < n:
+        dst = [slice(None)] * f.ndim
+        src = [slice(None)] * f.ndim
+        dst[axis] = slice(max(o, 0), n + min(o, 0))
+        src[axis] = slice(max(-o, 0), n - max(o, 0))
+        out[tuple(dst)] = f[tuple(src)]
+    return out
+
+
 def _direct_mollify(values, grid, h):
     """Reference: the sum over the stencil offsets d of st[d] * (w u)(x - d),
-    with w u extended by zero (np.roll on fully periodic grids)."""
+    with w u wrapped around each periodic axis and extended by zero across
+    each box face."""
     st_ = _stencil(grid, h)
     radii = [(m - 1) // 2 for m in st_.shape]
     f = values * grid.node_weights()
-    axes = tuple(range(-grid.dim, 0))
     out = np.zeros_like(f)
     for off in itertools.product(*[range(-r, r + 1) for r in radii]):
-        c = st_[tuple(o + r for o, r in zip(off, radii))]
-        if all(grid.periodic):
-            out += c * np.roll(f, off, axis=axes)
-            continue
-        n = grid.n_per_axis
-        if any(abs(o) >= n for o in off):
-            continue
-        dst = tuple(slice(max(o, 0), n + min(o, 0)) for o in off)
-        src = tuple(slice(max(-o, 0), n - max(o, 0)) for o in off)
-        out[(...,) + dst] += c * f[(...,) + src]
+        shifted = f
+        for k, o in enumerate(off):
+            shifted = _shift(shifted, k - grid.dim, o, grid.periodic[k])
+        out += st_[tuple(o + r for o, r in zip(off, radii))] * shifted
     return out
 
 
@@ -84,9 +94,11 @@ def _direct_mollify(values, grid, h):
     (2, 33, 0.1, False, True),
     (2, 8, 0.6, True, False),  # stencil radius 4 >= n/2: the kernel folds onto itself
     (3, 8, 0.3, True, True),
+    pytest.param(2, 33, 0.1, (False, True), False, id="2-33-0.1-FalseTrue-False"),
+    pytest.param(3, 17, 0.15, (True, False, True), True, id="3-17-0.15-TrueFalseTrue-True"),
 ])
 def test_fft_mollify_matches_a_direct_sum(dim, n, h, periodic, vector):
-    g = Grid(dim, n, (periodic,) * dim)
+    g = Grid(dim, n, periodic if isinstance(periodic, tuple) else (periodic,) * dim)
     lead = (dim,) if vector else ()
     u = XorShift64Star(n).array(lead + g.shape)
     field = VectorField(g, u) if vector else ScalarField(g, u)
