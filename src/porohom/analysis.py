@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import PhaseMask, boundary_tags
 from .grid import Grid, ScalarField, VectorField
 from .mollifier import mollify
-from .operators import assemble_vector_form, cell_counts
+from .operators import assemble_vector_form, cell_counts, nested_dissection
 from .solvers import inverse_power_iteration
 
 __all__ = [
@@ -57,7 +57,10 @@ def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0) -> Co
 
     The active nodes are the mask's interior: nodes whose face neighbours
     all lie in the mask (cross-shaped erosion, with the grid's outside
-    counted as masked), minus the grid boundary."""
+    counted as masked), minus the grid boundary.  The form and the mass are
+    permuted into the factor order of operators.nested_dissection before
+    the inverse power iteration, so its random start vector is drawn in
+    that order too."""
     if domain_mask.grid != grid:
         raise ValueError("mask grid mismatch")
     inside = domain_mask.values > 0.5
@@ -69,8 +72,9 @@ def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0) -> Co
     if not active_node.any():
         raise ValueError("mask has no interior nodes")
     coef = np.ones(int(np.prod(cell_counts(grid))))
-    A_red = assemble_vector_form(grid, coef, None, active_node)
-    mass_red = np.tile(grid.node_weights()[active_node], grid.dim)
+    order = nested_dissection(grid, active_node, grid.dim)
+    A_red = assemble_vector_form(grid, coef, None, active_node)[order][:, order]
+    mass_red = np.tile(grid.node_weights()[active_node], grid.dim)[order]
     lam, _, iters, resid = inverse_power_iteration(A_red, mass_red, seed=seed)
     if lam <= 0:
         raise RuntimeError(f"non-positive smallest eigenvalue {lam}")

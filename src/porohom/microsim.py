@@ -41,6 +41,7 @@ from .operators import (
     cell_volume,
     coarse_levels,
     coarse_vector_forms,
+    nested_dissection,
     phase_cells,
 )
 from .solvers import SPD_SPLU_OPTIONS, VCycle, cg_solve, projected_guess
@@ -200,6 +201,7 @@ class MicroSolver:
 
         self.state = SimState.initial(mask)
         self._lam_cells = phase_cells(grid, mask.chi_eps, 0.0, params.lam)
+        self._built_chi = None
         self._mu_cells = None
         self._c2_cells = None
         self._lu = None
@@ -244,27 +246,31 @@ class MicroSolver:
         re-assembled whenever the fluid labels move c^2, and A = viscous + tau E,
         assembled as one form whenever mu or c^2 moves, with its multigrid
         V-cycle (solver="cg") or a dropped LU (solver="direct").  mu is
-        transport.update_viscosity of the current chi."""
+        transport.update_viscosity of the current chi; when chi is the one
+        the operator was built from, nothing is derived or rebuilt."""
         grid, params, mask = self.grid, self.params, self.mask
         chi = self.state.chi
+        if np.array_equal(chi.values, self._built_chi):
+            return
         mu = transport.update_viscosity(chi, mask, params)
         mu_cells = phase_cells(grid, mask.chi_eps, mu.values, 0.0)
         c2_cells = sound_speed_squared(mask, params, chi.values)
-        if not np.array_equal(c2_cells, self._c2_cells):
+        c2_moved = not np.array_equal(c2_cells, self._c2_cells)
+        if c2_moved:
             self._c2_cells = c2_cells
             self._E = assemble_vector_form(grid, self._lam_cells, c2_cells)
-        elif np.array_equal(mu_cells, self._mu_cells):
-            return
-        self._mu_cells = mu_cells
-        tau = params.tau
-        coef_sym = mask.epsilon**2 * mu_cells + tau * self._lam_cells
-        coef_div = tau * self._c2_cells
-        self._A_red = assemble_vector_form(grid, coef_sym, coef_div, ~self.fixed_nodes)
-        self._lu = None
-        if self.solver == "cg":
-            levels = coarse_levels(grid, ~self.fixed_nodes)
-            coarse = coarse_vector_forms(grid, levels, coef_sym, coef_div)
-            self._vcycle = VCycle([self._A_red, *coarse], levels)
+        if c2_moved or not np.array_equal(mu_cells, self._mu_cells):
+            self._mu_cells = mu_cells
+            tau = params.tau
+            coef_sym = mask.epsilon**2 * mu_cells + tau * self._lam_cells
+            coef_div = tau * self._c2_cells
+            self._A_red = assemble_vector_form(grid, coef_sym, coef_div, ~self.fixed_nodes)
+            self._lu = None
+            if self.solver == "cg":
+                levels = coarse_levels(grid, ~self.fixed_nodes)
+                coarse = coarse_vector_forms(grid, levels, coef_sym, coef_div)
+                self._vcycle = VCycle([self._A_red, *coarse], levels)
+        self._built_chi = chi.values.copy()
 
     def apply_operator(self, v: VectorField) -> VectorField:
         """Constrained action of the per-step SPD operator on a trial velocity."""
@@ -275,9 +281,11 @@ class MicroSolver:
     def _solve(self, rhs_red: np.ndarray):
         """(v_red, iterations, relative residual) of A_red v_red = rhs_red."""
         if self.solver == "direct":
+            order = nested_dissection(self.grid, ~self.fixed_nodes, self.grid.dim)
             if self._lu is None:
-                self._lu = spla.splu(self._A_red.tocsc(), **SPD_SPLU_OPTIONS)
-            x = self._lu.solve(rhs_red)
+                self._lu = spla.splu(self._A_red[order][:, order].tocsc(), **SPD_SPLU_OPTIONS)
+            x = np.empty_like(rhs_red)
+            x[order] = self._lu.solve(rhs_red[order])
             b_norm = float(np.linalg.norm(rhs_red))
             residual = np.linalg.norm(rhs_red - self._A_red @ x) / b_norm if b_norm else 0.0
             return x, 0, float(residual)

@@ -10,7 +10,7 @@ from scipy import ndimage
 from porohom.analysis import _erode, extend_fluid, extend_solid, poincare_constant
 from porohom.geometry import UnitCellPattern, boundary_tags, build_phase_mask
 from porohom.grid import Grid, ScalarField, VectorField, l2_norm
-from porohom.operators import assemble_vector_form, cell_counts
+from porohom.operators import assemble_vector_form, cell_counts, nested_dissection
 from porohom.rng import XorShift64Star
 
 
@@ -62,6 +62,30 @@ def test_poincare_constant_matches_a_shift_invert_eigensolve():
     lam = spla.eigsh(A.tocsc(), k=1, M=sp.diags(mass).tocsc(), sigma=0,
                      return_eigenvectors=False)[0]
     assert est.value == pytest.approx(1.0 / np.sqrt(lam), rel=1e-8)
+
+
+def test_poincare_factor_fills_less_than_minimum_degree(monkeypatch):
+    # the largest box of the poincare-scaling experiment on a 2D n=65 grid
+    splu = spla.splu
+    factored = []
+
+    def recorded(A, **options):
+        factored.append((A, splu(A, **options)))
+        return factored[-1][1]
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    g = Grid(2, 65)
+    poincare_constant(_box_mask(g, 0.5), g)
+    [(A, lu)] = factored
+    # the same form in the order it is assembled in, as factored before
+    # nested dissection
+    active = _erode(np.ones(g.shape, dtype=bool))
+    tags = boundary_tags(g)
+    active &= ~(tags["S0"] | tags["S1"] | tags["S2"])
+    back = np.argsort(nested_dissection(g, active, 2))
+    mmd = splu(A[back][:, back].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+               options=dict(SymmetricMode=True))
+    assert lu.L.nnz + lu.U.nnz < mmd.L.nnz + mmd.U.nnz
 
 
 @st.composite

@@ -23,6 +23,7 @@ from porohom.operators import (
     assemble_vector_form,
     cell_corner_indices,
     cell_counts,
+    nested_dissection,
     phase_cells,
 )
 from porohom.operators import _stencil_layout
@@ -452,8 +453,8 @@ def test_steady_pore_flux_assembles_one_form(monkeypatch):
     assert len(calls) == 1
 
 
-def test_direct_solver_factor_is_accurate_and_sparser(monkeypatch):
-    # the eps = 1/4 level of an eps-convergence sweep at 16 nodes per cell
+def _recorded_factors(monkeypatch):
+    """(matrix, factor) of every splu call from here on."""
     splu = spla.splu
     factored = []
 
@@ -462,6 +463,17 @@ def test_direct_solver_factor_is_accurate_and_sparser(monkeypatch):
         return factored[-1][1]
 
     monkeypatch.setattr(spla, "splu", recorded)
+    return factored
+
+
+def _fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+def test_direct_solver_factor_is_accurate_and_sparser(monkeypatch):
+    # the eps = 1/4 level of an eps-convergence sweep at 16 nodes per cell
+    splu = spla.splu
+    factored = _recorded_factors(monkeypatch)
     eps = 0.25
     mask = build_phase_mask(UnitCellPattern("disk", 0.25), eps, Grid(2, 4 * 16 + 1))
     _steady_pore_flux(mask, 1.0, (1.0, 0.0), max_steps=1, steady_tol=1e-7)
@@ -470,4 +482,35 @@ def test_direct_solver_factor_is_accurate_and_sparser(monkeypatch):
     x = lu.solve(b)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
     default = splu(A)
-    assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+    assert _fill(lu) < _fill(default)
+
+
+MMD_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+
+
+def test_nested_dissection_factor_fills_less_than_minimum_degree(monkeypatch):
+    # the eps = 1/8 level of the eps-convergence sweep at 16 nodes per cell
+    splu = spla.splu
+    factored = _recorded_factors(monkeypatch)
+    mask = build_phase_mask(UnitCellPattern("disk", 0.25), 0.125, Grid(2, 8 * 16 + 1))
+    _steady_pore_flux(mask, 1.0, (1.0, 0.0), max_steps=1, steady_tol=1e-7)
+    [(A, lu)] = factored
+    # the same form in the order it is assembled in, factored as it was
+    # before nested dissection
+    free = ~(boundary_tags(mask.grid)["S0"] | mask.solid)
+    back = np.argsort(nested_dissection(mask.grid, free, 2))
+    assert _fill(lu) < _fill(splu(A[back][:, back].tocsc(), **MMD_OPTIONS))
+
+
+def test_steady_pore_flux_in_3d_factors_sparsely(monkeypatch):
+    # sphere 0.25 at eps = 1/2, 8 nodes per cell (17^3): minimum-degree
+    # ordering fills 18.9M L+U entries here, nested dissection about 7.2M
+    factored = _recorded_factors(monkeypatch)
+    mask = build_phase_mask(UnitCellPattern("sphere", 0.25), 0.5, Grid(3, 2 * 8 + 1))
+    flux, converged, steps = _steady_pore_flux(mask, 1.0, (1.0, 0.0, 0.0), max_steps=50,
+                                               steady_tol=1e-7)
+    assert converged and steps > 1
+    assert flux[0] < 0 and abs(flux[1]) <= 1e-8 * abs(flux[0])
+    [(_, lu)] = factored
+    assert _fill(lu) < 9.0e6

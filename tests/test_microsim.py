@@ -549,6 +549,29 @@ def test_viscosity_follows_the_advected_phase_every_step(monkeypatch):
     assert not np.array_equal(ms.state.chi.values, ms.mask.chi)
 
 
+def test_viscosity_is_derived_once_per_phase(monkeypatch):
+    # without transport chi never moves: the constructor derives mu, and no
+    # step derives it again
+    calls = []
+    derive = transport.update_viscosity
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return derive(*args, **kw)
+
+    monkeypatch.setattr(microsim.transport, "update_viscosity", counted)
+    ms = _transient_solver(33)
+    frozen = MicroSolver(ms.mask, ms.params, advance_transport=False)
+    assert len(calls) == 2
+    frozen.run(3)
+    assert len(calls) == 2
+    # with transport the first step still solves with the constructor's chi
+    ms.step()
+    assert len(calls) == 2
+    ms.step()
+    assert len(calls) == 3 and calls[-1] is not calls[0]
+
+
 # -- projected start of the step solve ----------------------------------------
 
 def _recorded_step_solves(ms, n_steps, monkeypatch):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from porohom.geometry import boundary_tags
+from porohom import operators
+from porohom.geometry import UnitCellPattern, boundary_tags, build_phase_mask
 from porohom.grid import Grid
 from porohom.operators import (
     assemble_scalar_stiffness,
@@ -15,6 +16,7 @@ from porohom.operators import (
     cell_divergence,
     cell_gradient,
     cell_volume,
+    nested_dissection,
     periodic_form_symbol,
     phase_cells,
     strain_load,
@@ -634,3 +636,64 @@ def test_periodic_inverse_is_symmetric_and_positive_on_the_free_dofs(dim, n):
         mean_free = (r.reshape(dim, -1) - r.reshape(dim, -1).mean(axis=1, keepdims=True)).ravel()
         assert mean_free @ M(mean_free) > 0 and r @ Mr > 0
 
+
+
+def _pore_nodes(pattern, eps, grid):
+    """Free nodes of the steady micro solve: off S0 and off the solid."""
+    return ~(boundary_tags(grid)["S0"] | build_phase_mask(pattern, eps, grid).solid)
+
+
+ND_CASES = {
+    "2d box": (Grid(2, 33), np.ones((33, 33), dtype=bool)),
+    "2d disk": (Grid(2, 65), _pore_nodes(UnitCellPattern("disk", 0.25), 0.25, Grid(2, 65))),
+    "3d sphere": (Grid(3, 17), _pore_nodes(UnitCellPattern("sphere", 0.25), 0.5, Grid(3, 17))),
+    "periodic axis": (Grid(2, 32, periodic=(True, False)),
+                      np.arange(32 * 32).reshape(32, 32) % 7 != 0),
+}
+
+
+@pytest.mark.parametrize("case", list(ND_CASES))
+@pytest.mark.parametrize("ncomp", [1, 2, 3])
+def test_nested_dissection_is_a_node_interleaved_permutation(case, ncomp):
+    grid, free = ND_CASES[case]
+    nfree = np.count_nonzero(free)
+    order = nested_dissection(grid, free, ncomp)
+    assert np.array_equal(np.sort(order), np.arange(ncomp * nfree))
+    # the ncomp dofs of one free node are listed together, component by component
+    per_node = order.reshape(nfree, ncomp)
+    assert np.array_equal(per_node - per_node[:, :1], np.tile(nfree * np.arange(ncomp), (nfree, 1)))
+    assert np.all(per_node[:, 0] < nfree)
+    assert nested_dissection(grid, free, ncomp) is order  # cached
+    assert not order.flags.writeable
+    with pytest.raises(ValueError):
+        order[0] = 0
+
+
+def test_nested_dissection_keeps_a_leaf_in_grid_order(monkeypatch):
+    grid, free = ND_CASES["2d disk"]
+    monkeypatch.setattr(operators, "ND_LEAF", np.count_nonzero(free))
+    operators._nested_dissection.cache_clear()
+    try:
+        order = nested_dissection(grid, free, 2)
+    finally:
+        operators._nested_dissection.cache_clear()
+    assert np.array_equal(order.reshape(-1, 2)[:, 0], np.arange(np.count_nonzero(free)))
+
+
+@pytest.mark.parametrize("case", ["2d box", "2d disk"])
+def test_nested_dissection_ends_with_the_emptiest_middle_plane(case):
+    # the first split of a square box is along axis 0; its separator is listed
+    # last and is the plane with the fewest free nodes in the middle quarter,
+    # the one nearest the centre among equals
+    grid, free = ND_CASES[case]
+    m = grid.n_per_axis
+    counts = np.count_nonzero(free, axis=1)
+    middle = np.arange(m // 2 - m // 8, m // 2 + m // 8 + 1)
+    fewest = middle[counts[middle] == counts[middle].min()]
+    plane = fewest[np.argmin(np.abs(2 * fewest - (m - 1)))]
+    rank = np.cumsum(free.ravel()) - 1
+    separator = rank[np.flatnonzero(free[plane]) + plane * m]
+    order = nested_dissection(grid, free, 1)
+    assert np.array_equal(order[-separator.size:], separator)
+    if case == "2d disk":
+        assert counts[plane] < counts[m // 2]  # it runs through the inclusions
