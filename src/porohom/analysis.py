@@ -2,8 +2,10 @@
 fluid/solid extension operators.
 
 A Poincaré constant is 1/sqrt(lambda_min) of the discrete symmetric-gradient
-form against the lumped mass, by inverse power iteration on one sparse LU of
-the form.
+form against the lumped mass, by the preconditioned eigensolver
+solvers.inverse_power_iteration (LOBPCG).  Its preconditioner is the
+multigrid V-cycle of the form when the grid halves down to a level small
+enough to factor, and one sparse factor of the whole form otherwise.
 """
 
 from __future__ import annotations
@@ -15,8 +17,15 @@ import numpy as np
 from .geometry import PhaseMask, boundary_tags
 from .grid import Grid, ScalarField, VectorField
 from .mollifier import mollify
-from .operators import assemble_vector_form, cell_counts, nested_dissection
-from .solvers import inverse_power_iteration
+from .operators import (
+    COARSE_DOFS,
+    assemble_vector_form,
+    cell_counts,
+    coarse_levels,
+    coarse_vector_forms,
+    nested_dissection,
+)
+from .solvers import VCycle, inverse_power_iteration
 
 __all__ = [
     "ConstantEstimate",
@@ -31,6 +40,7 @@ class ConstantEstimate:
     value: float
     iterations: int
     residual: float
+    precond: str  # the eigensolver's preconditioner: "multigrid" or "factor"
 
 
 def _grid_boundary(grid: Grid) -> np.ndarray:
@@ -57,10 +67,18 @@ def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0) -> Co
 
     The active nodes are the mask's interior: nodes whose face neighbours
     all lie in the mask (cross-shaped erosion, with the grid's outside
-    counted as masked), minus the grid boundary.  The form and the mass are
-    permuted into the factor order of operators.nested_dissection before
-    the inverse power iteration, so its random start vector is drawn in
-    that order too."""
+    counted as masked), minus the grid boundary.  The smallest eigenvalue
+    of the form against the lumped mass comes from inverse_power_iteration,
+    preconditioned by one of two:
+    - "multigrid": when operators.coarse_levels halves the box grid down to
+      at most operators.COARSE_DOFS free dofs, the VCycle over
+      coarse_vector_forms on those levels, which factors only that coarsest
+      level.  The form stays in component-major order.
+    - "factor": otherwise (an even node count, or halving that stops above
+      the bound), one spd_factor of the whole form.  The form and the mass
+      are permuted into the factor order of operators.nested_dissection
+      first, so the random start vector is drawn in that order too.
+    """
     if domain_mask.grid != grid:
         raise ValueError("mask grid mismatch")
     inside = domain_mask.values > 0.5
@@ -72,13 +90,17 @@ def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0) -> Co
     if not active_node.any():
         raise ValueError("mask has no interior nodes")
     coef = np.ones(int(np.prod(cell_counts(grid))))
+    A = assemble_vector_form(grid, coef, None, active_node)
+    mass = np.tile(grid.node_weights()[active_node], grid.dim)
+    levels = coarse_levels(grid, active_node)
+    coarsest = levels[-1].free if levels else active_node
+    if grid.dim * np.count_nonzero(coarsest) <= COARSE_DOFS:
+        vcycle = VCycle([A, *coarse_vector_forms(grid, levels, coef)], levels)
+        lam, _, iters, resid = inverse_power_iteration(A, mass, seed=seed, precond=vcycle)
+        return ConstantEstimate(1.0 / np.sqrt(lam), iters, resid, "multigrid")
     order = nested_dissection(grid, active_node, grid.dim)
-    A_red = assemble_vector_form(grid, coef, None, active_node)[order][:, order]
-    mass_red = np.tile(grid.node_weights()[active_node], grid.dim)[order]
-    lam, _, iters, resid = inverse_power_iteration(A_red, mass_red, seed=seed)
-    if lam <= 0:
-        raise RuntimeError(f"non-positive smallest eigenvalue {lam}")
-    return ConstantEstimate(1.0 / np.sqrt(lam), iters, resid)
+    lam, _, iters, resid = inverse_power_iteration(A[order][:, order], mass[order], seed=seed)
+    return ConstantEstimate(1.0 / np.sqrt(lam), iters, resid, "factor")
 
 
 def extend_solid(w_s: VectorField, mask: PhaseMask, h: float,

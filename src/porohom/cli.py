@@ -3,9 +3,10 @@
 Each experiment writes CSV outputs plus a manifest (config echo, library
 versions, wall time, peak resident memory and, for micro-sim, the wall time
 of each stage and the step operator's stored entries, for eps-convergence the
-steps and convergence of each level's steady solve) into the output
-directory.  Exit codes: 0 success, 1 validation failure, 2 solver failure
-(including running out of memory).
+steps and convergence of each level's steady solve, for poincare-scaling the
+preconditioner of each level's eigensolve) into the output directory.  Exit
+codes: 0 success, 1 validation failure, 2 solver failure (including running
+out of memory).
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ def run_poincare_scaling(cfg: RunConfig, out: Path, rng) -> tuple:
     grid = Grid(dim=cfg.dim, n_per_axis=cfg.n)
     coords = grid.coords()
     rows = []
+    precond = []
     base = None
     for s in cfg.eps_list:
         inside = np.ones(grid.shape, dtype=bool)
@@ -108,9 +110,10 @@ def run_poincare_scaling(cfg: RunConfig, out: Path, rng) -> tuple:
             base = est.value
         rows.append((s, est.value, est.value / base, s / cfg.eps_list[0],
                      est.iterations, est.residual))
+        precond.append(est.precond)
     return [_write_csv(out / "poincare_scaling.csv",
                        ["eps", "value", "ratio", "expected_ratio", "iterations", "residual"],
-                       rows)], {}
+                       rows)], {"eigen_precond": ",".join(precond)}
 
 
 def run_extension_bounds(cfg: RunConfig, out: Path, rng) -> tuple:

@@ -65,9 +65,12 @@ __all__ = [
 # free-node mask and component count: an eps sweep touches six (the cell
 # problem's layout near the solid, the Darcy grid's whole and free layouts,
 # and one free layout on each of three micro grids), a multigrid hierarchy
-# two to four.  The element stacks are kept per grid, one for each level of a
-# hierarchy, and the factor orders per grid, free-node mask and component
-# count, one for each factored form (three on an eps sweep).
+# two to four, and a poincare-scaling run one per box plus one per coarse
+# level of its hierarchy (nine for the 2D n=65 boxes at eps 1, 1/2, 1/4:
+# three fine, then three, two and one coarse), and its hierarchies one per
+# box.  The element stacks are kept per grid, one for each
+# level of a hierarchy, and the factor orders per grid, free-node mask and
+# component count, one for each factored form (three on an eps sweep).
 _GRID_CACHE = 16
 
 

@@ -1,6 +1,7 @@
 """Conjugate gradients and its multigrid preconditioner, the FFT inverse of
 a periodic constant-coefficient form, the sparse factorization of an SPD
-matrix, and the inverse power iteration built on it."""
+matrix, and the preconditioned eigensolver (LOBPCG) of the smallest
+eigenpair, on that factorization or on a multigrid V-cycle."""
 
 from __future__ import annotations
 
@@ -36,8 +37,9 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 5000,
     by default the diagonal of A (which A must then provide) with every
     non-positive entry replaced by 1 (zero rows of a singular operator then
     stay finite).  Stops when
-    ||rhs - A x|| <= max(tol * ||rhs||, atol); on stagnation past max_iter
-    the best iterate is returned with converged=False.  An absolute floor
+    ||rhs - A x|| <= max(tol * ||rhs||, atol); after max_iter steps, or when
+    a search direction has p^T A p <= 0, the last iterate is returned with
+    converged=False (no best iterate is kept).  An absolute floor
     matters for consistent singular systems whose rhs is roundoff-small: a
     purely relative target is then unreachable.
     """
@@ -77,7 +79,8 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 5000,
     return CGResult(x, it, res / b_norm, res <= target)
 
 
-# Relative eigenvalue cutoff of projected_guess's Gram matrix.
+# Relative eigenvalue cutoff of the Gram matrices of projected_guess and of
+# inverse_power_iteration's Rayleigh-Ritz step.
 PROJECTION_CUTOFF = 1e-12
 
 
@@ -107,7 +110,8 @@ MG_OMEGA = 0.6
 
 class VCycle:
     """One symmetric multigrid V(1,1)-cycle r -> B r, B an approximate inverse
-    of operators[0], to pass to cg_solve as precond.
+    of operators[0], to pass to cg_solve or inverse_power_iteration as
+    precond.
 
     operators[l] is the SPD matrix of level l (0 the one being solved, then
     ever coarser forms, e.g. operators.coarse_vector_forms) and levels[l] the
@@ -181,8 +185,11 @@ class PeriodicInverse:
 # of splu's own, and diagonal pivots, so the rows are eliminated in the same
 # order.  The order matters: on a component-major form the natural order
 # couples each node's components across the whole matrix, and the 2D n=65
-# Poincare form then takes 24 s and 32M L+U entries, against 0.02 s and 0.8M
-# in nested-dissection order (MMD_AT_PLUS_A: 0.04 s and 1.0M).
+# Poincare box form then takes 24 s and 32M L+U entries, against 0.02 s and
+# 0.8M in nested-dissection order (MMD_AT_PLUS_A: 0.04 s and 1.0M).  Of the
+# Poincare forms, poincare_constant factors only those whose grid does not
+# halve down to operators.COARSE_DOFS (say 2D n=64); the others it solves
+# with the multigrid V-cycle.
 SPD_SPLU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True))
 
@@ -211,30 +218,70 @@ POWER_TOL = 1e-8
 POWER_MAX_OUTER = 500
 
 
-def inverse_power_iteration(A, mass_diag: np.ndarray, seed: int = 0):
-    """Smallest eigenvalue of A x = lambda M x with A symmetric positive
-    definite and diagonal mass M.
+def _smallest_ritz_pair(S: np.ndarray, AS: np.ndarray, mass_diag: np.ndarray):
+    """(theta, c): the smallest Ritz value of A x = lambda M x on span(S) and
+    the coefficients of its M-unit Ritz vector S c, given AS = A S.
 
-    Returns (lam, x, outer_iterations, rayleigh_residual).  A is factored once
-    by spd_factor, in the order it comes in; each outer step back-solves
-    A y = M x and normalizes in the M-inner product; converged when the
-    relative Rayleigh-quotient residual drops below POWER_TOL.  Raises RuntimeError when A is not positive
-    definite or the outer loop reaches POWER_MAX_OUTER.
+    The columns are scaled to unit M-norm, and the eigenpairs of their M-Gram
+    matrix with an eigenvalue at or below PROJECTION_CUTOFF times the largest
+    are dropped, as in projected_guess: a basis that loses rank (a zero
+    column, or near-parallel ones) is solved on the span it still has.
     """
-    lu = spd_factor(A)
-    n = mass_diag.size
+    G = S.T @ (mass_diag[:, None] * S)
+    d = np.diag(G)
+    scale = 1.0 / np.sqrt(np.where(d > 0, d, np.inf))
+    g, Q = np.linalg.eigh(scale[:, None] * G * scale)
+    keep = g > PROJECTION_CUTOFF * g[-1]
+    T = scale[:, None] * (Q[:, keep] / np.sqrt(g[keep]))  # T^T G T = I
+    H = T.T @ (S.T @ AS) @ T
+    theta, Y = np.linalg.eigh(0.5 * (H + H.T))
+    return float(theta[0]), T @ Y[:, 0]
+
+
+def inverse_power_iteration(A, mass_diag: np.ndarray, seed: int = 0, precond=None):
+    """Smallest eigenvalue of A x = lambda M x with A symmetric positive
+    definite and diagonal mass M, by the locally optimal block preconditioned
+    conjugate gradient method with one vector (LOBPCG: Knyazev, SIAM J. Sci.
+    Comput. 23, 2001).
+
+    precond is a callable r -> B r with B symmetric positive definite and
+    close to the inverse of A, such as a VCycle (Bramble, Pasciak & Knyazev,
+    Adv. Comput. Math. 6, 1996).  Without one, A is factored once by
+    spd_factor, in the order it comes in, and B is that factor's solve.
+    From a random M-unit start vector x, each outer step is a Rayleigh-Ritz
+    over span{x, B r, p} (_smallest_ritz_pair), r = A x - lambda M x and p
+    the previous search direction: the new x is the smallest Ritz vector and
+    p its part off the old x.  With B = A^-1 the span holds the inverse
+    iteration's next vector, so a step does at least as well as one of it.
+
+    Returns (lam, x, outer_iterations, rayleigh_residual), converged when the
+    relative Rayleigh-quotient residual ||r|| / lambda drops below POWER_TOL.
+    Raises RuntimeError when A is not positive definite (spd_factor's pivot
+    check, or a Rayleigh quotient or Ritz value <= 0) or the outer loop
+    reaches POWER_MAX_OUTER.
+    """
+    if precond is None:
+        precond = spd_factor(A).solve
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
+    x = rng.standard_normal(mass_diag.size)
     x /= np.sqrt(x @ (mass_diag * x))
+    Ax = A @ x
+    lam = float(x @ Ax)
+    if not lam > 0:
+        raise RuntimeError(f"matrix is not positive definite (Rayleigh quotient {lam:.3g})")
+    p = Ap = None
+    r = Ax - lam * mass_diag * x
     for outer in range(1, POWER_MAX_OUTER + 1):
-        y = lu.solve(mass_diag * x)
-        nrm = np.sqrt(y @ (mass_diag * y))
-        if nrm == 0.0:
-            raise RuntimeError("inverse power iteration collapsed to the zero vector")
-        x = y / nrm
-        Ax = A @ x
-        lam = float(x @ Ax)
-        resid = float(np.linalg.norm(Ax - lam * mass_diag * x)) / max(abs(lam), 1e-300)
+        w = precond(r)
+        S = np.stack([x, w] if p is None else [x, w, p], axis=1)
+        AS = np.stack([Ax, A @ w] if p is None else [Ax, A @ w, Ap], axis=1)
+        lam, c = _smallest_ritz_pair(S, AS, mass_diag)
+        if not lam > 0:
+            raise RuntimeError(f"matrix is not positive definite (Ritz value {lam:.3g})")
+        x, Ax = S @ c, AS @ c
+        p, Ap = S[:, 1:] @ c[1:], AS[:, 1:] @ c[1:]
+        r = Ax - lam * mass_diag * x
+        resid = float(np.linalg.norm(r)) / lam
         if resid < POWER_TOL:
             return lam, x, outer, resid
     raise RuntimeError(f"inverse power iteration did not converge in {POWER_MAX_OUTER} "

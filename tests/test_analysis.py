@@ -10,7 +10,7 @@ from scipy import ndimage
 from porohom.analysis import _erode, extend_fluid, extend_solid, poincare_constant
 from porohom.geometry import UnitCellPattern, boundary_tags, build_phase_mask
 from porohom.grid import Grid, ScalarField, VectorField, l2_norm
-from porohom.operators import assemble_vector_form, cell_counts, nested_dissection
+from porohom.operators import COARSE_DOFS, assemble_vector_form, cell_counts, nested_dissection
 from porohom.rng import XorShift64Star
 
 
@@ -51,21 +51,67 @@ def test_poincare_rejects_empty_mask():
         poincare_constant(ScalarField(g, np.zeros(g.shape)), g)
 
 
-def test_poincare_constant_matches_a_shift_invert_eigensolve():
-    g = Grid(2, 33)
+def _interior_form(g, active):
+    """The Poincaré form and lumped mass on the boolean node mask active."""
+    A = assemble_vector_form(g, np.ones(int(np.prod(cell_counts(g)))), None, active)
+    return A, np.tile(g.node_weights().ravel()[np.ravel(active)], g.dim)
+
+
+def _eigsh_smallest(A, mass):
+    """Smallest eigenvalue of A x = lambda diag(mass) x by shift-invert Lanczos."""
+    return spla.eigsh(A.tocsc(), k=1, M=sp.diags(mass).tocsc(), sigma=0,
+                      return_eigenvectors=False)[0]
+
+
+@pytest.mark.parametrize("g, precond", [
+    (Grid(2, 33), "multigrid"),
+    (Grid(2, 32), "factor"),  # an even node count cannot be halved
+    (Grid(3, 9), "multigrid"),
+], ids=["2d-n33", "2d-n32", "3d-n9"])
+def test_poincare_constant_matches_a_shift_invert_eigensolve(g, precond):
     est = poincare_constant(_box_mask(g, 0.5), g)
+    assert est.precond == precond
     # the box fills the grid, so the free nodes are the interior ones
     tags = boundary_tags(g)
     free = ~(tags["S0"] | tags["S1"] | tags["S2"]).ravel()
-    A = assemble_vector_form(g, np.ones(int(np.prod(cell_counts(g)))), None, free)
-    mass = np.tile(g.node_weights().ravel()[free], 2)
-    lam = spla.eigsh(A.tocsc(), k=1, M=sp.diags(mass).tocsc(), sigma=0,
-                     return_eigenvectors=False)[0]
+    lam = _eigsh_smallest(*_interior_form(g, free))
     assert est.value == pytest.approx(1.0 / np.sqrt(lam), rel=1e-8)
 
 
+def test_poincare_constant_converges_on_an_l_shaped_domain():
+    # The two smallest eigenvalues have the ratio 0.988: plain inverse iteration
+    # on the factored form is still above POWER_TOL after 500 steps here.
+    g = Grid(3, 17)
+    x = g.coords()
+    inside = np.all([np.abs(xk) <= 0.45 for xk in x], axis=0) & ~((x[0] > 0) & (x[1] > 0))
+    tags = boundary_tags(g)
+    active = _erode(inside) & ~(tags["S0"] | tags["S1"] | tags["S2"])
+    lam = _eigsh_smallest(*_interior_form(g, active))
+    for seed in (1, 2, 3, 1640193507):
+        est = poincare_constant(ScalarField(g, inside.astype(float)), g, seed=seed)
+        assert est.precond == "multigrid" and est.residual < 1e-8
+        assert 1.0 / est.value**2 == pytest.approx(lam, rel=1e-8)
+
+
+def test_poincare_multigrid_factors_only_the_coarsest_level(monkeypatch):
+    # the three boxes of the poincare-scaling experiment on a 2D n=65 grid
+    splu = spla.splu
+    rows = []
+
+    def recorded(A, **options):
+        rows.append(A.shape[0])
+        return splu(A, **options)
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    g = Grid(2, 65)
+    estimates = [poincare_constant(_box_mask(g, hw), g) for hw in (0.5, 0.25, 0.125)]
+    assert len(rows) == 3 and max(rows) <= COARSE_DOFS
+    assert all(est.precond == "multigrid" for est in estimates)
+
+
 def test_poincare_factor_fills_less_than_minimum_degree(monkeypatch):
-    # the largest box of the poincare-scaling experiment on a 2D n=65 grid
+    # a 2D n=64 box: the even node count keeps it from the multigrid
+    # hierarchy, so the eigensolve factors the whole form
     splu = spla.splu
     factored = []
 
@@ -74,8 +120,8 @@ def test_poincare_factor_fills_less_than_minimum_degree(monkeypatch):
         return factored[-1][1]
 
     monkeypatch.setattr(spla, "splu", recorded)
-    g = Grid(2, 65)
-    poincare_constant(_box_mask(g, 0.5), g)
+    g = Grid(2, 64)
+    assert poincare_constant(_box_mask(g, 0.5), g).precond == "factor"
     [(A, lu)] = factored
     # the same form in the order it is assembled in, as factored before
     # nested dissection

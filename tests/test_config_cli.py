@@ -379,14 +379,22 @@ def test_manifest_reports_peak_memory_and_the_micro_sim_stages(tmp_path):
     assert all(t > 0 for t in stages)
     assert sum(stages) <= float(lines["wall_time_s"]) + 1e-3
     assert int(lines["step_operator_nnz"]) > 0
-    # the other experiments report the peak memory alone
-    cfg = tmp_path / "poincare.ini"
-    cfg.write_text(BASE.format(out=tmp_path / "poincare").replace(
-        "name = mollifier-props", "name = poincare-scaling").replace("n = 65", "n = 17"))
-    assert cli.main(["poincare-scaling", "--config", str(cfg)]) == 0
-    lines = _manifest_lines(tmp_path / "poincare")
-    assert float(lines["peak_rss_mb"]) > 0 and "assemble_s" not in lines
-    assert "al_steps" not in lines
+    # poincare-scaling reports the preconditioner of each level's eigensolve
+    # instead; the CSV keeps its six columns
+    for n, precond in ((17, "multigrid,multigrid,multigrid"), (16, "factor,multigrid,multigrid")):
+        out = tmp_path / f"poincare{n}"
+        cfg = tmp_path / f"poincare{n}.ini"
+        cfg.write_text(BASE.format(out=out).replace(
+            "name = mollifier-props", "name = poincare-scaling").replace("n = 65", f"n = {n}"))
+        assert cli.main(["poincare-scaling", "--config", str(cfg)]) == 0
+        lines = _manifest_lines(out)
+        assert float(lines["peak_rss_mb"]) > 0 and "assemble_s" not in lines
+        assert "al_steps" not in lines
+        # n = 16 cannot be halved; its two smaller boxes are small enough for
+        # the V-cycle to be one factored level
+        assert lines["eigen_precond"] == precond
+        header = (out / "poincare_scaling.csv").read_text().splitlines()[0]
+        assert header == "eps,value,ratio,expected_ratio,iterations,residual"
     # eps-convergence reports the steady solve of each level; the CSV keeps
     # its six columns
     cfg = tmp_path / "eps.ini"

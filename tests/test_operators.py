@@ -178,6 +178,25 @@ def test_inverse_power_iteration_diagonal_oracle():
     assert lam == pytest.approx(1.0, rel=1e-6)
     assert abs(abs(x[2]) - 1.0) < 1e-4
     assert resid < 1e-8
+    # an inexact SPD preconditioner, and a mass that is not the identity
+    mass = np.array([1.0, 2.0, 0.5, 1.0, 4.0])
+    lam, x, outer, resid = inverse_power_iteration(
+        np.diag(d), mass, seed=3, precond=lambda r: r / (d + 3.0))
+    assert lam == pytest.approx(2.0, rel=1e-12)  # min of d / mass
+    assert abs(abs(x[2]) * np.sqrt(mass[2]) - 1.0) < 1e-8
+    assert resid < 1e-8
+
+
+@pytest.mark.parametrize("A", [
+    [[4.0]],  # the start vector is the eigenvector: a zero search direction
+    np.diag([3.0, 3.0, 3.0]),  # every vector is an eigenvector
+], ids=["one-by-one", "multiple-eigenvalue"])
+def test_inverse_power_iteration_drops_a_degenerate_search_direction(A):
+    A = np.array(A)
+    lam, x, outer, resid = inverse_power_iteration(A, np.ones(len(A)), seed=3,
+                                                   precond=lambda r: r)
+    assert lam == pytest.approx(A[0, 0], rel=1e-14)
+    assert outer == 1 and resid < 1e-8
 
 
 def test_inverse_power_iteration_raises_at_the_outer_cap(monkeypatch):
@@ -199,6 +218,15 @@ def test_inverse_power_iteration_raises_on_a_negative_definite_matrix():
 def test_inverse_power_iteration_raises_on_an_indefinite_matrix(A):
     with pytest.raises(RuntimeError, match="not positive definite"):
         inverse_power_iteration(np.array(A), np.ones(2), seed=3)
+
+
+@pytest.mark.parametrize("A", [
+    np.diag([-1.0, -2.0, -3.0]),  # the start vector's Rayleigh quotient is negative
+    np.diag([-1.0, 2.0, 3.0]),  # a positive start, then a negative Ritz value
+], ids=["negative-definite", "indefinite"])
+def test_preconditioned_inverse_power_iteration_raises_on_a_matrix_that_is_not_spd(A):
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        inverse_power_iteration(A, np.ones(3), seed=3, precond=lambda r: r)
 
 
 # -- element-matrix assembly against a dense per-cell reference ------------
