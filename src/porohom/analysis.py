@@ -75,9 +75,10 @@ def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0) -> Co
       coarse_vector_forms on those levels, which factors only that coarsest
       level.  The form stays in component-major order.
     - "factor": otherwise (an even node count, or halving that stops above
-      the bound), one spd_factor of the whole form.  The form and the mass
-      are permuted into the factor order of operators.nested_dissection
-      first, so the random start vector is drawn in that order too.
+      the bound), one spd_factor of the whole form.  The form is assembled
+      in the factor order of operators.nested_dissection, and the mass is
+      permuted to match, so the random start vector is drawn in that order
+      too.
     """
     if domain_mask.grid != grid:
         raise ValueError("mask grid mismatch")
@@ -90,16 +91,17 @@ def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0) -> Co
     if not active_node.any():
         raise ValueError("mask has no interior nodes")
     coef = np.ones(int(np.prod(cell_counts(grid))))
-    A = assemble_vector_form(grid, coef, None, active_node)
     mass = np.tile(grid.node_weights()[active_node], grid.dim)
     levels = coarse_levels(grid, active_node)
     coarsest = levels[-1].free if levels else active_node
     if grid.dim * np.count_nonzero(coarsest) <= COARSE_DOFS:
+        A = assemble_vector_form(grid, coef, None, active_node)
         vcycle = VCycle([A, *coarse_vector_forms(grid, levels, coef)], levels)
         lam, _, iters, resid = inverse_power_iteration(A, mass, seed=seed, precond=vcycle)
         return ConstantEstimate(1.0 / np.sqrt(lam), iters, resid, "multigrid")
     order = nested_dissection(grid, active_node, grid.dim)
-    lam, _, iters, resid = inverse_power_iteration(A[order][:, order], mass[order], seed=seed)
+    A = assemble_vector_form(grid, coef, None, active_node, order)
+    lam, _, iters, resid = inverse_power_iteration(A, mass[order], seed=seed)
     return ConstantEstimate(1.0 / np.sqrt(lam), iters, resid, "factor")
 
 

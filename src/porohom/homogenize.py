@@ -39,7 +39,7 @@ from .operators import (
     phase_cells,
     strain_load,
 )
-from .solvers import SPD_SPLU_OPTIONS, PeriodicInverse, cg_solve
+from .solvers import PeriodicInverse, cg_solve, spd_factor
 
 __all__ = [
     "periodic_cell_grid",
@@ -271,12 +271,12 @@ def _steady_pore_flux(mask: PhaseMask, mu: float, drive, max_steps: int,
     vol B'B, B the cell divergence (operators.cell_divergence).  The
     augmented-Lagrangian / Uzawa loop (Fortin & Glowinski, Augmented
     Lagrangian Methods, 1983) v_k = A^-1 (f - vol B'p_{k-1}), p_k = p_{k-1}
-    + gamma B v_k, with A = visc V + gamma vol B'B factored once, in the
-    nested-dissection order of operators.nested_dissection, and vol B'
-    = operators.strain_load(., I), reaches the discretely divergence-free
-    Stokes velocity whatever gamma is.  It stops once the flux of v_k
-    changes by at most steady_tol relative, or after max_steps (converged
-    False).
+    + gamma B v_k, with A = visc V + gamma vol B'B assembled in the
+    nested-dissection order of operators.nested_dissection and factored
+    once by solvers.spd_factor, and vol B' = operators.strain_load(., I),
+    reaches the discretely divergence-free Stokes velocity whatever gamma
+    is.  It stops once the flux of v_k changes by at most steady_tol
+    relative, or after max_steps (converged False).
     """
     grid = mask.grid
     free = ~(boundary_tags(grid)["S0"] | mask.solid)
@@ -285,11 +285,7 @@ def _steady_pore_flux(mask: PhaseMask, mu: float, drive, max_steps: int,
     fluid = phase_cells(grid, mask.chi_eps, 1.0, 0.0)
     visc = mask.epsilon**2 * mu
     gamma = AL_PENALTY_RATIO * visc * fluid
-    A = assemble_vector_form(grid, visc * fluid, gamma, free)
-    A = A[order][:, order].tocsc()  # the unpermuted form is dropped before the factor
-    # A is SPD.  spd_factor's pivot check would double the memory of this
-    # factor (+14 MB peak RSS on the eps sweep), so it is not used here.
-    lu = spla.splu(A, **SPD_SPLU_OPTIONS)
+    lu = spd_factor(assemble_vector_form(grid, visc * fluid, gamma, free, order))
     wq = grid.node_weights().ravel()
     rhs = (-np.asarray(drive, dtype=float)[:, None] * wq).ravel()[active]  # f - vol B'p_k
     v = np.zeros(grid.dim * grid.n_nodes)

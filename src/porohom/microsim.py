@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import transport
 from .geometry import PhaseMask, boundary_tags
@@ -44,7 +43,7 @@ from .operators import (
     nested_dissection,
     phase_cells,
 )
-from .solvers import SPD_SPLU_OPTIONS, VCycle, cg_solve, projected_guess
+from .solvers import VCycle, cg_solve, projected_guess, spd_factor
 
 __all__ = [
     "MaterialParams",
@@ -151,8 +150,11 @@ class MicroSolver:
     """Holds the assembled forms for one (grid, mask, params) instance.
 
     solver: "cg" (conjugate gradients preconditioned by a geometric
-    multigrid V-cycle) or "direct" (cached sparse LU, cheap when the
-    viscosity field does not change).  CG starts each step from
+    multigrid V-cycle) or "direct" (a cached solvers.spd_factor of the step
+    operator, assembled in nested-dissection order; cheap when the
+    viscosity field does not change).  active lists the free dofs in the
+    operator's row order: component-major for CG, nested-dissection order
+    for the direct solve.  CG starts each step from
     solvers.projected_guess over the last CG_WINDOW committed step
     velocities: their combination closest to the new velocity in the norm
     of this step's operator, so never farther from it than the last
@@ -194,7 +196,9 @@ class MicroSolver:
         else:
             raise ValueError(f"unknown dirichlet set {dirichlet!r}")
         self.fixed_nodes = fixed
-        self.active = np.tile(~fixed.ravel(), grid.dim)
+        self._order = nested_dissection(grid, ~fixed, grid.dim) if solver == "direct" else None
+        dofs = np.flatnonzero(np.tile(~fixed.ravel(), grid.dim))
+        self.active = dofs if self._order is None else dofs[self._order]
         g = np.asarray(params.p_drive_grad, dtype=float)
         if g.size != grid.dim:
             raise ValueError("p_drive_grad must have one entry per axis")
@@ -264,7 +268,8 @@ class MicroSolver:
             tau = params.tau
             coef_sym = mask.epsilon**2 * mu_cells + tau * self._lam_cells
             coef_div = tau * self._c2_cells
-            self._A_red = assemble_vector_form(grid, coef_sym, coef_div, ~self.fixed_nodes)
+            self._A_red = assemble_vector_form(grid, coef_sym, coef_div, ~self.fixed_nodes,
+                                               self._order)
             self._lu = None
             if self.solver == "cg":
                 levels = coarse_levels(grid, ~self.fixed_nodes)
@@ -281,11 +286,9 @@ class MicroSolver:
     def _solve(self, rhs_red: np.ndarray):
         """(v_red, iterations, relative residual) of A_red v_red = rhs_red."""
         if self.solver == "direct":
-            order = nested_dissection(self.grid, ~self.fixed_nodes, self.grid.dim)
             if self._lu is None:
-                self._lu = spla.splu(self._A_red[order][:, order].tocsc(), **SPD_SPLU_OPTIONS)
-            x = np.empty_like(rhs_red)
-            x[order] = self._lu.solve(rhs_red[order])
+                self._lu = spd_factor(self._A_red)
+            x = self._lu.solve(rhs_red)
             b_norm = float(np.linalg.norm(rhs_red))
             residual = np.linalg.norm(rhs_red - self._A_red @ x) / b_norm if b_norm else 0.0
             return x, 0, float(residual)

@@ -28,7 +28,9 @@ free nodes of consecutive levels and its transpose, and coarse_vector_forms
 rediscretizes the form on each level with the same assembler, each coarse
 cell taking the mean coefficient of the cells it covers.  So does the order
 in which every sparse factor of an SPD form eliminates its dofs:
-nested_dissection, a geometric nested dissection of the node box.
+nested_dissection, a geometric nested dissection of the node box, which
+assemble_vector_form takes as its order argument to hand a form over to
+solvers.spd_factor already in that order.
 """
 
 from __future__ import annotations
@@ -359,6 +361,7 @@ def assemble_vector_form(
     coef_sym_cells: np.ndarray,
     coef_div_cells: np.ndarray | None = None,
     free: np.ndarray | None = None,
+    order: np.ndarray | None = None,
 ) -> sp.csr_matrix:
     """Matrix of  sum coef_sym*D(u):D(v) + coef_div*(div u)(div v).
 
@@ -372,9 +375,24 @@ def assemble_vector_form(
     every node restricted to the dof mask np.tile(free.ravel(), grid.dim),
     equal in every stored entry, assembled on a pattern cached per grid and
     mask.
+
+    With order, a permutation of those dofs (nested_dissection), the form
+    comes out in that order instead, A[order][:, order] of the component-major
+    one with sorted column indices: its rows are gathered and its columns
+    relabelled, so that it is the only form alive when solvers.spd_factor
+    factors it.
     """
     coefs = _vector_form_coefs(coef_sym_cells, coef_div_cells)
-    return _assemble(grid, coefs, _vector_form_elements(grid)[:coefs.shape[1]], free)
+    A = _assemble(grid, coefs, _vector_form_elements(grid)[:coefs.shape[1]], free)
+    if order is None:
+        return A
+    A = A[order]
+    rank = np.empty(order.size, dtype=A.indices.dtype)
+    rank[order] = np.arange(order.size)
+    A.indices = rank[A.indices]
+    A.has_sorted_indices = False
+    A.sort_indices()
+    return A
 
 
 def periodic_form_symbol(grid: Grid, coef_sym: float, coef_div: float) -> np.ndarray:
@@ -409,8 +427,9 @@ ND_LEAF = 16
 def nested_dissection(grid: Grid, free: np.ndarray, ncomp: int) -> np.ndarray:
     """The order in which a sparse factor eliminates the component-major
     dofs of an ncomp-component form on the free nodes of the boolean node
-    mask free (as assemble_vector_form lays them out): A[order][:, order] is
-    the form in factor order (George, SIAM J. Numer. Anal. 10, 1973).
+    mask free (as assemble_vector_form lays them out; George, SIAM J.
+    Numer. Anal. 10, 1973).  assemble_vector_form(..., order=order) returns
+    the form in this order, A[order][:, order] of the component-major one.
 
     The node box is bisected along its longest axis, recursively: first the
     nodes of the lower part, then those of the upper part, then those of the

@@ -1,7 +1,8 @@
 """Conjugate gradients and its multigrid preconditioner, the FFT inverse of
 a periodic constant-coefficient form, the sparse factorization of an SPD
-matrix, and the preconditioned eigensolver (LOBPCG) of the smallest
-eigenpair, on that factorization or on a multigrid V-cycle."""
+matrix (spd_factor, the one splu call of the package), and the
+preconditioned eigensolver (LOBPCG) of the smallest eigenpair, on that
+factorization or on a multigrid V-cycle."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import scipy.sparse.linalg as spla
 from .operators import COARSE_DOFS
 
 __all__ = ["CGResult", "cg_solve", "projected_guess", "VCycle", "PeriodicInverse",
-           "SPD_SPLU_OPTIONS", "spd_factor", "inverse_power_iteration"]
+           "spd_factor", "inverse_power_iteration"]
 
 
 @dataclass
@@ -118,11 +119,12 @@ class VCycle:
     operators.CoarseLevel of level l+1, whose prolongation maps its dofs to
     those of level l and whose restriction is the transpose.  Every level
     smooths with one damped Jacobi sweep (MG_OMEGA) before and one after its
-    coarse correction.  The coarsest level is factored by splu when it has
-    at most operators.COARSE_DOFS rows, the bound coarse_levels halves to; a
-    larger coarsest level (its grid could not be halved) is only smoothed,
-    so no large matrix is ever factored.  B is symmetric, and positive
-    definite whenever the damped sweep converges on every level.
+    coarse correction.  The coarsest level is factored by spd_factor, in the
+    order it comes in, when it has at most operators.COARSE_DOFS rows, the
+    bound coarse_levels halves to; a larger coarsest level (its grid could
+    not be halved) is only smoothed, so no large matrix is ever factored.
+    B is symmetric, and positive definite whenever the damped sweep
+    converges on every level.
     """
 
     def __init__(self, operators, levels):
@@ -133,7 +135,7 @@ class VCycle:
             diag = A.diagonal()
             self._scaled_inv_diag.append(MG_OMEGA / np.where(diag > 0, diag, 1.0))
         coarsest = self._operators[-1]
-        self._lu = spla.splu(coarsest.tocsc()) if coarsest.shape[0] <= COARSE_DOFS else None
+        self._lu = spd_factor(coarsest) if coarsest.shape[0] <= COARSE_DOFS else None
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self._cycle(0, r)
@@ -180,36 +182,48 @@ class PeriodicInverse:
         return np.fft.irfftn((self._inv * R).sum(axis=1), s=self._shape, axes=axes).ravel()
 
 
-# splu settings for a symmetric positive definite matrix that is already in
-# factor order (permuted by operators.nested_dissection): no column ordering
-# of splu's own, and diagonal pivots, so the rows are eliminated in the same
-# order.  The order matters: on a component-major form the natural order
-# couples each node's components across the whole matrix, and the 2D n=65
-# Poincare box form then takes 24 s and 32M L+U entries, against 0.02 s and
-# 0.8M in nested-dissection order (MMD_AT_PLUS_A: 0.04 s and 1.0M).  Of the
-# Poincare forms, poincare_constant factors only those whose grid does not
-# halve down to operators.COARSE_DOFS (say 2D n=64); the others it solves
-# with the multigrid V-cycle.
+# spd_factor's splu settings: no column ordering of splu's own, and diagonal
+# pivots, so the rows are eliminated in the order the matrix comes in.  That
+# order matters: on a component-major form it couples each node's components
+# across the whole matrix, and the 2D n=65 Poincare box form then takes 24 s
+# and 32M L+U entries, against 0.02 s and 0.8M when assemble_vector_form
+# hands it over in nested-dissection order (MMD_AT_PLUS_A: 0.04 s and 1.0M).
 SPD_SPLU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True))
 
 
 def spd_factor(A):
-    """splu factorization of A (a dense array or a sparse matrix) with
-    SPD_SPLU_OPTIONS, to solve with its .solve.  A is factored in the order
-    it comes in, so a large sparse form should come permuted into factor
-    order (operators.nested_dissection).
+    """splu factorization of a symmetric positive definite A (a dense array
+    or a sparse matrix) with SPD_SPLU_OPTIONS, to solve with its .solve; the
+    one splu call of the package.  A is factored in the order it comes in,
+    so a large form should come in factor order (assemble_vector_form's
+    order, from operators.nested_dissection); a multigrid coarsest level is
+    small enough to factor as it is.
 
-    Raises RuntimeError when A is not positive definite: a pivot <= 0, or a
-    zero diagonal entry that forced a row swap.  Reading the pivots makes the
-    factorization build and keep a copy of L and U, which doubles its memory.
+    A's CSR arrays are passed to splu as the CSC arrays of A^T = A, so a
+    CSR form with sorted column indices is factored without a copy and is
+    the only form alive while splu runs.  Any other input is converted
+    first, so the caller's matrix is never modified.
+
+    Raises RuntimeError when a zero diagonal entry forced a row swap, the one
+    sign of a matrix that is not positive definite that costs nothing to
+    read.  The pivots themselves are not read, since that makes the factor
+    build and keep a copy of L and U: a negative pivot, or a singular form
+    whose last pivot is roundoff, passes.  inverse_power_iteration, which may
+    be handed an indefinite matrix, checks its Rayleigh and Ritz values
+    instead.  The other callers factor forms that are positive definite by
+    construction; the steady forms of disk, sphere and square-block cells
+    (r0 from 0.05 to 0.45, in 2D and 3D) have no free node with a zero
+    diagonal.
     """
-    lu = spla.splu(sp.csc_matrix(A), **SPD_SPLU_OPTIONS)
+    A = sp.csr_matrix(A)
+    if not A.has_canonical_format:
+        A = A.copy()  # splu sorts the indices of its input in place
+        A.sum_duplicates()
+    lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
+                   **SPD_SPLU_OPTIONS)
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise RuntimeError("matrix is not positive definite (a zero pivot forced a row swap)")
-    pivots = lu.U.diagonal()
-    if not np.all(pivots > 0):
-        raise RuntimeError(f"matrix is not positive definite (smallest pivot {pivots.min():.3g})")
     return lu
 
 
@@ -256,9 +270,9 @@ def inverse_power_iteration(A, mass_diag: np.ndarray, seed: int = 0, precond=Non
 
     Returns (lam, x, outer_iterations, rayleigh_residual), converged when the
     relative Rayleigh-quotient residual ||r|| / lambda drops below POWER_TOL.
-    Raises RuntimeError when A is not positive definite (spd_factor's pivot
-    check, or a Rayleigh quotient or Ritz value <= 0) or the outer loop
-    reaches POWER_MAX_OUTER.
+    Raises RuntimeError when A is not positive definite (spd_factor's
+    zero-pivot check, or a Rayleigh quotient or Ritz value <= 0) or the
+    outer loop reaches POWER_MAX_OUTER.
     """
     if precond is None:
         precond = spd_factor(A).solve

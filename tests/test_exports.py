@@ -1,6 +1,6 @@
 """Every exported name resolves: each porohom module's __all__ and every
 name the package __init__ imports.  No porohom module imports another's
-private (underscore) names."""
+private (underscore) names, and only solvers.spd_factor calls splu."""
 
 import ast
 import importlib
@@ -45,3 +45,35 @@ def test_no_module_imports_a_private_name_of_another():
                           if internal and alias.name.startswith("_")
                           and not alias.name.endswith("__")]  # dunders such as __version__
     assert not offenders, f"private names imported across modules: {offenders}"
+
+
+class _SpluCalls(ast.NodeVisitor):
+    """Every call of a function named splu, as module.scope:line."""
+
+    def __init__(self, module):
+        self.scope = [module]
+        self.found = []
+
+    def _visit_scope(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _visit_scope
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "splu":
+            self.found.append(f"{'.'.join(self.scope)}:{node.lineno}")
+        self.generic_visit(node)
+
+
+def test_only_spd_factor_calls_splu():
+    root = Path(porohom.__file__).parent
+    calls = []
+    for path in sorted(root.glob("*.py")):
+        visitor = _SpluCalls(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        calls += visitor.found
+    assert [c.split(":")[0] for c in calls] == ["solvers.spd_factor"], calls

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from porohom import operators
 from porohom.geometry import UnitCellPattern, boundary_tags, build_phase_mask
@@ -24,7 +25,11 @@ from porohom.operators import (
 from porohom.operators import _coarsen as coarsen
 from porohom.operators import _assemble, _diffusion_element, _vector_form_elements
 from porohom import solvers
-from porohom.solvers import PeriodicInverse, cg_solve, inverse_power_iteration
+from porohom.analysis import poincare_constant
+from porohom.grid import ScalarField
+from porohom.homogenize import _steady_pore_flux
+from porohom.microsim import MaterialParams, MicroSolver
+from porohom.solvers import PeriodicInverse, cg_solve, inverse_power_iteration, spd_factor
 
 
 def test_cell_counts_and_volume():
@@ -227,6 +232,54 @@ def test_inverse_power_iteration_raises_on_an_indefinite_matrix(A):
 def test_preconditioned_inverse_power_iteration_raises_on_a_matrix_that_is_not_spd(A):
     with pytest.raises(RuntimeError, match="not positive definite"):
         inverse_power_iteration(A, np.ones(3), seed=3, precond=lambda r: r)
+
+
+class _FactorWithoutTriangles:
+    """A splu factor whose L and U may not be read."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def __getattr__(self, name):
+        if name in ("L", "U"):
+            raise AssertionError(f"the factor's {name} was read")
+        return getattr(self._lu, name)
+
+
+def test_no_factor_reads_its_triangular_factors(monkeypatch):
+    # reading L or U makes splu build a copy of both, doubling the factor's memory
+    splu = spla.splu
+    factored = []
+
+    def recorded(A, **options):
+        factored.append(A.shape[0])
+        return _FactorWithoutTriangles(splu(A, **options))
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    g = Grid(2, 64)  # an even node count: the eigensolve factors the whole form
+    assert poincare_constant(ScalarField(g, np.ones(g.shape)), g).precond == "factor"
+    mask = build_phase_mask(UnitCellPattern("disk", 0.25), 1.0, Grid(2, 17))
+    ms = MicroSolver(mask, MaterialParams(tau=0.01, h_mollify=0.0), solver="direct")
+    ms.step()
+    mask = build_phase_mask(UnitCellPattern("disk", 0.25), 0.5, Grid(2, 2 * 8 + 1))
+    _, converged, _ = _steady_pore_flux(mask, 1.0, (1.0, 0.0), max_steps=50, steady_tol=1e-7)
+    assert converged
+    assert len(factored) == 3
+
+
+def test_spd_factor_leaves_an_unsorted_matrix_as_it_was():
+    # _assemble stores each row's columns unsorted, and splu sorts its input
+    # in place; the factor must solve the matrix without touching the caller's
+    g = Grid(2, 9)
+    free = ~boundary_tags(g)["S0"]
+    A = assemble_vector_form(g, np.linspace(1.0, 2.0, 64), np.full(64, 3.0), free)
+    arrays = [a.copy() for a in (A.data, A.indices, A.indptr)]
+    assert not A.has_sorted_indices
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    x = spd_factor(A).solve(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    for got, want in zip((A.data, A.indices, A.indptr), arrays):
+        assert np.array_equal(got, want)
 
 
 # -- element-matrix assembly against a dense per-cell reference ------------
@@ -706,6 +759,26 @@ def test_nested_dissection_keeps_a_leaf_in_grid_order(monkeypatch):
     finally:
         operators._nested_dissection.cache_clear()
     assert np.array_equal(order.reshape(-1, 2)[:, 0], np.arange(np.count_nonzero(free)))
+
+
+@pytest.mark.parametrize("with_div", [True, False])
+@pytest.mark.parametrize("case", ["2d disk", "3d sphere"])
+def test_assembly_in_factor_order_is_the_permuted_form(case, with_div):
+    # the steady micro form of the pore nodes, viscous and (with_div) penalty
+    # terms on the fluid cells
+    grid, free = ND_CASES[case]
+    pattern = UnitCellPattern("disk" if grid.dim == 2 else "sphere", 0.25)
+    eps = 0.25 if grid.dim == 2 else 0.5
+    fluid = phase_cells(grid, build_phase_mask(pattern, eps, grid).chi_eps, 1.0, 0.0)
+    div = 1e4 * fluid if with_div else None
+    order = nested_dissection(grid, free, grid.dim)
+    want = assemble_vector_form(grid, fluid, div, free)[order][:, order]
+    want.sort_indices()
+    got = assemble_vector_form(grid, fluid, div, free, order=order)
+    _assert_same_csr(got, want)
+    within_row = np.ones(got.nnz - 1, dtype=bool)
+    within_row[got.indptr[1:-1] - 1] = False
+    assert np.all(np.diff(got.indices)[within_row] > 0)
 
 
 @pytest.mark.parametrize("case", ["2d box", "2d disk"])
