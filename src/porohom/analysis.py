@@ -5,7 +5,8 @@ A Poincaré constant is 1/sqrt(lambda_min) of the discrete symmetric-gradient
 form against the lumped mass, by the preconditioned eigensolver
 solvers.inverse_power_iteration (LOBPCG).  Its preconditioner is the
 multigrid V-cycle of the form when the grid halves down to a level small
-enough to factor, and one sparse factor of the whole form otherwise.
+enough to factor, and the solve of one sparse factor of the whole form
+otherwise; the eigensolve itself is the same for both.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .operators import (
     coarse_vector_forms,
     nested_dissection,
 )
-from .solvers import VCycle, inverse_power_iteration
+from .solvers import VCycle, inverse_power_iteration, spd_factor
 
 __all__ = [
     "ConstantEstimate",
@@ -68,17 +69,18 @@ def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0) -> Co
     The active nodes are the mask's interior: nodes whose face neighbours
     all lie in the mask (cross-shaped erosion, with the grid's outside
     counted as masked), minus the grid boundary.  The smallest eigenvalue
-    of the form against the lumped mass comes from inverse_power_iteration,
-    preconditioned by one of two:
+    of the form against the lumped mass comes from one
+    inverse_power_iteration call.  The grid picks its preconditioner, named
+    by ConstantEstimate.precond, and with it the order of the form:
     - "multigrid": when operators.coarse_levels halves the box grid down to
       at most operators.COARSE_DOFS free dofs, the VCycle over
       coarse_vector_forms on those levels, which factors only that coarsest
       level.  The form stays in component-major order.
     - "factor": otherwise (an even node count, or halving that stops above
-      the bound), one spd_factor of the whole form.  The form is assembled
-      in the factor order of operators.nested_dissection, and the mass is
-      permuted to match, so the random start vector is drawn in that order
-      too.
+      the bound), the solve of one spd_factor of the whole form.  The form
+      is assembled in the factor order of operators.nested_dissection, and
+      the mass is permuted to match, so the random start vector is drawn in
+      that order too.
     """
     if domain_mask.grid != grid:
         raise ValueError("mask grid mismatch")
@@ -96,13 +98,16 @@ def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0) -> Co
     coarsest = levels[-1].free if levels else active_node
     if grid.dim * np.count_nonzero(coarsest) <= COARSE_DOFS:
         A = assemble_vector_form(grid, coef, None, active_node)
-        vcycle = VCycle([A, *coarse_vector_forms(grid, levels, coef)], levels)
-        lam, _, iters, resid = inverse_power_iteration(A, mass, seed=seed, precond=vcycle)
-        return ConstantEstimate(1.0 / np.sqrt(lam), iters, resid, "multigrid")
-    order = nested_dissection(grid, active_node, grid.dim)
-    A = assemble_vector_form(grid, coef, None, active_node, order)
-    lam, _, iters, resid = inverse_power_iteration(A, mass[order], seed=seed)
-    return ConstantEstimate(1.0 / np.sqrt(lam), iters, resid, "factor")
+        precond = VCycle([A, *coarse_vector_forms(grid, levels, coef)], levels)
+        label = "multigrid"
+    else:
+        order = nested_dissection(grid, active_node, grid.dim)
+        A = assemble_vector_form(grid, coef, None, active_node, order)
+        mass = mass[order]
+        precond = spd_factor(A).solve
+        label = "factor"
+    lam, _, iters, resid = inverse_power_iteration(A, mass, precond, seed=seed)
+    return ConstantEstimate(1.0 / np.sqrt(lam), iters, resid, label)
 
 
 def extend_solid(w_s: VectorField, mask: PhaseMask, h: float,

@@ -30,7 +30,8 @@ EXPERIMENTS = (
     "eps-convergence",
 )
 
-# (section, key) -> (default, parser)
+# (section, key) -> (default, parser).  The [material] defaults are
+# MaterialParams' own, except epsilon, which it does not hold.
 def _floats(s):
     return tuple(float(t) for t in s.split(",") if t.strip())
 
@@ -47,17 +48,17 @@ DEFAULTS = {
     ("grid", "n"): (33, int),
     ("grid", "pattern"): ("disk", str),
     ("grid", "r0"): (0.25, float),
-    ("material", "mu1"): (1.0, float),
-    ("material", "mu2"): (1.0, float),
-    ("material", "lambda"): (1.0, float),
-    ("material", "c_f1"): (1.0, float),
-    ("material", "c_f2"): (1.0, float),
-    ("material", "c_s"): (1.0, float),
-    ("material", "p0"): (0.0, float),
-    ("material", "p_grad"): (1.0, float),
+    ("material", "mu1"): (MaterialParams.mu1, float),
+    ("material", "mu2"): (MaterialParams.mu2, float),
+    ("material", "lambda"): (MaterialParams.lam, float),
+    ("material", "c_f1"): (MaterialParams.c_f1, float),
+    ("material", "c_f2"): (MaterialParams.c_f2, float),
+    ("material", "c_s"): (MaterialParams.c_s, float),
+    ("material", "p0"): (MaterialParams.p0, float),
+    ("material", "p_grad"): (MaterialParams.p_drive_grad[0], float),
     ("material", "epsilon"): (0.5, float),
-    ("material", "h_mollify"): (0.1, float),
-    ("material", "tau"): (0.05, float),
+    ("material", "h_mollify"): (MaterialParams.h_mollify, float),
+    ("material", "tau"): (MaterialParams.tau, float),
 }
 
 

@@ -247,9 +247,13 @@ def darcy_macro_solve(K: np.ndarray, bc: tuple):
     fixed[0, ...] = True
     fixed[-1, ...] = True
     free = ~fixed.ravel()
-    rhs = -(assemble_scalar_stiffness(grid, coef, K) @ lift.ravel())[free]
+    A_lift = assemble_scalar_stiffness(grid, coef, K) @ lift.ravel()
+    rhs = -A_lift[free]
     A_red = assemble_scalar_stiffness(grid, coef, K, free)
-    res = cg_solve(A_red, rhs, tol=1e-12, max_iter=20000)
+    # A diagonal K makes the lift exact, and rhs roundoff; the absolute floor,
+    # set by the boundary rows of A lift, keeps CG from iterating on it.
+    res = cg_solve(A_red, rhs, tol=1e-12, max_iter=20000,
+                   atol=1e-12 * float(np.linalg.norm(A_lift)))
     if not res.converged:
         raise RuntimeError(f"Darcy solve failed: residual {res.residual:.2e}")
     p = lift.ravel()

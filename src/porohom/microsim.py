@@ -65,7 +65,7 @@ class MaterialParams:
     p0: float = 0.0
     p_drive_grad: tuple = (1.0, 0.0)  # constant gradient of the driving field p^0
     h_mollify: float = 0.1
-    tau: float = 0.1
+    tau: float = 0.005
 
     def __post_init__(self):
         """ValueError naming every violation, one line each."""
@@ -139,7 +139,7 @@ def _surface_load(grid: Grid, p0: float) -> np.ndarray:
     return load.reshape(-1)
 
 
-# Stopping rule of the solver="cg" step solve (multigrid-preconditioned CG).
+# Stopping rule of the step solve (preconditioned CG, either solver).
 CG_TOL = 1e-11
 CG_MAX_ITER = 20000
 # Committed step velocities whose Galerkin projection starts that solve.
@@ -149,18 +149,20 @@ CG_WINDOW = 8
 class MicroSolver:
     """Holds the assembled forms for one (grid, mask, params) instance.
 
-    solver: "cg" (conjugate gradients preconditioned by a geometric
-    multigrid V-cycle) or "direct" (a cached solvers.spd_factor of the step
-    operator, assembled in nested-dissection order; cheap when the
-    viscosity field does not change).  active lists the free dofs in the
-    operator's row order: component-major for CG, nested-dissection order
-    for the direct solve.  CG starts each step from
+    Each step solve is conjugate gradients on the step operator, and solver
+    names its preconditioner: "cg" a geometric multigrid V-cycle, "direct"
+    the solve of a solvers.spd_factor of the whole operator, assembled in
+    nested-dissection order (an exact inverse, so CG stops after one or two
+    corrections; cheap when the viscosity field does not change).  active
+    lists the free dofs in the operator's row order: component-major for
+    "cg", nested-dissection order for "direct".  CG starts each step from
     solvers.projected_guess over the last CG_WINDOW committed step
     velocities: their combination closest to the new velocity in the norm
     of this step's operator, so never farther from it than the last
     velocity alone.  The window gains a velocity only when a step commits;
     an empty window, or one with no positive Gram eigenvalue (a run at
-    rest), starts CG from zero.  The V-cycle halves the box
+    rest), starts CG from zero.  A step whose CG misses CG_TOL within
+    CG_MAX_ITER iterations raises RuntimeError.  The V-cycle halves the box
     grid (operators.coarse_levels, built once per grid and free-node mask,
     restrictions included) down to at most operators.COARSE_DOFS free dofs;
     each coarse form is the same form rediscretized on its level, every
@@ -170,10 +172,11 @@ class MicroSolver:
 
     history holds one EnergyBreakdown per step.  trace holds one row per
     step: (t, CG iterations, relative residual of the step solve, CFL margin
-    tau * max sum_k |v_k| / dx_k).  A direct step counts 0 iterations.
+    tau * max sum_k |v_k| / dx_k), for either preconditioner.
     stage_seconds sums the wall time of each stage since construction:
-    "assemble" (the viscosity update and the operator rebuilds, the first
-    ones included), "solve" (the step solves) and "transport" (advection).
+    "assemble" (the viscosity update and the operator and preconditioner
+    rebuilds, the first ones included), "solve" (the step solves) and
+    "transport" (advection).
     """
 
     def __init__(self, mask: PhaseMask, params: MaterialParams, *,
@@ -208,8 +211,6 @@ class MicroSolver:
         self._built_chi = None
         self._mu_cells = None
         self._c2_cells = None
-        self._lu = None
-        self._vcycle = None
         self._window = deque(maxlen=CG_WINDOW)
         self.stage_seconds = {"assemble": 0.0, "solve": 0.0, "transport": 0.0}
         with self._stage("assemble"):
@@ -248,10 +249,12 @@ class MicroSolver:
     def _rebuild_operator(self):
         """E (storage: elastic D:D on the skeleton plus compressive div*div),
         re-assembled whenever the fluid labels move c^2, and A = viscous + tau E,
-        assembled as one form whenever mu or c^2 moves, with its multigrid
-        V-cycle (solver="cg") or a dropped LU (solver="direct").  mu is
-        transport.update_viscosity of the current chi; when chi is the one
-        the operator was built from, nothing is derived or rebuilt."""
+        assembled as one form whenever mu or c^2 moves, with its preconditioner:
+        the multigrid V-cycle (solver="cg") or the solve of its spd_factor
+        (solver="direct").  mu is transport.update_viscosity of the current
+        chi; when chi is the one the operator was built from, nothing is
+        derived or rebuilt.  The fields are stored only once the preconditioner
+        is built, so a rebuild that raises leaves the solver as it was."""
         grid, params, mask = self.grid, self.params, self.mask
         chi = self.state.chi
         if np.array_equal(chi.values, self._built_chi):
@@ -260,21 +263,20 @@ class MicroSolver:
         mu_cells = phase_cells(grid, mask.chi_eps, mu.values, 0.0)
         c2_cells = sound_speed_squared(mask, params, chi.values)
         c2_moved = not np.array_equal(c2_cells, self._c2_cells)
-        if c2_moved:
-            self._c2_cells = c2_cells
-            self._E = assemble_vector_form(grid, self._lam_cells, c2_cells)
+        E = assemble_vector_form(grid, self._lam_cells, c2_cells) if c2_moved else self._E
         if c2_moved or not np.array_equal(mu_cells, self._mu_cells):
-            self._mu_cells = mu_cells
             tau = params.tau
             coef_sym = mask.epsilon**2 * mu_cells + tau * self._lam_cells
-            coef_div = tau * self._c2_cells
-            self._A_red = assemble_vector_form(grid, coef_sym, coef_div, ~self.fixed_nodes,
-                                               self._order)
-            self._lu = None
+            coef_div = tau * c2_cells
+            A_red = assemble_vector_form(grid, coef_sym, coef_div, ~self.fixed_nodes, self._order)
             if self.solver == "cg":
                 levels = coarse_levels(grid, ~self.fixed_nodes)
                 coarse = coarse_vector_forms(grid, levels, coef_sym, coef_div)
-                self._vcycle = VCycle([self._A_red, *coarse], levels)
+                precond = VCycle([A_red, *coarse], levels)
+            else:
+                precond = spd_factor(A_red).solve
+            self._A_red, self._precond = A_red, precond
+        self._mu_cells, self._c2_cells, self._E = mu_cells, c2_cells, E
         self._built_chi = chi.values.copy()
 
     def apply_operator(self, v: VectorField) -> VectorField:
@@ -285,18 +287,11 @@ class MicroSolver:
 
     def _solve(self, rhs_red: np.ndarray):
         """(v_red, iterations, relative residual) of A_red v_red = rhs_red."""
-        if self.solver == "direct":
-            if self._lu is None:
-                self._lu = spd_factor(self._A_red)
-            x = self._lu.solve(rhs_red)
-            b_norm = float(np.linalg.norm(rhs_red))
-            residual = np.linalg.norm(rhs_red - self._A_red @ x) / b_norm if b_norm else 0.0
-            return x, 0, float(residual)
         x0 = None
         if self._window:
             x0 = projected_guess(self._A_red, np.stack(self._window, axis=1), rhs_red)
         res = cg_solve(self._A_red, rhs_red, tol=CG_TOL, max_iter=CG_MAX_ITER,
-                       x0=x0, precond=self._vcycle)
+                       x0=x0, precond=self._precond)
         if not res.converged:
             raise RuntimeError(
                 f"CG failed to converge: {res.iterations} iterations, residual {res.residual:.3e}")
@@ -343,8 +338,7 @@ class MicroSolver:
         st.t += params.tau
         if self.advance_transport:
             st.chi = chi_new
-        if self.solver == "cg":
-            self._window.append(v_red)
+        self._window.append(v_red)
         last = self.energy
         self.history.append(EnergyBreakdown(
             st.t, e_el, e_cp, last.dissipated_cumulative + diss,

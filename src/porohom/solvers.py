@@ -1,8 +1,8 @@
-"""Conjugate gradients and its multigrid preconditioner, the FFT inverse of
-a periodic constant-coefficient form, the sparse factorization of an SPD
-matrix (spd_factor, the one splu call of the package), and the
-preconditioned eigensolver (LOBPCG) of the smallest eigenpair, on that
-factorization or on a multigrid V-cycle."""
+"""Conjugate gradients, the preconditioned eigensolver (LOBPCG) of the
+smallest eigenpair, and the preconditioners both take: a multigrid V-cycle,
+or the solve of a sparse factorization of an SPD matrix (spd_factor, the one
+splu call of the package).  Also the FFT inverse of a periodic
+constant-coefficient form."""
 
 from __future__ import annotations
 
@@ -34,10 +34,11 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 5000,
     scipy LinearOperator).
 
     precond is a callable r -> M^-1 r with M symmetric positive definite,
-    such as a VCycle.  Without one the preconditioner is Jacobi: precond_diag,
-    by default the diagonal of A (which A must then provide) with every
-    non-positive entry replaced by 1 (zero rows of a singular operator then
-    stay finite).  Stops when
+    such as a VCycle, or the solve of an spd_factor of A (M = A up to
+    roundoff, so CG stops after one or two corrections).  Without one the
+    preconditioner is Jacobi: precond_diag, by default the diagonal of A
+    (which A must then provide) with every non-positive entry replaced by 1
+    (zero rows of a singular operator then stay finite).  Stops when
     ||rhs - A x|| <= max(tol * ||rhs||, atol); after max_iter steps, or when
     a search direction has p^T A p <= 0, the last iterate is returned with
     converged=False (no best iterate is kept).  An absolute floor
@@ -135,15 +136,16 @@ class VCycle:
             diag = A.diagonal()
             self._scaled_inv_diag.append(MG_OMEGA / np.where(diag > 0, diag, 1.0))
         coarsest = self._operators[-1]
-        self._lu = spd_factor(coarsest) if coarsest.shape[0] <= COARSE_DOFS else None
+        self._coarse_solve = (spd_factor(coarsest).solve if coarsest.shape[0] <= COARSE_DOFS
+                              else None)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self._cycle(0, r)
 
     def _cycle(self, level: int, r: np.ndarray) -> np.ndarray:
         last = len(self._operators) - 1
-        if level == last and self._lu is not None:
-            return self._lu.solve(r)
+        if level == last and self._coarse_solve is not None:
+            return self._coarse_solve(r)
         A, w = self._operators[level], self._scaled_inv_diag[level]
         x = w * r
         if level < last:
@@ -252,30 +254,27 @@ def _smallest_ritz_pair(S: np.ndarray, AS: np.ndarray, mass_diag: np.ndarray):
     return float(theta[0]), T @ Y[:, 0]
 
 
-def inverse_power_iteration(A, mass_diag: np.ndarray, seed: int = 0, precond=None):
+def inverse_power_iteration(A, mass_diag: np.ndarray, precond, seed: int = 0):
     """Smallest eigenvalue of A x = lambda M x with A symmetric positive
     definite and diagonal mass M, by the locally optimal block preconditioned
     conjugate gradient method with one vector (LOBPCG: Knyazev, SIAM J. Sci.
     Comput. 23, 2001).
 
     precond is a callable r -> B r with B symmetric positive definite and
-    close to the inverse of A, such as a VCycle (Bramble, Pasciak & Knyazev,
-    Adv. Comput. Math. 6, 1996).  Without one, A is factored once by
-    spd_factor, in the order it comes in, and B is that factor's solve.
-    From a random M-unit start vector x, each outer step is a Rayleigh-Ritz
-    over span{x, B r, p} (_smallest_ritz_pair), r = A x - lambda M x and p
+    close to the inverse of A: a VCycle (Bramble, Pasciak & Knyazev,
+    Adv. Comput. Math. 6, 1996), or the solve of an spd_factor of A, whose
+    zero-pivot check then runs before this function does.  From a random
+    M-unit start vector x, each outer step is a Rayleigh-Ritz over
+    span{x, B r, p} (_smallest_ritz_pair), r = A x - lambda M x and p
     the previous search direction: the new x is the smallest Ritz vector and
     p its part off the old x.  With B = A^-1 the span holds the inverse
     iteration's next vector, so a step does at least as well as one of it.
 
     Returns (lam, x, outer_iterations, rayleigh_residual), converged when the
     relative Rayleigh-quotient residual ||r|| / lambda drops below POWER_TOL.
-    Raises RuntimeError when A is not positive definite (spd_factor's
-    zero-pivot check, or a Rayleigh quotient or Ritz value <= 0) or the
-    outer loop reaches POWER_MAX_OUTER.
+    Raises RuntimeError when A is not positive definite (a Rayleigh
+    quotient or Ritz value <= 0) or the outer loop reaches POWER_MAX_OUTER.
     """
-    if precond is None:
-        precond = spd_factor(A).solve
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(mass_diag.size)
     x /= np.sqrt(x @ (mass_diag * x))

@@ -11,6 +11,7 @@ from porohom import cli, homogenize, solvers
 from porohom.config import ConfigError, EXPERIMENTS, parse_config
 from porohom.geometry import UnitCellPattern, build_phase_mask
 from porohom.homogenize import periodic_cell_grid, permeability_from_mask
+from porohom.microsim import MaterialParams
 from porohom.rng import XorShift64Star
 
 BASE = """
@@ -211,6 +212,22 @@ def test_cli_micro_sim_writes_a_deterministic_step_trace(tmp_path):
     assert "trace.csv" in (outs[0] / "manifest.txt").read_text()
     for f in sorted(outs[0].glob("*.csv")):
         assert f.read_bytes() == (outs[1] / f.name).read_bytes()
+
+
+def test_parse_config_material_defaults_are_the_material_params_defaults():
+    assert parse_config("[experiment]\nname = micro-sim\n").material == MaterialParams()
+
+
+def test_cli_micro_sim_runs_from_a_config_with_only_a_name(tmp_path):
+    # every default step stays inside the CFL bound of the default flow
+    cfg = tmp_path / "run.ini"
+    out = tmp_path / "out"
+    cfg.write_text("[experiment]\nname = micro-sim\n")
+    proc = _run_cli(["micro-sim", "--config", str(cfg), "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert "status ok" in (out / "manifest.txt").read_text().splitlines()
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == 10 and all(0 < float(r.split(",")[3]) < 1 for r in rows)
 
 
 def test_cli_validation_failure_exit_code(tmp_path):

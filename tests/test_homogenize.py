@@ -76,9 +76,8 @@ def test_permeability_degenerate_cases():
         permeability_from_mask(nosolid, 1.0)
 
 
-def _recorded_permeability(monkeypatch, mask, mu):
-    """permeability_from_mask(mask, mu) and the result of each of its
-    cg_solve calls, one per axis."""
+def _recorded_cg_solves(monkeypatch):
+    """The list that each later homogenize.cg_solve call appends its result to."""
     calls = []
 
     def recording(A, rhs, **kwargs):
@@ -86,6 +85,13 @@ def _recorded_permeability(monkeypatch, mask, mu):
         calls.append(res)
         return res
     monkeypatch.setattr(homogenize, "cg_solve", recording)
+    return calls
+
+
+def _recorded_permeability(monkeypatch, mask, mu):
+    """permeability_from_mask(mask, mu) and the result of each of its
+    cg_solve calls, one per axis."""
+    calls = _recorded_cg_solves(monkeypatch)
     K, _ = permeability_from_mask(mask, mu)
     return K, calls
 
@@ -274,6 +280,17 @@ def test_darcy_zero_drop_and_linearity():
     _, f1 = darcy_macro_solve(K, (0.5, -0.5))
     _, f2 = darcy_macro_solve(K, (1.0, -1.0))
     assert f2[0] == pytest.approx(2.0 * f1[0], rel=1e-8)
+
+
+@pytest.mark.parametrize("K", [np.diag([0.04, 0.07]), np.diag([0.03, 0.05, 0.02])],
+                         ids=["2d", "3d"])
+def test_darcy_with_a_diagonal_K_takes_no_cg_iteration(monkeypatch, K):
+    # the linear lift is the exact pressure, so the rhs is roundoff
+    calls = _recorded_cg_solves(monkeypatch)
+    _, flux = darcy_macro_solve(K, (0.5, -0.25))
+    assert [res.iterations for res in calls] == [0]
+    assert abs(flux[0] + K[0, 0] * 0.75) <= 1e-15
+    assert np.abs(flux[1:]).max() <= 1e-15
 
 
 def test_darcy_rejects_indefinite_K():

@@ -179,7 +179,8 @@ def test_cg_nonconvergence_flag():
 
 def test_inverse_power_iteration_diagonal_oracle():
     d = np.array([4.0, 9.0, 1.0, 16.0, 25.0])
-    lam, x, outer, resid = inverse_power_iteration(np.diag(d), np.ones(5), seed=3)
+    A = np.diag(d)
+    lam, x, outer, resid = inverse_power_iteration(A, np.ones(5), spd_factor(A).solve, seed=3)
     assert lam == pytest.approx(1.0, rel=1e-6)
     assert abs(abs(x[2]) - 1.0) < 1e-4
     assert resid < 1e-8
@@ -206,14 +207,15 @@ def test_inverse_power_iteration_drops_a_degenerate_search_direction(A):
 
 def test_inverse_power_iteration_raises_at_the_outer_cap(monkeypatch):
     monkeypatch.setattr(solvers, "POWER_MAX_OUTER", 1)
-    d = np.array([4.0, 9.0, 1.0, 16.0, 25.0])
+    A = np.diag([4.0, 9.0, 1.0, 16.0, 25.0])
     with pytest.raises(RuntimeError, match="did not converge in 1 outer steps"):
-        inverse_power_iteration(np.diag(d), np.ones(5), seed=3)
+        inverse_power_iteration(A, np.ones(5), spd_factor(A).solve, seed=3)
 
 
 def test_inverse_power_iteration_raises_on_a_negative_definite_matrix():
+    A = np.diag([-1.0, -2.0, -3.0])
     with pytest.raises(RuntimeError, match="not positive definite"):
-        inverse_power_iteration(np.diag([-1.0, -2.0, -3.0]), np.ones(3), seed=3)
+        inverse_power_iteration(A, np.ones(3), spd_factor(A).solve, seed=3)
 
 
 @pytest.mark.parametrize("A", [
@@ -221,8 +223,9 @@ def test_inverse_power_iteration_raises_on_a_negative_definite_matrix():
     [[0.0, 1.0], [1.0, 0.0]],  # zero diagonal: splu swaps rows for positive pivots
 ], ids=["negative-pivot", "zero-diagonal"])
 def test_inverse_power_iteration_raises_on_an_indefinite_matrix(A):
+    A = np.array(A)
     with pytest.raises(RuntimeError, match="not positive definite"):
-        inverse_power_iteration(np.array(A), np.ones(2), seed=3)
+        inverse_power_iteration(A, np.ones(2), spd_factor(A).solve, seed=3)
 
 
 @pytest.mark.parametrize("A", [
