@@ -3,10 +3,9 @@ fluid/solid extension operators.
 
 A Poincaré constant is 1/sqrt(lambda_min) of the discrete symmetric-gradient
 form against the lumped mass, by the preconditioned eigensolver
-solvers.inverse_power_iteration (LOBPCG).  Its preconditioner is the
-multigrid V-cycle of the form when the grid halves down to a level small
-enough to factor, and the solve of one sparse factor of the whole form
-otherwise; the eigensolve itself is the same for both.
+solvers.inverse_power_iteration (LOBPCG) on the form and preconditioner of
+solvers.form_solver: "multigrid" when the grid halves down to a level small
+enough to factor, "factor" otherwise.
 """
 
 from __future__ import annotations
@@ -18,15 +17,8 @@ import numpy as np
 from .geometry import PhaseMask, boundary_tags
 from .grid import Grid, ScalarField, VectorField
 from .mollifier import mollify
-from .operators import (
-    COARSE_DOFS,
-    assemble_vector_form,
-    cell_counts,
-    coarse_levels,
-    coarse_vector_forms,
-    nested_dissection,
-)
-from .solvers import VCycle, inverse_power_iteration, spd_factor
+from .operators import COARSE_DOFS, cell_counts, coarse_levels
+from .solvers import form_solver, inverse_power_iteration
 
 __all__ = [
     "ConstantEstimate",
@@ -70,17 +62,12 @@ def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0) -> Co
     all lie in the mask (cross-shaped erosion, with the grid's outside
     counted as masked), minus the grid boundary.  The smallest eigenvalue
     of the form against the lumped mass comes from one
-    inverse_power_iteration call.  The grid picks its preconditioner, named
-    by ConstantEstimate.precond, and with it the order of the form:
-    - "multigrid": when operators.coarse_levels halves the box grid down to
-      at most operators.COARSE_DOFS free dofs, the VCycle over
-      coarse_vector_forms on those levels, which factors only that coarsest
-      level.  The form stays in component-major order.
-    - "factor": otherwise (an even node count, or halving that stops above
-      the bound), the solve of one spd_factor of the whole form.  The form
-      is assembled in the factor order of operators.nested_dissection, and
-      the mass is permuted to match, so the random start vector is drawn in
-      that order too.
+    inverse_power_iteration call on solvers.form_solver's form, with the
+    mass in the order of its dofs.  The grid picks form_solver's
+    preconditioner, named by ConstantEstimate.precond: "multigrid" when
+    operators.coarse_levels halves the box grid down to at most
+    operators.COARSE_DOFS free dofs, "factor" otherwise (an even node
+    count, or halving that stops above the bound).
     """
     if domain_mask.grid != grid:
         raise ValueError("mask grid mismatch")
@@ -92,20 +79,12 @@ def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0) -> Co
     active_node = _erode(inside) & ~_grid_boundary(grid)
     if not active_node.any():
         raise ValueError("mask has no interior nodes")
-    coef = np.ones(int(np.prod(cell_counts(grid))))
-    mass = np.tile(grid.node_weights()[active_node], grid.dim)
     levels = coarse_levels(grid, active_node)
     coarsest = levels[-1].free if levels else active_node
-    if grid.dim * np.count_nonzero(coarsest) <= COARSE_DOFS:
-        A = assemble_vector_form(grid, coef, None, active_node)
-        precond = VCycle([A, *coarse_vector_forms(grid, levels, coef)], levels)
-        label = "multigrid"
-    else:
-        order = nested_dissection(grid, active_node, grid.dim)
-        A = assemble_vector_form(grid, coef, None, active_node, order)
-        mass = mass[order]
-        precond = spd_factor(A).solve
-        label = "factor"
+    label = "multigrid" if grid.dim * np.count_nonzero(coarsest) <= COARSE_DOFS else "factor"
+    coef = np.ones(int(np.prod(cell_counts(grid))))
+    A, dofs, precond = form_solver(grid, active_node, coef, None, label)
+    mass = np.tile(grid.node_weights().ravel(), grid.dim)[dofs]
     lam, _, iters, resid = inverse_power_iteration(A, mass, precond, seed=seed)
     return ConstantEstimate(1.0 / np.sqrt(lam), iters, resid, label)
 

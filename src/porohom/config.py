@@ -42,7 +42,7 @@ DEFAULTS = {
     ("experiment", "seed"): (0, int),
     ("experiment", "steps"): (10, int),
     ("experiment", "eps_list"): ((1.0, 0.5, 0.25), _floats),
-    ("experiment", "h_list"): ((0.2, 0.1, 0.05), _floats),
+    ("experiment", "h_list"): ((0.25, 0.125, 0.0625), _floats),
     ("experiment", "interface_plane"): (0.0, float),
     ("grid", "dim"): (2, int),
     ("grid", "n"): (33, int),

@@ -34,12 +34,11 @@ from .operators import (
     cell_divergence,
     cell_gradient,
     cell_volume,
-    nested_dissection,
     periodic_form_symbol,
     phase_cells,
     strain_load,
 )
-from .solvers import PeriodicInverse, cg_solve, spd_factor
+from .solvers import PeriodicInverse, cg_solve, form_solver
 
 __all__ = [
     "periodic_cell_grid",
@@ -275,28 +274,26 @@ def _steady_pore_flux(mask: PhaseMask, mu: float, drive, max_steps: int,
     vol B'B, B the cell divergence (operators.cell_divergence).  The
     augmented-Lagrangian / Uzawa loop (Fortin & Glowinski, Augmented
     Lagrangian Methods, 1983) v_k = A^-1 (f - vol B'p_{k-1}), p_k = p_{k-1}
-    + gamma B v_k, with A = visc V + gamma vol B'B assembled in the
-    nested-dissection order of operators.nested_dissection and factored
-    once by solvers.spd_factor, and vol B' = operators.strain_load(., I),
-    reaches the discretely divergence-free Stokes velocity whatever gamma
-    is.  It stops once the flux of v_k changes by at most steady_tol
-    relative, or after max_steps (converged False).
+    + gamma B v_k, with A^-1 the exact solve of A = visc V + gamma vol B'B
+    that solvers.form_solver builds once ("factor") and vol B' =
+    operators.strain_load(., I), reaches the discretely divergence-free
+    Stokes velocity whatever gamma is.  It stops once the flux of v_k
+    changes by at most steady_tol relative, or after max_steps (converged
+    False).
     """
     grid = mask.grid
     free = ~(boundary_tags(grid)["S0"] | mask.solid)
-    order = nested_dissection(grid, free, grid.dim)
-    active = np.flatnonzero(np.tile(free.ravel(), grid.dim))[order]  # dofs in factor order
     fluid = phase_cells(grid, mask.chi_eps, 1.0, 0.0)
     visc = mask.epsilon**2 * mu
     gamma = AL_PENALTY_RATIO * visc * fluid
-    lu = spd_factor(assemble_vector_form(grid, visc * fluid, gamma, free, order))
+    dofs, solve = form_solver(grid, free, visc * fluid, gamma, "factor")[1:]
     wq = grid.node_weights().ravel()
-    rhs = (-np.asarray(drive, dtype=float)[:, None] * wq).ravel()[active]  # f - vol B'p_k
+    rhs = (-np.asarray(drive, dtype=float)[:, None] * wq).ravel()[dofs]  # f - vol B'p_k
     v = np.zeros(grid.dim * grid.n_nodes)
     prev = np.inf
     for steps in range(1, max_steps + 1):
-        v[active] = lu.solve(rhs)
-        rhs -= strain_load(grid, gamma * cell_divergence(grid, v), np.eye(grid.dim))[active]
+        v[dofs] = solve(rhs)
+        rhs -= strain_load(grid, gamma * cell_divergence(grid, v), np.eye(grid.dim))[dofs]
         flux = v.reshape(grid.dim, -1) @ wq / np.sum(wq)
         if np.linalg.norm(flux - prev) <= steady_tol * np.linalg.norm(flux):
             return flux, True, steps

@@ -34,16 +34,8 @@ import numpy as np
 from . import transport
 from .geometry import PhaseMask, boundary_tags
 from .grid import Grid, ScalarField, VectorField
-from .operators import (
-    assemble_vector_form,
-    cell_divergence,
-    cell_volume,
-    coarse_levels,
-    coarse_vector_forms,
-    nested_dissection,
-    phase_cells,
-)
-from .solvers import VCycle, cg_solve, projected_guess, spd_factor
+from .operators import assemble_vector_form, cell_divergence, cell_volume, phase_cells
+from .solvers import cg_solve, form_solver, projected_guess
 
 __all__ = [
     "MaterialParams",
@@ -78,6 +70,8 @@ class MaterialParams:
                 problems.append(f"{name} must be finite, got {value}")
         if not self.h_mollify >= 0:
             problems.append(f"h_mollify must be >= 0, got {self.h_mollify}")
+        elif not np.isfinite(self.h_mollify):
+            problems.append(f"h_mollify must be finite, got {self.h_mollify}")
         if not np.isfinite(self.p0):
             problems.append(f"p0 must be finite, got {self.p0}")
         if not np.all(np.isfinite(self.p_drive_grad)):
@@ -149,26 +143,21 @@ CG_WINDOW = 8
 class MicroSolver:
     """Holds the assembled forms for one (grid, mask, params) instance.
 
-    Each step solve is conjugate gradients on the step operator, and solver
-    names its preconditioner: "cg" a geometric multigrid V-cycle, "direct"
-    the solve of a solvers.spd_factor of the whole operator, assembled in
-    nested-dissection order (an exact inverse, so CG stops after one or two
-    corrections; cheap when the viscosity field does not change).  active
-    lists the free dofs in the operator's row order: component-major for
-    "cg", nested-dissection order for "direct".  CG starts each step from
+    Each step solve is conjugate gradients on the step operator that
+    solvers.form_solver builds, with the preconditioner solver names: "cg"
+    the geometric multigrid V-cycle ("multigrid"), "direct" the solve of an
+    spd_factor of the whole operator ("factor"; an exact inverse, so CG
+    stops after one or two corrections; cheap when the viscosity field does
+    not change).  active lists the free dofs in the operator's row order
+    (form_solver's dofs).  CG starts each step from
     solvers.projected_guess over the last CG_WINDOW committed step
     velocities: their combination closest to the new velocity in the norm
     of this step's operator, so never farther from it than the last
     velocity alone.  The window gains a velocity only when a step commits;
     an empty window, or one with no positive Gram eigenvalue (a run at
     rest), starts CG from zero.  A step whose CG misses CG_TOL within
-    CG_MAX_ITER iterations raises RuntimeError.  The V-cycle halves the box
-    grid (operators.coarse_levels, built once per grid and free-node mask,
-    restrictions included) down to at most operators.COARSE_DOFS free dofs;
-    each coarse form is the same form rediscretized on its level, every
-    coarse cell taking the mean coefficient of the cells it covers
-    (operators.coarse_vector_forms), and the coarsest one is factored
-    whenever the operator moves.
+    CG_MAX_ITER iterations raises RuntimeError.  The operator and its
+    preconditioner are rebuilt whenever mu or c^2 moves.
 
     history holds one EnergyBreakdown per step.  trace holds one row per
     step: (t, CG iterations, relative residual of the step solve, CFL margin
@@ -199,9 +188,6 @@ class MicroSolver:
         else:
             raise ValueError(f"unknown dirichlet set {dirichlet!r}")
         self.fixed_nodes = fixed
-        self._order = nested_dissection(grid, ~fixed, grid.dim) if solver == "direct" else None
-        dofs = np.flatnonzero(np.tile(~fixed.ravel(), grid.dim))
-        self.active = dofs if self._order is None else dofs[self._order]
         g = np.asarray(params.p_drive_grad, dtype=float)
         if g.size != grid.dim:
             raise ValueError("p_drive_grad must have one entry per axis")
@@ -249,12 +235,11 @@ class MicroSolver:
     def _rebuild_operator(self):
         """E (storage: elastic D:D on the skeleton plus compressive div*div),
         re-assembled whenever the fluid labels move c^2, and A = viscous + tau E,
-        assembled as one form whenever mu or c^2 moves, with its preconditioner:
-        the multigrid V-cycle (solver="cg") or the solve of its spd_factor
-        (solver="direct").  mu is transport.update_viscosity of the current
-        chi; when chi is the one the operator was built from, nothing is
-        derived or rebuilt.  The fields are stored only once the preconditioner
-        is built, so a rebuild that raises leaves the solver as it was."""
+        built by form_solver with its dofs and preconditioner whenever mu or
+        c^2 moves.  mu is transport.update_viscosity of the current chi; when
+        chi is the one the operator was built from, nothing is derived or
+        rebuilt.  The fields are stored only once form_solver returns, so a
+        rebuild that raises leaves the solver as it was."""
         grid, params, mask = self.grid, self.params, self.mask
         chi = self.state.chi
         if np.array_equal(chi.values, self._built_chi):
@@ -265,17 +250,10 @@ class MicroSolver:
         c2_moved = not np.array_equal(c2_cells, self._c2_cells)
         E = assemble_vector_form(grid, self._lam_cells, c2_cells) if c2_moved else self._E
         if c2_moved or not np.array_equal(mu_cells, self._mu_cells):
-            tau = params.tau
-            coef_sym = mask.epsilon**2 * mu_cells + tau * self._lam_cells
-            coef_div = tau * c2_cells
-            A_red = assemble_vector_form(grid, coef_sym, coef_div, ~self.fixed_nodes, self._order)
-            if self.solver == "cg":
-                levels = coarse_levels(grid, ~self.fixed_nodes)
-                coarse = coarse_vector_forms(grid, levels, coef_sym, coef_div)
-                precond = VCycle([A_red, *coarse], levels)
-            else:
-                precond = spd_factor(A_red).solve
-            self._A_red, self._precond = A_red, precond
+            coef_sym = mask.epsilon**2 * mu_cells + params.tau * self._lam_cells
+            self._A_red, self.active, self._precond = form_solver(
+                grid, ~self.fixed_nodes, coef_sym, params.tau * c2_cells,
+                "multigrid" if self.solver == "cg" else "factor")
         self._mu_cells, self._c2_cells, self._E = mu_cells, c2_cells, E
         self._built_chi = chi.values.copy()
 

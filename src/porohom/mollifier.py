@@ -126,11 +126,14 @@ def mollify(u, h: float):
     """Mollification u_h(x) = h^-dim * integral of J(|x-y|/h) u(y) dy.
 
     u is extended by zero across each box face and wraps around each
-    periodic axis.  Requires h >= 2 * grid spacing so the kernel is resolved.
-    A VectorField is mollified componentwise in one batched transform.
+    periodic axis.  Requires a finite h >= 2 * grid spacing so the kernel is
+    resolved.  A VectorField is mollified componentwise in one batched
+    transform.
     """
     if not isinstance(u, (ScalarField, VectorField)):
         raise TypeError(f"cannot mollify {type(u)}")
+    if not np.isfinite(h):
+        raise ValueError(f"mollification radius must be finite, got {h}")
     grid = u.grid
     floor = 2.0 * max(grid.spacing(k) for k in range(grid.dim))
     if h < floor - 1e-12:

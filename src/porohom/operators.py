@@ -22,7 +22,7 @@ exactly zero are not stored.
 The results are symmetric positive semi-definite compact-stencil matrices
 whose 1D reductions are the classical tridiagonal forms.
 
-The multigrid hierarchy of MicroSolver's step solve lives here too:
+The multigrid hierarchy of solvers.form_solver's "multigrid" lives here too:
 coarse_levels halves a box grid and builds the Q1 interpolation between the
 free nodes of consecutive levels and its transpose, and coarse_vector_forms
 rediscretizes the form on each level with the same assembler, each coarse
@@ -30,7 +30,7 @@ cell taking the mean coefficient of the cells it covers.  So does the order
 in which every sparse factor of an SPD form eliminates its dofs:
 nested_dissection, a geometric nested dissection of the node box, which
 assemble_vector_form takes as its order argument to hand a form over to
-solvers.spd_factor already in that order.
+solvers.spd_factor already in that order (form_solver's "factor").
 """
 
 from __future__ import annotations

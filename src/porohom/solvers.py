@@ -1,8 +1,9 @@
 """Conjugate gradients, the preconditioned eigensolver (LOBPCG) of the
 smallest eigenpair, and the preconditioners both take: a multigrid V-cycle,
 or the solve of a sparse factorization of an SPD matrix (spd_factor, the one
-splu call of the package).  Also the FFT inverse of a periodic
-constant-coefficient form."""
+splu call of the package).  form_solver builds every solve of a vector form
+on free nodes: the form, its dofs and one of the two preconditioners.  Also
+the FFT inverse of a periodic constant-coefficient form."""
 
 from __future__ import annotations
 
@@ -12,10 +13,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .operators import COARSE_DOFS
+from .operators import (
+    COARSE_DOFS,
+    assemble_vector_form,
+    coarse_levels,
+    coarse_vector_forms,
+    nested_dissection,
+)
 
 __all__ = ["CGResult", "cg_solve", "projected_guess", "VCycle", "PeriodicInverse",
-           "spd_factor", "inverse_power_iteration"]
+           "spd_factor", "form_solver", "inverse_power_iteration"]
 
 
 @dataclass
@@ -198,9 +205,9 @@ def spd_factor(A):
     """splu factorization of a symmetric positive definite A (a dense array
     or a sparse matrix) with SPD_SPLU_OPTIONS, to solve with its .solve; the
     one splu call of the package.  A is factored in the order it comes in,
-    so a large form should come in factor order (assemble_vector_form's
-    order, from operators.nested_dissection); a multigrid coarsest level is
-    small enough to factor as it is.
+    so a large form should come in factor order, as form_solver's "factor"
+    assembles it; a multigrid coarsest level is small enough to factor as
+    it is.
 
     A's CSR arrays are passed to splu as the CSC arrays of A^T = A, so a
     CSR form with sorted column indices is factored without a copy and is
@@ -227,6 +234,34 @@ def spd_factor(A):
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise RuntimeError("matrix is not positive definite (a zero pivot forced a row swap)")
     return lu
+
+
+def form_solver(grid, free: np.ndarray, coef_sym: np.ndarray,
+                coef_div: np.ndarray | None = None, precond: str = "multigrid"):
+    """(A, dofs, B): the assemble_vector_form form A with the per-cell
+    coefficients coef_sym and coef_div on the free nodes of the boolean
+    node mask free, dofs[i] the component-major dof (over every node,
+    as in assemble_vector_form) of row i of A, and B a preconditioner of A to
+    pass to cg_solve or inverse_power_iteration.
+
+    precond picks B, and with it the row order of A:
+    - "multigrid": the VCycle over operators.coarse_levels of the box grid,
+      each coarse form from operators.coarse_vector_forms; A stays in
+      component-major order.
+    - "factor": the solve of spd_factor(A), A assembled in the order of
+      operators.nested_dissection.
+    """
+    dofs = np.flatnonzero(np.tile(np.ravel(free), grid.dim))
+    if precond == "multigrid":
+        A = assemble_vector_form(grid, coef_sym, coef_div, free)
+        levels = coarse_levels(grid, free)
+        coarse = coarse_vector_forms(grid, levels, coef_sym, coef_div)
+        return A, dofs, VCycle([A, *coarse], levels)
+    if precond == "factor":
+        order = nested_dissection(grid, free, grid.dim)
+        A = assemble_vector_form(grid, coef_sym, coef_div, free, order)
+        return A, dofs[order], spd_factor(A).solve
+    raise ValueError(f"unknown preconditioner {precond!r}")
 
 
 # Rayleigh-residual target and outer-step cap of inverse_power_iteration.

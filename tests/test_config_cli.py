@@ -230,6 +230,40 @@ def test_cli_micro_sim_runs_from_a_config_with_only_a_name(tmp_path):
     assert len(rows) == 10 and all(0 < float(r.split(",")[3]) < 1 for r in rows)
 
 
+def test_cli_mollifier_props_runs_from_a_config_with_only_a_name(tmp_path):
+    # the default h_list ends at the resolution floor of the default grid
+    cfg = tmp_path / "run.ini"
+    out = tmp_path / "out"
+    cfg.write_text("[experiment]\nname = mollifier-props\n")
+    proc = _run_cli(["mollifier-props", "--config", str(cfg), "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert "status ok" in (out / "manifest.txt").read_text().splitlines()
+
+
+def test_cli_infinite_h_list_exits_1_without_traceback(tmp_path):
+    cfg = tmp_path / "bad.ini"
+    out = tmp_path / "out"
+    cfg.write_text(f"[experiment]\nname = mollifier-props\nout_dir = {out}\nh_list = inf\n")
+    proc = _run_cli(["mollifier-props", "--config", cfg.as_posix()])
+    assert proc.returncode == 1
+    assert "mollification radius must be finite, got inf" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "validation-failure" in (out / "manifest.txt").read_text()
+    assert not list(out.glob("*.csv"))
+
+
+def test_cli_infinite_h_mollify_is_rejected_with_the_config(tmp_path):
+    cfg = tmp_path / "bad.ini"
+    out = tmp_path / "out"
+    cfg.write_text(f"[experiment]\nname = micro-sim\nout_dir = {out}\n"
+                   "[material]\nmu2 = 3\nh_mollify = inf\n")
+    proc = _run_cli(["micro-sim", "--config", cfg.as_posix()])
+    assert proc.returncode == 1
+    assert "h_mollify must be finite, got inf" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_cli_validation_failure_exit_code(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[material]\nepsilon = 0.3\n")

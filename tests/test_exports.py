@@ -1,6 +1,7 @@
 """Every exported name resolves: each porohom module's __all__ and every
 name the package __init__ imports.  No porohom module imports another's
-private (underscore) names, and only solvers.spd_factor calls splu."""
+private (underscore) names, and each solver building block is called only
+from the scopes that own it (ALLOWED_CALLERS)."""
 
 import ast
 import importlib
@@ -47,11 +48,24 @@ def test_no_module_imports_a_private_name_of_another():
     assert not offenders, f"private names imported across modules: {offenders}"
 
 
-class _SpluCalls(ast.NodeVisitor):
-    """Every call of a function named splu, as module.scope:line."""
+# callee -> the only src/porohom scopes (module.function or
+# module.Class.method) that may call it: splu through spd_factor, and every
+# vector-form solve through solvers.form_solver.
+ALLOWED_CALLERS = {
+    "splu": ["solvers.spd_factor"],
+    "spd_factor": ["solvers.VCycle.__init__", "solvers.form_solver"],
+    "nested_dissection": ["solvers.form_solver"],
+    "coarse_vector_forms": ["solvers.form_solver"],
+    "VCycle": ["solvers.form_solver"],
+}
 
-    def __init__(self, module):
+
+class _Calls(ast.NodeVisitor):
+    """Every call of a function named callee, as module.scope:line."""
+
+    def __init__(self, module, callee):
         self.scope = [module]
+        self.callee = callee
         self.found = []
 
     def _visit_scope(self, node):
@@ -64,16 +78,17 @@ class _SpluCalls(ast.NodeVisitor):
     def visit_Call(self, node):
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name == "splu":
+        if name == self.callee:
             self.found.append(f"{'.'.join(self.scope)}:{node.lineno}")
         self.generic_visit(node)
 
 
-def test_only_spd_factor_calls_splu():
+@pytest.mark.parametrize("callee", sorted(ALLOWED_CALLERS))
+def test_only_the_allowed_scopes_call(callee):
     root = Path(porohom.__file__).parent
     calls = []
     for path in sorted(root.glob("*.py")):
-        visitor = _SpluCalls(path.stem)
+        visitor = _Calls(path.stem, callee)
         visitor.visit(ast.parse(path.read_text()))
         calls += visitor.found
-    assert [c.split(":")[0] for c in calls] == ["solvers.spd_factor"], calls
+    assert sorted(c.split(":")[0] for c in calls) == ALLOWED_CALLERS[callee], calls

@@ -159,6 +159,15 @@ def test_mollify_rejects_unresolved_radius():
         mollify(u, 1e-6)
 
 
+@pytest.mark.parametrize("h", [np.inf, np.nan])
+def test_mollify_rejects_a_non_finite_radius(h):
+    # the resolution floor check alone lets inf and nan through
+    g = Grid(2, 17)
+    u = ScalarField(g, np.ones(g.shape))
+    with pytest.raises(ValueError, match="radius must be finite"):
+        mollify(u, h)
+
+
 def test_convergence_report_order():
     g = Grid(2, 129)
     x1, x2 = g.coords()

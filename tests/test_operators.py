@@ -784,6 +784,29 @@ def test_assembly_in_factor_order_is_the_permuted_form(case, with_div):
     assert np.all(np.diff(got.indices)[within_row] > 0)
 
 
+@pytest.mark.parametrize("precond", ["multigrid", "factor"])
+def test_form_solver_rows_follow_its_dofs(precond):
+    # a form on the interior of the 2D n=33 box, a grid that halves: row i of
+    # A is dof dofs[i] of the form on every node, and B preconditions A (an
+    # exact inverse for "factor"; Jacobi-CG takes 219 iterations here)
+    grid = Grid(2, 33)
+    tags = boundary_tags(grid)
+    free = ~(tags["S0"] | tags["S1"] | tags["S2"])
+    coef = 1.0 + np.arange(32 * 32) % 3
+    A, dofs, B = solvers.form_solver(grid, free, coef, 2.0 * coef, precond)
+    whole = assemble_vector_form(grid, coef, 2.0 * coef)
+    assert abs(A - whole[dofs][:, dofs]).max() == 0
+    b = np.random.default_rng(0).standard_normal(dofs.size)
+    res = cg_solve(A, b, tol=1e-10, precond=B)
+    assert res.converged and res.iterations <= (2 if precond == "factor" else 50)
+
+
+def test_form_solver_rejects_an_unknown_preconditioner():
+    grid, free = ND_CASES["2d box"]
+    with pytest.raises(ValueError, match="unknown preconditioner 'jacobi'"):
+        solvers.form_solver(grid, free, np.ones(32 * 32), None, "jacobi")
+
+
 @pytest.mark.parametrize("case", ["2d box", "2d disk"])
 def test_nested_dissection_ends_with_the_emptiest_middle_plane(case):
     # the first split of a square box is along axis 0; its separator is listed
