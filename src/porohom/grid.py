@@ -13,6 +13,7 @@ store components in the leading axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,8 +72,10 @@ class Grid:
         axes = [self.axis_coords(k) for k in range(self.dim)]
         return np.meshgrid(*axes, indexing="ij")
 
+    @lru_cache(maxsize=16)
     def node_weights(self) -> np.ndarray:
-        """Trapezoidal quadrature weight per node (product rule)."""
+        """Trapezoidal quadrature weight per node (product rule), cached per
+        grid and read-only."""
         w = np.ones(self.shape)
         for k in range(self.dim):
             wk = np.full(self.n_per_axis, self.spacing(k))
@@ -82,6 +85,7 @@ class Grid:
             shape = [1] * self.dim
             shape[k] = self.n_per_axis
             w = w * wk.reshape(shape)
+        w.setflags(write=False)
         return w
 
 

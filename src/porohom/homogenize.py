@@ -191,13 +191,23 @@ def elasticity_from_mask(mask: PhaseMask, lam: float) -> np.ndarray:
     expanded exactly:  vol sum(coef E_a:E_b) + u_a.A u_b - u_a.f_b - f_a.u_b.
     The skeleton is the set of cells with no fluid corner
     (operators.phase_cells), the same cells that carry lam in MicroSolver;
-    every cell with a fluid corner is a void.
+    every cell with a fluid corner is a void.  A and f vanish off the
+    skeleton's nodes (the corners of its cells), so the correctors are
+    solved, and C summed, on the dofs of those nodes only; the CG floor is
+    still set by the whole grid's dof count.  Without skeleton cells C = 0.
     """
     grid = mask.grid
     _require_periodic(grid)
     dim, n = grid.dim, grid.n_nodes
     coef = phase_cells(grid, mask.chi_eps, 0.0, lam)
-    A = assemble_vector_form(grid, coef, None)
+    nv = len(sym_component_pairs(dim))
+    skel_cells = coef > 0
+    if not skel_cells.any():
+        return np.zeros((nv, nv))
+    skel = np.zeros(n, dtype=bool)
+    skel[cell_corner_indices(grid)[skel_cells]] = True
+    A = assemble_vector_form(grid, coef, None, skel)
+    dofs = np.flatnonzero(np.tile(skel, dim))
 
     vol = float(np.sum(grid.node_weights()))
     # A homogeneous cell gives a roundoff-level rhs and a zero corrector;
@@ -207,7 +217,7 @@ def elasticity_from_mask(mask: PhaseMask, lam: float) -> np.ndarray:
     for i, j in sym_component_pairs(dim):
         E = np.zeros((dim, dim))
         E[i, j] = E[j, i] = 1.0 if i == j else 0.5
-        f = -strain_load(grid, coef, E)
+        f = -strain_load(grid, coef, E)[dofs]
         res = cg_solve(A, f, tol=CELL_CG_TOL, max_iter=CELL_CG_MAX_ITER, atol=floor)
         if not res.converged:
             raise RuntimeError(
@@ -216,7 +226,6 @@ def elasticity_from_mask(mask: PhaseMask, lam: float) -> np.ndarray:
         loads.append(f)
         correctors.append(res.x)
     affine = cell_volume(grid) * float(np.sum(coef))
-    nv = len(strains)
     C = np.zeros((nv, nv))
     for a in range(nv):
         for b in range(a, nv):

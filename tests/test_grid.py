@@ -47,6 +47,24 @@ def test_node_weights_sum_to_volume():
         assert np.sum(g.node_weights()) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("g", [Grid(2, 9), Grid(3, 5, periodic=(True, False, True))])
+def test_node_weights_are_a_cached_read_only_product_rule(g):
+    w = g.node_weights()
+    expect = np.ones(g.shape)
+    for k in range(g.dim):
+        wk = np.full(g.n_per_axis, g.spacing(k))
+        if not g.periodic[k]:
+            wk[[0, -1]] *= 0.5
+        expect = expect * wk.reshape([-1 if a == k else 1 for a in range(g.dim)])
+    assert np.array_equal(w, expect)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[(0,) * g.dim] = 1.0
+    # an equal grid is the same cache key
+    assert g.node_weights() is w
+    assert Grid(g.dim, g.n_per_axis, g.periodic).node_weights() is w
+
+
 def test_fields_validate_shape_and_finiteness():
     g = Grid(2, 9)
     with pytest.raises(ValueError):

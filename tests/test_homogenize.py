@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from porohom import homogenize, solvers
-from porohom.geometry import UnitCellPattern, boundary_tags, build_phase_mask, porosity
+from porohom.geometry import PhaseMask, UnitCellPattern, boundary_tags, build_phase_mask, porosity
 from porohom.grid import Grid, sym_component_pairs
 from porohom.homogenize import (
     PENALTY_RATIO,
@@ -23,6 +23,7 @@ from porohom.operators import (
     assemble_vector_form,
     cell_corner_indices,
     cell_counts,
+    cell_volume,
     nested_dissection,
     phase_cells,
 )
@@ -262,6 +263,67 @@ def test_elasticity_floating_inclusion_has_no_stiffness():
     # stiffness vanishes (it can translate freely)
     C = elasticity_from_mask(build_phase_mask(UnitCellPattern("disk", 0.3), 1.0, CELL), 2.0)
     assert np.abs(C).max() < 1e-8
+
+
+def _whole_grid_elasticity(mask, lam):
+    """C_eff from Jacobi-CG correctors on every dof of the cell, with the
+    same CG floor and energy expansion as elasticity_from_mask; also the
+    corrector iterations."""
+    grid = mask.grid
+    dim, n = grid.dim, grid.n_nodes
+    coef = phase_cells(grid, mask.chi_eps, 0.0, lam)
+    A = assemble_vector_form(grid, coef, None)
+    floor = homogenize.CELL_CG_TOL * float(np.abs(A.diagonal()).max()) * np.sqrt(dim * n)
+    strains, loads, results = [], [], []
+    for i, j in sym_component_pairs(dim):
+        E = np.zeros((dim, dim))
+        E[i, j] = E[j, i] = 1.0 if i == j else 0.5
+        f = -homogenize.strain_load(grid, coef, E)
+        res = cg_solve(A, f, tol=homogenize.CELL_CG_TOL, max_iter=homogenize.CELL_CG_MAX_ITER,
+                       atol=floor)
+        assert res.converged
+        strains.append(E)
+        loads.append(f)
+        results.append(res)
+    affine = cell_volume(grid) * float(np.sum(coef))
+    vol = float(np.sum(grid.node_weights()))
+    C = np.array([[(affine * float(np.sum(Ea * Eb)) + ra.x @ (A @ rb.x) - ra.x @ fb - fa @ rb.x)
+                   / vol for Eb, fb, rb in zip(strains, loads, results)]
+                  for Ea, fa, ra in zip(strains, loads, results)])
+    return C, [res.iterations for res in results]
+
+
+def test_elasticity_of_a_connected_skeleton_matches_whole_grid_correctors(monkeypatch):
+    # a ball pore of radius 0.55 leaves a skeleton frame connected along the
+    # cell edges; its correctors are solved on the skeleton's dofs alone, and
+    # take as many iterations as whole-grid Jacobi-CG
+    cell = periodic_cell_grid(3, 16)
+    r = np.sqrt(sum(x**2 for x in cell.coords()))
+    pore = (r < 0.55).astype(float)
+    mask = PhaseMask(cell, pore, pore.copy(), 1.0)
+    calls = []
+
+    def recorded(A, rhs, **kw):
+        res = cg_solve(A, rhs, **kw)
+        calls.append((rhs.size, res.iterations))
+        return res
+
+    monkeypatch.setattr(homogenize, "cg_solve", recorded)
+    C = elasticity_from_mask(mask, 1.0)
+    C_ref, iterations = _whole_grid_elasticity(mask, 1.0)
+    assert C[0, 0] == pytest.approx(0.07844, abs=1e-5)
+    np.testing.assert_allclose(C, C_ref, rtol=1e-8, atol=1e-8 * np.abs(C_ref).max())
+    coef = phase_cells(cell, mask.chi_eps, 0.0, 1.0)
+    skeleton_nodes = np.unique(cell_corner_indices(cell)[coef > 0]).size
+    assert skeleton_nodes < cell.n_nodes
+    assert calls == [(3 * skeleton_nodes, it) for it in iterations]
+
+
+@pytest.mark.parametrize("grid", [CELL, periodic_cell_grid(3, 16)])
+def test_elasticity_without_a_skeleton_cell_is_zero(grid):
+    C = elasticity_from_mask(build_phase_mask(UnitCellPattern("none"), 1.0, grid), 2.0)
+    nv = len(sym_component_pairs(grid.dim))
+    assert np.array_equal(C, np.zeros((nv, nv)))
 
 
 def test_darcy_linear_profile_and_flux():

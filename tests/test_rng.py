@@ -57,6 +57,24 @@ def test_array_and_uniform_interleave_on_one_stream():
         assert next_u64(fast) == next_u64(ref)
 
 
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+def test_array_across_a_superblock_boundary(n):
+    # array's loop steps 4096-draw superblocks: draws that end just before,
+    # on and just past a superblock boundary, then the draws after them
+    fast, ref = XorShift64Star(7), XorShift64Star(7)
+    _assert_bitwise_equal(fast.array((n,), 0.0, 1.0), _scalar(ref, (n,), 0.0, 1.0))
+    assert fast.state == ref.state
+    _assert_bitwise_equal(fast.array((70,), 0.0, 1.0), _scalar(ref, (70,), 0.0, 1.0))
+    assert fast.state == ref.state
+
+
+def test_two_array_calls_split_one_superblock():
+    fast, ref = XorShift64Star(2**63 + 5), XorShift64Star(2**63 + 5)
+    for n in (1000, 3000, 200, 4096, 5000):
+        _assert_bitwise_equal(fast.array((n,), -2.0, 3.0), _scalar(ref, (n,), -2.0, 3.0))
+        assert fast.state == ref.state
+
+
 def test_rng_reference_sequence():
     # frozen from the documented xorshift64* update
     frozen = [5180492295206395165, 12380297144915551517, 13389498078930870103]
