@@ -106,10 +106,13 @@ class PhaseMask:
 
 def cells_across(epsilon: float) -> int:
     """Number of periodicity cells across Omega, 1/epsilon; ValueError unless
-    epsilon is an integer reciprocal (the one place this rule is checked)."""
-    if not epsilon > 0 or abs(1.0 / epsilon - round(1.0 / epsilon)) > 1e-9:
+    epsilon is an integer reciprocal of at least 1 (the one place this rule
+    is checked): an epsilon above 1e9, inf included, rounds to no cell."""
+    inverse = 1.0 / epsilon if epsilon > 0 else 0.0  # 0 for nan too
+    m = round(inverse) if np.isfinite(inverse) else 0
+    if m < 1 or abs(inverse - m) > 1e-9:
         raise ValueError(f"epsilon must be an integer reciprocal, got {epsilon}")
-    return round(1.0 / epsilon)
+    return m
 
 
 def build_phase_mask(pattern: UnitCellPattern, epsilon: float, grid: Grid) -> PhaseMask:

@@ -240,7 +240,12 @@ def darcy_macro_solve(K: np.ndarray, bc: tuple):
     """Solve -div(K grad p) = 0 on the unit cube (33 nodes per axis) with p
     fixed on S1/S2 and no-flux elsewhere.  bc = (p_S1, p_S2).  K already
     carries the 1/mu of permeability_from_mask.  Returns (pressure, flux),
-    flux the mean of -K grad p over the cell centers."""
+    flux the mean of -K grad p over the cell centers.
+
+    p is the affine lift of the boundary values plus a correction on the
+    interior nodes, the only form assembled.  The lift enters as a load:
+    the stiffness applied to it is strain_load of its constant flux
+    K grad lift, exact for Q1."""
     K = np.asarray(K, dtype=float)
     dim = K.shape[0]
     if np.linalg.eigvalsh(0.5 * (K + K.T)).min() <= 0:
@@ -255,12 +260,13 @@ def darcy_macro_solve(K: np.ndarray, bc: tuple):
     fixed[0, ...] = True
     fixed[-1, ...] = True
     free = ~fixed.ravel()
-    A_lift = assemble_scalar_stiffness(grid, coef, K) @ lift.ravel()
-    rhs = -A_lift[free]
+    grad_lift = (p_s1 - p_s2) * np.eye(dim)[0]
+    A_lift = strain_load(grid, coef, (K @ grad_lift)[None, :])
     A_red = assemble_scalar_stiffness(grid, coef, K, free)
-    # A diagonal K makes the lift exact, and rhs roundoff; the absolute floor,
-    # set by the boundary rows of A lift, keeps CG from iterating on it.
-    res = cg_solve(A_red, rhs, tol=1e-12, max_iter=20000,
+    # A diagonal K makes the lift exact, and the interior load roundoff; the
+    # absolute floor, set by the boundary rows of A lift, keeps CG from
+    # iterating on it.
+    res = cg_solve(A_red, -A_lift[free], tol=1e-12, max_iter=20000,
                    atol=1e-12 * float(np.linalg.norm(A_lift)))
     if not res.converged:
         raise RuntimeError(f"Darcy solve failed: residual {res.residual:.2e}")

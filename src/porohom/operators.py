@@ -4,9 +4,12 @@ The weak forms (viscous/elastic D:D terms, the compressibility div*div
 penalty and scalar or anisotropic diffusion) use trilinear/bilinear (Q1)
 elements on the grid cells with tensor-product Gauss quadrature; the div*div
 term uses single-point (reduced) quadrature to avoid volumetric locking at
-large compressibility moduli.  Coefficients are piecewise constant per cell
-(phase_cells) and the grid is uniform, so every form is a sum of
-reference element matrices, each scaled by one coefficient per cell.
+large compressibility moduli.  Every element matrix comes from one rule,
+_element: a tensor T[i, a, j, b] contracted with the shape gradients d_a of
+the trial and d_b of the test component over a quadrature rule.
+Coefficients are piecewise constant per cell (phase_cells) and the grid is
+uniform, so every form is a sum of reference element matrices, each scaled
+by one coefficient per cell.
 
 All forms go through one assembler, _assemble.  On a uniform grid the row of
 a node couples it with its 3^dim stencil neighbours, and it sums, over the
@@ -42,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Grid, sym_component_pairs
+from .grid import Grid
 
 __all__ = [
     "cell_counts",
@@ -64,9 +67,11 @@ __all__ = [
 
 
 # Bound of the per-grid caches.  The assembly layout is kept per grid,
-# free-node mask and component count: an eps sweep touches six (the cell
-# problem's layout near the solid, the Darcy grid's whole and free layouts,
-# and one free layout on each of three micro grids), a multigrid hierarchy
+# free-node mask and component count: a cell-problems run touches two (the
+# permeability's layout near the solid and the elasticity correctors' layout
+# on the skeleton), an eps sweep five (the permeability's near-solid layout,
+# the Darcy grid's free layout and one free layout on each of three micro
+# grids), a multigrid hierarchy
 # two to four, and a poincare-scaling run one per box plus one per coarse
 # level of its hierarchy (nine for the 2D n=65 boxes at eps 1, 1/2, 1/4:
 # three fine, then three, two and one coarse), and its hierarchies one per
@@ -149,27 +154,17 @@ def _shape_gradients(grid: Grid, xi) -> np.ndarray:
     return out
 
 
-# -- element matrices: shape (ncomp, 2^dim, ncomp, 2^dim), one cell, unit coefficient
-
-def _sym_element(grid: Grid) -> np.ndarray:
-    """D(u):D(v) with the full Gauss rule; off-diagonal strains count twice."""
-    dim = grid.dim
-    ke = np.zeros((dim, 2**dim, dim, 2**dim))
-    for w, xi in _gauss_points(dim):
+def _element(grid: Grid, tensor: np.ndarray, points) -> np.ndarray:
+    """Element matrix of the form T[i, a, j, b] d_a u_i d_b v_j on one cell
+    with unit coefficient, over the quadrature rule points ((weight, xi)
+    pairs on the reference cell): sum_q w_q vol T[i, a, j, b] d_a phi_A
+    d_b phi_B, shape (ncomp, 2^dim, ncomp, 2^dim) for a tensor of shape
+    (ncomp, dim, ncomp, dim)."""
+    ke = 0.0
+    for w, xi in points:
         grad = _shape_gradients(grid, xi)
-        for i, j in sym_component_pairs(dim):
-            strain = np.zeros((dim, 2**dim))  # D_ij as a row over (component, corner)
-            strain[i] += 0.5 * grad[j]
-            strain[j] += 0.5 * grad[i]
-            mult = 1.0 if i == j else 2.0
-            ke += (w * mult) * np.einsum("ia,jb->iajb", strain, strain)
+        ke += w * np.einsum("iajb,aA,bB->iAjB", tensor, grad, grad)
     return ke * cell_volume(grid)
-
-
-def _div_element(grid: Grid) -> np.ndarray:
-    """(div u)(div v) with single-point (cell-center) quadrature."""
-    grad = _shape_gradients(grid, (0.5,) * grid.dim)
-    return np.einsum("ia,jb->iajb", grad, grad) * cell_volume(grid)
 
 
 def cell_divergence(grid: Grid, u_flat: np.ndarray) -> np.ndarray:
@@ -190,31 +185,24 @@ def cell_gradient(grid: Grid, f_flat: np.ndarray) -> np.ndarray:
 
 
 def strain_load(grid: Grid, coef_cells: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Load  sum_cells coef * E:D(v)  of a constant symmetric strain E, as a
-    component-major vector over the test functions v.
+    """Load  sum_cells coef * E:grad(v)  of a constant gradient E, one row
+    per component of v, as a component-major vector over the test functions
+    v: for a symmetric dim x dim strain E it is sum_cells coef * E:D(v).
 
     Exact for Q1: the cell mean of a shape gradient is its value at the
     cell center, so the load is vol * coef * (E grad_center) per cell.  With
     E = I it is vol B'coef, B the cell_divergence operator, so that
     strain_load(grid, coef * cell_divergence(grid, u), I) applies the
-    div*div form with coefficient coef to u."""
+    div*div form with coefficient coef to u.  With the 1 x dim flux
+    E = (K grad f)^T of an affine f it is the scalar load, the stiffness
+    assemble_scalar_stiffness(grid, coef, K) applied to f."""
     grad = _shape_gradients(grid, (0.5,) * grid.dim)
     corners = cell_corner_indices(grid).ravel()
     local = E @ grad  # (component, corner) of one cell, unit coefficient
     scale = cell_volume(grid) * coef_cells
     return np.concatenate([
-        np.bincount(corners, weights=np.outer(scale, local[i]).ravel(), minlength=grid.n_nodes)
-        for i in range(grid.dim)])
-
-
-def _diffusion_element(grid: Grid, tensor: np.ndarray) -> np.ndarray:
-    """grad(u) . tensor grad(v) for a scalar unknown, full Gauss rule."""
-    nc = 2**grid.dim
-    ke = np.zeros((nc, nc))
-    for w, xi in _gauss_points(grid.dim):
-        grad = _shape_gradients(grid, xi)
-        ke += w * (grad.T @ tensor @ grad)
-    return (ke * cell_volume(grid)).reshape(1, nc, 1, nc)
+        np.bincount(corners, weights=np.outer(scale, row).ravel(), minlength=grid.n_nodes)
+        for row in local])
 
 
 @lru_cache(maxsize=_GRID_CACHE)
@@ -337,7 +325,8 @@ def assemble_scalar_stiffness(grid: Grid, coef_cells: np.ndarray, tensor: np.nda
     """Stiffness of the form  sum_cells coef * grad u . tensor grad u, on the
     free nodes of the boolean node mask free if given (as assemble_vector_form)."""
     coefs = np.asarray(coef_cells, dtype=float)[:, None]
-    return _assemble(grid, coefs, _diffusion_element(grid, tensor)[None], free)
+    tensor = np.asarray(tensor, dtype=float).reshape(1, grid.dim, 1, grid.dim)
+    return _assemble(grid, coefs, _element(grid, tensor, _gauss_points(grid.dim))[None], free)
 
 
 def _vector_form_coefs(coef_sym_cells, coef_div_cells) -> np.ndarray:
@@ -349,9 +338,15 @@ def _vector_form_coefs(coef_sym_cells, coef_div_cells) -> np.ndarray:
 
 @lru_cache(maxsize=_GRID_CACHE)
 def _vector_form_elements(grid: Grid) -> np.ndarray:
-    """The D:D and the div*div element, stacked in that order (read-only,
-    shared by every caller)."""
-    elements = np.stack([_sym_element(grid), _div_element(grid)])
+    """The D:D element, T = (delta_ij delta_ab + delta_ib delta_aj) / 2 under
+    the Gauss rule, and the div*div element, T = delta_ia delta_jb under the
+    cell-centre rule, stacked in that order (read-only, shared by every
+    caller)."""
+    eye = np.eye(grid.dim)
+    sym = 0.5 * (np.einsum("ij,ab->iajb", eye, eye) + np.einsum("ib,aj->iajb", eye, eye))
+    div = np.einsum("ia,jb->iajb", eye, eye)
+    elements = np.stack([_element(grid, sym, _gauss_points(grid.dim)),
+                         _element(grid, div, [(1.0, (0.5,) * grid.dim)])])
     elements.flags.writeable = False
     return elements
 

@@ -1,9 +1,14 @@
 """Conjugate gradients, the preconditioned eigensolver (LOBPCG) of the
 smallest eigenpair, and the preconditioners both take: a multigrid V-cycle,
 or the solve of a sparse factorization of an SPD matrix (spd_factor, the one
-splu call of the package).  form_solver builds every solve of a vector form
-on free nodes: the form, its dofs and one of the two preconditioners.  Also
-the FFT inverse of a periodic constant-coefficient form."""
+splu call of the package).  form_solver builds the solve of a vector form
+on free nodes (the form, its dofs and one of the two preconditioners) for
+the steady pore flow, the micro solver and the Poincare eigenproblem.  Two
+vector forms are assembled and solved without it: the skeleton form of
+homogenize.elasticity_from_mask (Jacobi-CG on the skeleton's nodes) and the
+near-solid form A_near of homogenize._cell_velocities (the solid block that
+preconditions the capacitance CG).  Also the FFT inverse of a periodic
+constant-coefficient form."""
 
 from __future__ import annotations
 

@@ -272,6 +272,18 @@ def test_cli_validation_failure_exit_code(tmp_path):
     assert "integer reciprocal" in (proc.stderr + proc.stdout)
 
 
+def test_cli_infinite_epsilon_exits_1_without_traceback(tmp_path):
+    cfg = tmp_path / "bad.ini"
+    out = tmp_path / "out"
+    cfg.write_text(f"[experiment]\nname = micro-sim\nout_dir = {out}\n"
+                   "[material]\nepsilon = inf\n")
+    proc = _run_cli(["micro-sim", "--config", cfg.as_posix()])
+    assert proc.returncode == 1
+    assert "epsilon must be an integer reciprocal, got inf" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_cli_non_finite_drive_exits_1_before_any_step(tmp_path):
     cfg = tmp_path / "bad.ini"
     out = tmp_path / "out"

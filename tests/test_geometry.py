@@ -29,7 +29,8 @@ def test_pattern_validation():
 
 def test_cells_across_is_the_integer_reciprocal_check():
     assert [cells_across(e) for e in (1.0, 0.5, 0.25, 1 / 3)] == [1, 2, 4, 3]
-    for eps in (0.3, 0.0, -0.5, float("nan")):
+    # 1/eps of inf or 1e10 rounds to no cell; 1/5e-324 overflows to inf
+    for eps in (0.3, 0.0, -0.5, float("nan"), float("inf"), 1e10, 5e-324):
         with pytest.raises(ValueError, match="integer reciprocal"):
             cells_across(eps)
     with pytest.raises(ValueError, match="integer reciprocal"):

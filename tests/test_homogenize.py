@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from porohom import homogenize, solvers
+from porohom import homogenize, operators, solvers
 from porohom.geometry import PhaseMask, UnitCellPattern, boundary_tags, build_phase_mask, porosity
 from porohom.grid import Grid, sym_component_pairs
 from porohom.homogenize import (
@@ -20,9 +20,11 @@ from porohom.homogenize import (
 )
 from porohom.microsim import MaterialParams
 from porohom.operators import (
+    assemble_scalar_stiffness,
     assemble_vector_form,
     cell_corner_indices,
     cell_counts,
+    cell_gradient,
     cell_volume,
     nested_dissection,
     phase_cells,
@@ -353,6 +355,63 @@ def test_darcy_with_a_diagonal_K_takes_no_cg_iteration(monkeypatch, K):
     assert [res.iterations for res in calls] == [0]
     assert abs(flux[0] + K[0, 0] * 0.75) <= 1e-15
     assert np.abs(flux[1:]).max() <= 1e-15
+
+
+DARCY_K = [pytest.param(np.array([[0.05, 0.02], [0.02, 0.03]]), id="2d"),
+           pytest.param(np.array([[0.05, 0.01, -0.02], [0.01, 0.04, 0.015],
+                                  [-0.02, 0.015, 0.06]]), id="3d")]
+
+
+def _darcy_whole_grid_lift(K):
+    """darcy_macro_solve's grid, lift, free mask and whole-grid stiffness."""
+    grid = Grid(K.shape[0], 33)
+    lift = (-0.25 + (grid.coords()[0] + 0.5) * 0.75).ravel()  # bc (0.5, -0.25)
+    free = np.ones(grid.shape, dtype=bool)
+    free[0], free[-1] = False, False
+    A = assemble_scalar_stiffness(grid, np.ones(int(np.prod(cell_counts(grid)))), K)
+    return grid, lift, free.ravel(), A
+
+
+@pytest.mark.parametrize("K", DARCY_K)
+def test_darcy_assembles_one_form(monkeypatch, K):
+    count, assemble = [], operators._assemble
+
+    def counting(*args, **kwargs):
+        count.append(1)
+        return assemble(*args, **kwargs)
+    monkeypatch.setattr(operators, "_assemble", counting)
+    darcy_macro_solve(K, (0.5, -0.25))
+    assert len(count) == 1
+
+
+@pytest.mark.parametrize("K", DARCY_K)
+def test_darcy_lift_load_is_the_whole_grid_stiffness_on_the_lift(monkeypatch, K):
+    loads = []
+
+    def recording(A, rhs, **kwargs):
+        loads.append(rhs)
+        return cg_solve(A, rhs, **kwargs)
+    monkeypatch.setattr(homogenize, "cg_solve", recording)
+    darcy_macro_solve(K, (0.5, -0.25))
+    _, lift, free, A = _darcy_whole_grid_lift(K)
+    ref = -(A @ lift)[free]
+    assert len(loads) == 1
+    assert np.abs(loads[0] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("K", DARCY_K)
+def test_darcy_matches_a_solve_with_the_whole_grid_lift(K):
+    grid, lift, free, A = _darcy_whole_grid_lift(K)
+    A_lift = A @ lift
+    res = cg_solve(A[free][:, free], -A_lift[free], tol=1e-12, max_iter=20000,
+                   atol=1e-12 * float(np.linalg.norm(A_lift)))
+    assert res.converged
+    p_ref = lift.copy()
+    p_ref[free] += res.x
+    flux_ref = -K @ cell_gradient(grid, p_ref).mean(axis=0)
+    pressure, flux = darcy_macro_solve(K, (0.5, -0.25))
+    assert np.abs(pressure.values.ravel() - p_ref).max() <= 1e-12
+    assert np.abs(flux - flux_ref).max() <= 1e-12
 
 
 def test_darcy_rejects_indefinite_K():

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from porohom import operators
 from porohom.geometry import UnitCellPattern, boundary_tags, build_phase_mask
-from porohom.grid import Grid
+from porohom.grid import Grid, sym_component_pairs
 from porohom.operators import (
     assemble_scalar_stiffness,
     assemble_vector_form,
@@ -23,7 +23,8 @@ from porohom.operators import (
     strain_load,
 )
 from porohom.operators import _coarsen as coarsen
-from porohom.operators import _assemble, _diffusion_element, _vector_form_elements
+from porohom.operators import (_assemble, _element, _gauss_points, _shape_gradients,
+                               _vector_form_elements)
 from porohom import solvers
 from porohom.analysis import poincare_constant
 from porohom.grid import ScalarField
@@ -397,6 +398,88 @@ def test_scalar_stiffness_matches_dense_per_cell_reference(grid, anisotropic):
     assert _rel_diff(A, _diffusion_reference(grid, coef, tensor)) < 1e-13
 
 
+# -- the one element rule against the per-form builders it replaced ---------
+
+def _sym_element_reference(grid):
+    """D(u):D(v) with the full Gauss rule; off-diagonal strains count twice."""
+    dim = grid.dim
+    ke = np.zeros((dim, 2**dim, dim, 2**dim))
+    for w, xi in _gauss_points(dim):
+        grad = _shape_gradients(grid, xi)
+        for i, j in sym_component_pairs(dim):
+            strain = np.zeros((dim, 2**dim))  # D_ij as a row over (component, corner)
+            strain[i] += 0.5 * grad[j]
+            strain[j] += 0.5 * grad[i]
+            mult = 1.0 if i == j else 2.0
+            ke += (w * mult) * np.einsum("ia,jb->iajb", strain, strain)
+    return ke * cell_volume(grid)
+
+
+def _div_element_reference(grid):
+    """(div u)(div v) with single-point (cell-center) quadrature."""
+    grad = _shape_gradients(grid, (0.5,) * grid.dim)
+    return np.einsum("ia,jb->iajb", grad, grad) * cell_volume(grid)
+
+
+def _diffusion_element_reference(grid, tensor):
+    """grad(u) . tensor grad(v) for a scalar unknown, full Gauss rule."""
+    nc = 2**grid.dim
+    ke = np.zeros((nc, nc))
+    for w, xi in _gauss_points(grid.dim):
+        grad = _shape_gradients(grid, xi)
+        ke += w * (grad.T @ tensor @ grad)
+    return (ke * cell_volume(grid)).reshape(1, nc, 1, nc)
+
+
+def _sym_tensor(dim):
+    """T[i, a, j, b] = (delta_ij delta_ab + delta_ib delta_aj) / 2, the D:D form."""
+    T = np.zeros((dim,) * 4)
+    for i, a in np.ndindex(dim, dim):
+        T[i, a, i, a] += 0.5
+        T[i, a, a, i] += 0.5
+    return T
+
+
+def _div_tensor(dim):
+    """T[i, a, j, b] = delta_ia delta_jb, the div*div form."""
+    T = np.zeros((dim,) * 4)
+    for i, j in np.ndindex(dim, dim):
+        T[i, i, j, j] = 1.0
+    return T
+
+
+def _anisotropic_K(dim):
+    M = np.random.default_rng(dim).standard_normal((dim, dim))
+    return M @ M.T + 0.5 * np.eye(dim)
+
+
+@pytest.mark.parametrize("grid", ASSEMBLY_GRIDS, ids=_grid_id)
+def test_element_matches_the_per_form_builders(grid):
+    dim, gauss = grid.dim, _gauss_points(grid.dim)
+    K = _anisotropic_K(dim)
+    pairs = [(_element(grid, _sym_tensor(dim), gauss), _sym_element_reference(grid)),
+             (_element(grid, K.reshape(1, dim, 1, dim), gauss),
+              _diffusion_element_reference(grid, K)),
+             *zip(_vector_form_elements(grid),
+                  (_sym_element_reference(grid), _div_element_reference(grid)))]
+    for got, ref in pairs:
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 7), Grid(3, 4, periodic=(True, True, True))],
+                         ids=_grid_id)
+def test_isotropic_elastic_tensor_is_the_sum_of_the_sym_and_div_elements(grid):
+    # lam delta_ia delta_jb + 2 mu (D:D tensor), one Gauss-rule element, is
+    # 2 mu D:D + lam div*div, both under the Gauss rule
+    dim, gauss, lam, mu = grid.dim, _gauss_points(grid.dim), 1.7, 0.4
+    C = lam * _div_tensor(dim) + 2 * mu * _sym_tensor(dim)
+    got = _element(grid, C, gauss)
+    ref = (2 * mu * _element(grid, _sym_tensor(dim), gauss)
+           + lam * _element(grid, _div_tensor(dim), gauss))
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("grid", [Grid(2, 7), Grid(3, 5)], ids=_grid_id)
 def test_strain_load_is_the_form_applied_to_the_affine_field(grid):
     # on a box grid the affine field E x is a nodal field, so the assembled
@@ -524,7 +607,7 @@ def _term_stack(grid, terms):
     """An element stack of one term (the scalar Laplacian) or two terms (D:D
     and div*div)."""
     if terms == "one":
-        return _diffusion_element(grid, np.eye(grid.dim))[None]
+        return _element(grid, np.eye(grid.dim)[None, :, None, :], _gauss_points(grid.dim))[None]
     return _vector_form_elements(grid)
 
 
