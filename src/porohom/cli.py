@@ -6,7 +6,8 @@ of each stage and the step operator's stored entries, for eps-convergence the
 steps and convergence of each level's steady solve, for poincare-scaling the
 preconditioner of each level's eigensolve) into the output directory.  Exit
 codes: 0 success, 1 validation failure, 2 solver failure (including running
-out of memory).
+out of memory).  A rejected config or a failed run writes only the manifest,
+whose status line says why.
 """
 
 from __future__ import annotations
@@ -249,6 +250,13 @@ def main(argv=None) -> int:
         cfg = parse_config(cfg_text)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
+        out = Path(args.out or exc.out_dir)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            _write_manifest(out, cfg_text, "validation-failure: " + "; ".join(exc.problems),
+                            0.0, [])
+        except OSError as err:
+            print(f"cannot write to output directory {out}: {err}", file=sys.stderr)
         return 1
     if cfg.experiment != args.experiment:
         print(f"config {args.config} is for experiment {cfg.experiment!r}, "

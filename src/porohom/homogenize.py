@@ -86,8 +86,6 @@ def permeability_from_mask(mask: PhaseMask, mu: float) -> tuple:
     """
     grid = mask.grid
     _require_periodic(grid)
-    if not mask.fluid.any():
-        return np.zeros((grid.dim, grid.dim)), 0.0
     if not check_pore_connectivity(mask):
         return np.zeros((grid.dim, grid.dim)), 0.0
     if not mask.solid.any():

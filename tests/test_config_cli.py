@@ -75,6 +75,56 @@ mu1 = 1.0
     assert len(err.value.problems) >= 6
 
 
+def test_parse_config_lists_problems_in_a_fixed_order():
+    # one config breaking a rule of every owner: syntax lines first, in line
+    # order, then name, steps, eps_list, h_list, interface_plane, [grid], the
+    # pattern, epsilon and MaterialParams
+    text = """\
+[experiment]
+name = mystery-run
+steps = 0
+eps_list = 0.3
+h_list = 0.1, 0.2
+interface_plane = 0.7
+seed = 1.5
+this line has no equals sign
+
+[warp]
+speed = 9
+
+[grid]
+dim = 4
+pattern = hexagon
+dim = 2
+
+[material]
+viscosity = 2
+epsilon = 0.3
+mu1 = -2
+"""
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == [
+        "line 7: cannot parse value '1.5' for key 'seed'",
+        "line 8: expected `key = value`, got 'this line has no equals sign'",
+        "line 10: unknown section [warp]",
+        "line 11: key 'speed' outside any section",
+        "line 16: duplicate key 'dim' (first set on line 14)",
+        "line 19: unknown key 'viscosity' in section [material]",
+        "unknown experiment 'mystery-run'; registry: mollifier-props, poincare-scaling, "
+        "extension-bounds, micro-sim, cell-problems, eps-convergence",
+        "steps must be >= 1, got 0",
+        "eps_list: epsilon must be an integer reciprocal, got 0.3",
+        "h_list must be strictly decreasing, got (0.1, 0.2)",
+        "interface_plane must lie in (-1/2, 1/2), got 0.7",
+        "[grid] dim must be 2 or 3, got 4",
+        "[grid] unknown pattern kind 'hexagon', expected one of "
+        "('disk', 'sphere', 'square-block', 'full-solid', 'none')",
+        "[material] epsilon must be an integer reciprocal, got 0.3",
+        "[material] mu1 must be positive, got -2.0",
+    ]
+
+
 def test_parse_config_lists_every_material_problem():
     text = ("[experiment]\nname = micro-sim\n"
             "[material]\nmu1 = -2\ntau = 0\nepsilon = 0.3\n")
@@ -255,19 +305,38 @@ def test_cli_infinite_h_list_exits_1_without_traceback(tmp_path):
 def test_cli_infinite_h_mollify_is_rejected_with_the_config(tmp_path):
     cfg = tmp_path / "bad.ini"
     out = tmp_path / "out"
-    cfg.write_text(f"[experiment]\nname = micro-sim\nout_dir = {out}\n"
-                   "[material]\nmu2 = 3\nh_mollify = inf\n")
-    proc = _run_cli(["micro-sim", "--config", cfg.as_posix()])
+    cfg.write_text("[experiment]\nname = micro-sim\n[material]\nmu2 = 3\nh_mollify = inf\n")
+    proc = _run_cli(["micro-sim", "--config", cfg.as_posix(), "--out", str(out)])
     assert proc.returncode == 1
     assert "h_mollify must be finite, got inf" in proc.stderr
     assert "Traceback" not in proc.stderr
-    assert not out.exists()
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "status validation-failure: [material] h_mollify must be finite, got inf" in manifest
+    assert not list(out.glob("*.csv"))
+
+
+def test_cli_rejected_config_leaves_a_manifest_in_its_out_dir(tmp_path, capsys):
+    # out_dir is known even when other keys fail; without one it is the default
+    with pytest.raises(ConfigError) as err:
+        parse_config("[experiment]\nname = micro-sim\nsteps = 0\n")
+    assert err.value.out_dir == "runs"
+    cfg = tmp_path / "bad.ini"
+    out = tmp_path / "out"
+    cfg.write_text(f"[experiment]\nname = micro-sim\nout_dir = {out}\nsteps = 0\n"
+                   "[grid]\nn = 2\n")
+    assert cli.main(["micro-sim", "--config", str(cfg)]) == 1
+    manifest = (out / "manifest.txt").read_text()
+    assert ("\nstatus validation-failure: steps must be >= 1, got 0; "
+            "[grid] n must be >= 3 nodes per axis, got 2\n") in manifest
+    assert manifest.endswith("--- config ---\n" + cfg.read_text())
+    assert "outputs \n" in manifest and not list(out.glob("*.csv"))
+    assert "steps must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_cli_validation_failure_exit_code(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[material]\nepsilon = 0.3\n")
-    proc = _run_cli(["micro-sim", "--config", cfg.as_posix()])
+    proc = _run_cli(["micro-sim", "--config", cfg.as_posix(), "--out", str(tmp_path / "out")])
     assert proc.returncode == 1
     assert "integer reciprocal" in (proc.stderr + proc.stdout)
 
@@ -277,11 +346,12 @@ def test_cli_infinite_epsilon_exits_1_without_traceback(tmp_path):
     out = tmp_path / "out"
     cfg.write_text(f"[experiment]\nname = micro-sim\nout_dir = {out}\n"
                    "[material]\nepsilon = inf\n")
-    proc = _run_cli(["micro-sim", "--config", cfg.as_posix()])
+    proc = _run_cli(["micro-sim", "--config", cfg.as_posix(), "--out", str(out)])
     assert proc.returncode == 1
     assert "epsilon must be an integer reciprocal, got inf" in proc.stderr
     assert "Traceback" not in proc.stderr
-    assert not out.exists()
+    assert "validation-failure" in (out / "manifest.txt").read_text()
+    assert not list(out.glob("*.csv"))
 
 
 def test_cli_non_finite_drive_exits_1_before_any_step(tmp_path):
@@ -289,7 +359,7 @@ def test_cli_non_finite_drive_exits_1_before_any_step(tmp_path):
     out = tmp_path / "out"
     cfg.write_text(f"[experiment]\nname = micro-sim\nout_dir = {out}\nsteps = 1\n"
                    "[material]\np_grad = inf\n")
-    proc = _run_cli(["micro-sim", "--config", cfg.as_posix()])
+    proc = _run_cli(["micro-sim", "--config", cfg.as_posix(), "--out", str(out)])
     assert proc.returncode == 1
     assert "p_drive_grad must be finite" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -301,7 +371,7 @@ def test_cli_infinite_lambda_exits_1_without_a_warning(tmp_path):
     out = tmp_path / "out"
     cfg.write_text(f"[experiment]\nname = micro-sim\nout_dir = {out}\nsteps = 2\n"
                    "[grid]\nn = 17\n[material]\nlambda = inf\n")
-    proc = _run_cli(["micro-sim", "--config", cfg.as_posix()])
+    proc = _run_cli(["micro-sim", "--config", cfg.as_posix(), "--out", str(out)])
     assert proc.returncode == 1
     assert "lam must be finite, got inf" in proc.stderr
     assert "Warning" not in proc.stderr

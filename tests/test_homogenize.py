@@ -65,8 +65,8 @@ def test_permeability_viscosity_scaling():
 
 def test_permeability_degenerate_cases():
     solid = build_phase_mask(UnitCellPattern("full-solid", 0.0), 1.0, CELL)
-    K, _ = permeability_from_mask(solid, 1.0)
-    assert np.all(K == 0.0)
+    K, asym = permeability_from_mask(solid, 1.0)
+    assert np.all(K == 0.0) and asym == 0.0
     # blocked pores: a solid slab across the cell
     blocked = build_phase_mask(UnitCellPattern("disk", 0.0), 1.0, CELL)
     x1 = CELL.coords()[0]
