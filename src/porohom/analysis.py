@@ -4,8 +4,8 @@ fluid/solid extension operators.
 A Poincaré constant is 1/sqrt(lambda_min) of the discrete symmetric-gradient
 form against the lumped mass, by the preconditioned eigensolver
 solvers.inverse_power_iteration (LOBPCG) on the form and preconditioner of
-solvers.form_solver: "multigrid" when the grid halves down to a level small
-enough to factor, "factor" otherwise.
+solvers.form_solver: "multigrid" in 3D and on a 2D grid that halves down to
+a level small enough to factor, "factor" on the other 2D grids.
 """
 
 from __future__ import annotations
@@ -64,10 +64,12 @@ def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0) -> Co
     of the form against the lumped mass comes from one
     inverse_power_iteration call on solvers.form_solver's form, with the
     mass in the order of its dofs.  The grid picks form_solver's
-    preconditioner, named by ConstantEstimate.precond: "multigrid" when
-    operators.coarse_levels halves the box grid down to at most
-    operators.COARSE_DOFS free dofs, "factor" otherwise (an even node
-    count, or halving that stops above the bound).
+    preconditioner, named by ConstantEstimate.precond: "multigrid" in 3D,
+    and in 2D when operators.coarse_levels halves the box grid down to at
+    most operators.COARSE_DOFS free dofs; "factor" for the other 2D grids
+    (an even node count, or halving that stops above the bound).  A 3D
+    factor fills far more than a 2D one, so in 3D the V-cycle is the faster
+    even when it only smooths a level it cannot halve; in 2D the factor is.
     """
     if domain_mask.grid != grid:
         raise ValueError("mask grid mismatch")
@@ -81,7 +83,8 @@ def poincare_constant(domain_mask: ScalarField, grid: Grid, seed: int = 0) -> Co
         raise ValueError("mask has no interior nodes")
     levels = coarse_levels(grid, active_node)
     coarsest = levels[-1].free if levels else active_node
-    label = "multigrid" if grid.dim * np.count_nonzero(coarsest) <= COARSE_DOFS else "factor"
+    small = grid.dim * np.count_nonzero(coarsest) <= COARSE_DOFS
+    label = "multigrid" if grid.dim == 3 or small else "factor"
     coef = np.ones(int(np.prod(cell_counts(grid))))
     A, dofs, precond = form_solver(grid, active_node, coef, None, label)
     mass = np.tile(grid.node_weights().ravel(), grid.dim)[dofs]

@@ -10,8 +10,12 @@ symmetric positive definite solve for the velocity:
         - lam (1-chi_f) D(w^n):D(phi) - c^2 (div w^n)(div phi)
 
 with w^{n+1} = w^n + tau v^{n+1} and homogeneous displacement conditions on
-S0.  eps is the cell size of the phase mask (PhaseMask.epsilon) and mu the
-transport.update_viscosity of the fluid-1 fraction.  chi_f is the cell phase
+S0.  The S1/S2 traction of the constant pressure p0 is applied as the
+volume term -p0 (div phi), operators.strain_load with E = I: by the
+divergence theorem the two agree on every phi that vanishes on S0, and
+strain_load is exact for Q1.  eps is the cell size of the phase mask
+(PhaseMask.epsilon) and mu the transport.update_viscosity of the fluid-1
+fraction.  chi_f is the cell phase
 of operators.phase_cells: a cell with a fluid corner is fluid and takes the
 mean of mu (and of c_f^2) over its fluid corners; every other cell is
 skeleton and takes lam (and c_s^2).  div is the cell-center divergence of
@@ -33,8 +37,9 @@ import numpy as np
 
 from . import transport
 from .geometry import PhaseMask, boundary_tags
-from .grid import Grid, ScalarField, VectorField
-from .operators import assemble_vector_form, cell_divergence, cell_volume, phase_cells
+from .grid import ScalarField, VectorField
+from .operators import (assemble_vector_form, cell_divergence, cell_volume, phase_cells,
+                        strain_load)
 from .solvers import cg_solve, form_solver, projected_guess
 
 __all__ = [
@@ -120,19 +125,6 @@ def sound_speed_squared(mask: PhaseMask, params: MaterialParams, chi: np.ndarray
     return phase_cells(mask.grid, mask.chi_eps, c_fluid, params.c_s**2)
 
 
-def _surface_load(grid: Grid, p0: float) -> np.ndarray:
-    """Natural traction contribution of P<n> = -p0 n over S1 and S2,
-    with trapezoidal quadrature in the face coordinates."""
-    load = np.zeros((grid.dim,) + grid.shape)
-    if p0 == 0.0 or grid.periodic[0]:
-        return load.reshape(-1)
-    # the face rule is the node rule on the S1 face without its x1 factor
-    ws = grid.node_weights()[-1] / (0.5 * grid.spacing(0))
-    load[0, -1, ...] = -p0 * ws  # S1, outward normal +e1
-    load[0, 0, ...] = +p0 * ws   # S2, outward normal -e1
-    return load.reshape(-1)
-
-
 # Stopping rule of the step solve (preconditioned CG, either solver).
 CG_TOL = 1e-11
 CG_MAX_ITER = 20000
@@ -202,12 +194,9 @@ class MicroSolver:
         with self._stage("assemble"):
             self._rebuild_operator()
 
-        load = np.zeros(grid.dim * grid.n_nodes)
-        wq = grid.node_weights().ravel()
-        for k in range(grid.dim):
-            load[k * grid.n_nodes:(k + 1) * grid.n_nodes] = -g[k] * wq
-        load += _surface_load(grid, params.p0)
-        self.load = load
+        p0_cells = np.full(self._lam_cells.shape, params.p0)
+        self.load = ((-g[:, None] * grid.node_weights().ravel()).ravel()
+                     - strain_load(grid, p0_cells, np.eye(grid.dim)))
 
         self.history = []
         self.trace = []

@@ -16,12 +16,12 @@ a node couples it with its 3^dim stencil neighbours, and it sums, over the
 cells at the node's corners, the element rows of that corner scaled by the
 cells' coefficients.  So each component row block of a form is one small
 dense product per node, coefficients of the node's cells times a fixed
-stencil weight matrix, computed for every node and gathered into the
-component-major CSR on the free nodes of a boolean node mask (every node by
-default).  Where to gather from and to is cached per grid, mask and
-component count (_stencil_layout).  The product is split so that the cells
-around a node that share a coefficient cancel exactly; entries that are
-exactly zero are not stored.
+stencil weight matrix, computed on the free nodes of a boolean node mask
+(every node by default) and gathered into the component-major CSR there.
+Where to gather from and to is derived from cell_corner_indices and cached
+per grid, mask and component count (_stencil_layout).  The product is split
+so that the cells around a node that share a coefficient cancel exactly;
+entries that are exactly zero are not stored.
 The results are symmetric positive semi-definite compact-stencil matrices
 whose 1D reductions are the classical tridiagonal forms.
 
@@ -209,41 +209,43 @@ def strain_load(grid: Grid, coef_cells: np.ndarray, E: np.ndarray) -> np.ndarray
 def _stencil_layout(grid: Grid, free_bytes: bytes | None, ncomp: int):
     """(cells, pick, columns, indptr): where the stencil rows of an
     ncomp-component form come from and where they go, on the free nodes of a
-    boolean node mask (free_bytes; None: every node).
+    boolean node mask (free_bytes; None: every node).  Rows exist for the
+    free nodes only, in node order, and both maps come from
+    cell_corner_indices.
 
-    cells[p, a] is the cell that has node p at its corner a, or ncells (a
-    sentinel, one past the last cell) where the grid has none.  Node p has a
-    stencil slot for each step s of {-1, 0, 1}^dim (lexicographic order),
-    the neighbour p + s.  pick lists, free node by free node, the slots
-    (flat over node and step) whose neighbour exists and is free, and
-    columns holds that neighbour's rank among the free nodes.  Row (i, r) of
-    the form stores, slot by slot, the coupling with each component j of the
-    neighbour, in column j * nfree + columns; indptr is the CSR row pointer
-    of the ncomp component row blocks over these entries."""
-    dim, n = grid.dim, grid.n_per_axis
-    node = np.indices(grid.shape).reshape(dim, -1, 1)
-    periodic = np.array(grid.periodic)[:, None, None]
-
-    def locate(pos, counts):
-        """Flat index in a box of counts of each position (dim, nodes, k),
-        wrapped on the periodic axes; -1 outside the box."""
-        pos = np.where(periodic, pos % n, pos)
-        inside = np.all((pos >= 0) & (pos < np.array(counts)[:, None, None]), axis=0)
-        return np.where(inside, np.ravel_multi_index(tuple(np.where(inside, pos, 0)), counts), -1)
-
-    corners = np.array(list(itertools.product((0, 1), repeat=dim))).T[:, None, :]
-    cells = locate(node - corners, cell_counts(grid))
-    cells[cells < 0] = np.prod(cell_counts(grid))
-    steps = np.array(list(itertools.product((-1, 0, 1), repeat=dim))).T[:, None, :]
-    nbr = locate(node + steps, grid.shape)
+    cells[r, a] is the cell that has free node r at its corner a, or ncells
+    (a sentinel, one past the last cell) where the grid has none.  Free node
+    r, node p of the grid, has a stencil slot for each step s of
+    {-1, 0, 1}^dim (lexicographic order), the neighbour p + s: corner b of
+    the cell at its corner a, for s = off_b - off_a (_corner_windows).  pick
+    lists, free node by free node, the slots (flat over free node and step)
+    whose neighbour exists and is free, and columns holds that neighbour's
+    rank among the free nodes.  Row (i, r) of the form stores, slot by slot,
+    the coupling with each component j of the neighbour, in column
+    j * nfree + columns; indptr is the CSR row pointer of the ncomp component
+    row blocks over these entries."""
+    corners = cell_corner_indices(grid)
+    ncells, nc = corners.shape
     free = (np.ones(grid.n_nodes, dtype=bool) if free_bytes is None
             else np.frombuffer(free_bytes, dtype=bool))
-    keep = (nbr >= 0) & free[nbr] & free[:, None]  # (node, step)
-    rank = np.cumsum(free) - 1
-    row_len = np.count_nonzero(keep, axis=1)[free] * ncomp
+    cells = np.full((grid.n_nodes, nc), ncells, dtype=np.int32)
+    cells[corners, np.arange(nc)] = np.arange(ncells)[:, None]
+    cells = cells[free]
+    # each neighbour is a corner of some cell at the node, held as its rank
+    # among the free nodes: -1 for a fixed node or none (the sentinel cell's
+    # corners), so the maximum over the cells keeps whichever cell has it
+    rank = np.where(free, np.cumsum(free) - 1, -1)
+    corner_rank = np.vstack([rank[corners], np.full(nc, -1)])
+    corner_rank = corner_rank.reshape((ncells + 1,) + (2,) * grid.dim)
+    nbr = np.full((len(cells),) + (3,) * grid.dim, -1)
+    for a, window in enumerate(_corner_windows(grid.dim)):
+        slots = nbr[(slice(None),) + window]
+        np.maximum(slots, corner_rank[cells[:, a]], out=slots)
+    nbr = nbr.reshape(len(cells), -1)
+    keep = nbr >= 0  # (free node, step)
+    row_len = np.count_nonzero(keep, axis=1) * ncomp
     indptr = np.concatenate([[0], np.cumsum(np.tile(row_len, ncomp))])
-    return (cells.astype(np.int32), np.flatnonzero(keep).astype(np.int32),
-            rank[nbr[keep]].astype(np.int32), indptr)
+    return cells, np.flatnonzero(keep).astype(np.int32), nbr[keep].astype(np.int32), indptr
 
 
 def _corner_windows(dim: int):
@@ -275,12 +277,12 @@ def _assemble(grid: Grid, coefs: np.ndarray, elements: np.ndarray,
     is roundoff: where the cells around a node share a coefficient, an
     entry that cancels between them comes out exactly zero.
 
-    Rows are computed on every node whatever the mask, and then the slots of
-    free nodes with free neighbours are picked, so the form on the free
-    nodes is the whole form with the fixed rows and columns cut out, bit for
-    bit.  Exact zeros are not stored: neither a coefficient that vanishes on
-    a region nor the cancellation between equal cells leaves stored entries,
-    so the stored pattern does not depend on roundoff there.
+    Rows are computed on the free nodes only, and then the slots with free
+    neighbours are picked, so the form on the free nodes is the whole form
+    with the fixed rows and columns cut out, bit for bit.  Exact zeros are
+    not stored: neither a coefficient that vanishes on a region nor the
+    cancellation between equal cells leaves stored entries, so the stored
+    pattern does not depend on roundoff there.
     """
     nterms, ncomp, nc = elements.shape[:3]
     cells, pick, columns, indptr = _stencil_layout(

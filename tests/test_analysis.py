@@ -67,7 +67,8 @@ def _eigsh_smallest(A, mass):
     (Grid(2, 33), "multigrid"),
     (Grid(2, 32), "factor"),  # an even node count cannot be halved
     (Grid(3, 9), "multigrid"),
-], ids=["2d-n33", "2d-n32", "3d-n9"])
+    (Grid(3, 10), "multigrid"),  # in 3D the V-cycle only smooths what it cannot halve
+], ids=["2d-n33", "2d-n32", "3d-n9", "3d-n10"])
 def test_poincare_constant_matches_a_shift_invert_eigensolve(g, precond):
     est = poincare_constant(_box_mask(g, 0.5), g)
     assert est.precond == precond

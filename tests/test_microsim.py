@@ -276,6 +276,59 @@ def test_1d_column_steady_state_matches_tridiagonal_oracle():
     assert np.abs(ms.state.w.values[0][:, 0] - w_oracle).max() < 1e-8
 
 
+@pytest.mark.parametrize("grid, pattern, dirichlet", [
+    (Grid(2, 17), "disk", "S0"),
+    (Grid(3, 9), "sphere", "S0"),
+    (Grid(2, 33, periodic=(False, True)), "full-solid", "S0+S1+S2"),
+    (Grid(2, 17, periodic=(True, False)), "disk", "S0"),
+], ids=["2d", "3d", "mixed-column", "periodic-x1"])
+def test_load_is_the_body_force_plus_the_s1_s2_traction(grid, pattern, dirichlet):
+    g = (0.3, -0.4, 0.2)[:grid.dim]
+    par = MaterialParams(h_mollify=0.0, p0=0.7, p_drive_grad=g)
+    mask = build_phase_mask(UnitCellPattern(pattern, 0.25), 1.0, grid)
+    ms = MicroSolver(mask, par, advance_transport=False, dirichlet=dirichlet)
+    weights = grid.node_weights()
+    want = -np.asarray(g)[:, None] * weights.ravel()
+    if not grid.periodic[0]:
+        # trapezoid rule on the x1 faces: the node rule without its x1 factor
+        face = weights[-1] / (0.5 * grid.spacing(0))
+        want = want.reshape((grid.dim,) + grid.shape)
+        want[0, -1] -= par.p0 * face  # S1, outward normal +e1
+        want[0, 0] += par.p0 * face   # S2, outward normal -e1
+    got = ms.load[ms.active]
+    want = want.ravel()[ms.active]
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(got).max()
+
+
+def test_mollified_model_tends_to_the_sharp_viscosity_model():
+    # B^eps mollifies only the viscosity (transport.update_viscosity); as the
+    # radius h_mollify shrinks its solution should tend to that of the
+    # sharp-viscosity model, h_mollify = 0.  The transient-2d material.
+    grid = Grid(2, 65)
+    mask = init_fluid_partition(build_phase_mask(UnitCellPattern("disk", 0.25), 0.5, grid), 0.1)
+    weights = grid.node_weights()
+
+    def run(h):
+        ms = MicroSolver(mask, MaterialParams(mu1=1.0, mu2=3.0, lam=1.0, tau=0.005, h_mollify=h))
+        ms.run(12)
+        return ms.state.v.values, ms.energy.dissipated_cumulative
+
+    def l2(v):
+        return np.sqrt(np.sum(weights * v**2))
+
+    v0, d0 = run(0.0)
+    hs = (0.2, 0.1, 0.05)
+    velocity_gap, dissipation_gap = [], []
+    for h in hs:
+        v, d = run(h)
+        velocity_gap.append(l2(v - v0) / l2(v0))
+        dissipation_gap.append(abs(d - d0) / d0)
+    assert all(b < a for a, b in zip(velocity_gap, velocity_gap[1:])), velocity_gap
+    assert all(b < a for a, b in zip(dissipation_gap, dissipation_gap[1:])), dissipation_gap
+    order = np.log(velocity_gap[-2] / velocity_gap[-1]) / np.log(hs[-2] / hs[-1])
+    assert order >= 0.8, (velocity_gap, order)
+
+
 def test_energy_balance_and_monotone_dissipation():
     mask = _two_fluid_mask(n=17)
     par = MaterialParams(mu1=1.0, mu2=2.0, tau=0.002, h_mollify=0.0,

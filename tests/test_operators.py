@@ -567,22 +567,28 @@ def test_restricted_pattern_keeps_only_the_cells_with_a_free_corner():
     grid = Grid(3, 9)
     free = np.zeros(grid.n_nodes, dtype=bool)
     free[np.random.default_rng(4).choice(grid.n_nodes, 20, replace=False)] = True
+    nodes = np.flatnonzero(free)
     nst = 3**grid.dim  # neighbour slots per node row
     cells, pick, columns, indptr = _stencil_layout(grid, free.tobytes(), 3)
-    whole = _stencil_layout(grid, None, 3)[1]
+    whole_cells, whole = _stencil_layout(grid, None, 3)[:2]
+    assert len(whole_cells) == grid.n_nodes
     assert np.array_equal(np.unique(whole // nst), np.arange(grid.n_nodes))
-    rows = np.unique(pick // nst)
-    assert np.array_equal(rows, np.flatnonzero(free))
+    # one row per free node, in node order
+    row, step = np.divmod(pick, nst)
+    assert len(cells) == nodes.size and np.array_equal(np.unique(row), np.arange(nodes.size))
     # the kept rows draw on exactly the cells with a free corner
     touched = free[cell_corner_indices(grid)].any(axis=1)
     ncells = touched.size
-    reached = np.unique(cells[rows])
+    reached = np.unique(cells)
     assert np.array_equal(reached[reached < ncells], np.flatnonzero(touched))
     assert 0 < reached.size < ncells // 2
-    # every kept slot couples two free nodes, one entry per pair of components
+    # every kept slot couples two free nodes, its row's node and the
+    # neighbour at its step, one entry per pair of components
     assert pick.size == columns.size and indptr[-1] == 9 * pick.size
     assert 0 <= columns.min() and columns.max() < 20
-    assert np.all(free[pick // nst]) and np.all(free[rows[columns]])
+    at = np.array(np.unravel_index(nodes[row], grid.shape))
+    at += np.array(np.unravel_index(step, (3,) * grid.dim)) - 1
+    assert np.array_equal(np.ravel_multi_index(at, grid.shape), nodes[columns])
     A = assemble_vector_form(grid, np.linspace(1.0, 2.0, ncells), np.full(ncells, 0.5), free)
     assert A.shape == (3 * 20,) * 2 and 0 < A.nnz <= indptr[-1]
 
